@@ -340,23 +340,23 @@ func main() {
 }
 
 // replayPredictors trains each named predictor on the detected streams and
-// replays the captured trace through it, reporting the accuracy ledger —
-// an offline miniature of the Supervisor's A/B comparison.
+// replays the captured trace through it, reporting the matcher's accuracy
+// ledger — an offline miniature of the predictor head-to-head.
 func replayPredictors(names []string, streams []hotprefetch.Stream, raw []ref.Ref, headLen int) {
 	fmt.Println()
 	fmt.Println("predictor replay (trained on the streams above, over the captured trace)")
 	for _, name := range names {
-		p, err := hotprefetch.NewPredictor(name, streams, headLen)
+		cm, err := hotprefetch.NewConcurrentPredictor(name, streams, headLen)
 		if err != nil {
 			log.Fatal(err)
 		}
-		p.EnableAccuracyTracking(0)
+		cm.EnableAccuracyTracking(0)
 		var comparisons uint64
 		for _, r := range raw {
-			_, cmp := p.Observe(hotprefetch.Ref{PC: r.PC, Addr: r.Addr})
+			_, cmp := cm.Observe(hotprefetch.Ref{PC: r.PC, Addr: r.Addr})
 			comparisons += uint64(cmp)
 		}
-		issued, hits := p.AccuracyCounters()
+		issued, hits, outstanding, dropped := cm.AccuracyBooks()
 		acc := 0.0
 		if issued > 0 {
 			acc = float64(hits) / float64(issued)
@@ -365,12 +365,8 @@ func replayPredictors(names []string, streams []hotprefetch.Stream, raw []ref.Re
 		if len(raw) > 0 {
 			cmpPerRef = float64(comparisons) / float64(len(raw))
 		}
-		line := fmt.Sprintf("%-8s issued=%-8d hits=%-8d accuracy=%.2f cmp/ref=%.1f", name, issued, hits, acc, cmpPerRef)
-		if b, ok := p.(hotprefetch.AccuracyBooks); ok {
-			_, _, outstanding, dropped := b.AccuracyBooks()
-			line += fmt.Sprintf(" outstanding=%d dropped=%d", outstanding, dropped)
-		}
-		fmt.Println(line)
+		fmt.Printf("%-8s issued=%-8d hits=%-8d accuracy=%.2f cmp/ref=%.1f outstanding=%d dropped=%d\n",
+			name, issued, hits, acc, cmpPerRef, outstanding, dropped)
 	}
 }
 

@@ -70,7 +70,6 @@ func run(args []string, out io.Writer, ready chan<- net.Addr) error {
 	metricsTenants := fs.Int("metricstenants", 0, "tenant label cardinality bound for /metrics (0 = 16)")
 	snapshotDir := fs.String("snapshot-dir", "", "directory for durable per-tenant snapshots (empty = disabled); tenants warm-start from it at boot")
 	snapshotInterval := fs.Duration("snapshot-interval", time.Minute, "periodic checkpoint cadence when -snapshot-dir is set (<= 0 disables the loop)")
-	predictor := fs.String("predictor", "", "prefetch predictor implementation advertised by this deployment (empty = dfsm; see GET /stats)")
 	drainTimeout := fs.Duration("draintimeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -99,7 +98,6 @@ func run(args []string, out io.Writer, ready chan<- net.Addr) error {
 		MetricsTenants:   *metricsTenants,
 		SnapshotDir:      *snapshotDir,
 		SnapshotInterval: *snapshotInterval,
-		Predictor:        *predictor,
 	})
 	if err != nil {
 		return err

@@ -88,7 +88,7 @@ func runWithEvents(out io.Writer, bench string, mode hotprefetch.Mode) error {
 	}
 	inst := workload.Build(p)
 	m := inst.NewMachine(workload.CacheConfig(), true)
-	o := opt.New(m, experiment.OptConfig(opt.Mode(mode)))
+	o := opt.New(m, experiment.OptConfig(mode))
 	o.SetEventSink(func(e opt.Event) { fmt.Fprintln(out, e) })
 	if err := m.RunToCompletion(); err != nil {
 		return err

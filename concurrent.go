@@ -1,7 +1,6 @@
 package hotprefetch
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -9,26 +8,27 @@ import (
 )
 
 // ConcurrentMatcher is a Predictor safe for use by multiple goroutines, with
-// hot swapping of both the matched stream set and the predictor
-// implementation behind it. Historically it wrapped only the DFSM matcher —
-// the name stuck — but any registered Predictor (see RegisterPredictor) can
-// be published through it; NewConcurrentMatcher installs the default DFSM.
+// hot swapping of the matched stream set and the one prefetch-accuracy
+// ledger every predictor is measured by. Historically it wrapped only the
+// DFSM matcher — the name stuck — but any registered Predictor (see
+// RegisterPredictor) can be published through it; NewConcurrentMatcher
+// installs the default DFSM.
 //
 // The current predictor is published through an atomic pointer: Swap builds
 // the replacement entirely off to the side and installs it with one short
 // lock-protected store, so Observe never waits on a retraining build and
 // never sees a torn or half-compiled table — the paper's §5
 // de-optimize/re-optimize transition without a stop-the-world on the
-// detection path. The step mutex only guards the predictor's rolling match
-// state; the common case is a short critical section around an
-// array-indexed Step.
+// detection path. The step mutex guards the predictor's rolling match state
+// and the accuracy ledger; the common case is a short critical section
+// around an array-indexed Step.
 //
 // All callers share one match state — observations interleave into a single
 // logical reference stream, exactly as if one goroutine called Observe with
 // the merged order. To match per-thread streams independently, give each
 // thread its own Predictor instead.
 type ConcurrentMatcher struct {
-	mu       sync.Mutex // serializes stepping of the current predictor
+	mu       sync.Mutex // serializes stepping of the current predictor and the ledger
 	cur      atomic.Pointer[predEntry]
 	observed atomic.Uint64
 	swaps    atomic.Uint64
@@ -41,15 +41,10 @@ type ConcurrentMatcher struct {
 	// atomic with respect to other Swaps.
 	buildMu sync.Mutex
 
-	// Accuracy accounting (see EnableAccuracyTracking): the live counters
-	// belong to the current predictor and are read under mu; counters of
-	// replaced instances accumulate per predictor name in book so totals
-	// survive swaps and A/B windows attribute exactly to the
-	// implementation that earned them.
-	trackWindow atomic.Int64
-	book        map[string]*predictorBook // guarded by mu
-	issuedBase  atomic.Uint64
-	hitBase     atomic.Uint64
+	// ledger accounts prefetch accuracy across every predictor this matcher
+	// publishes (see EnableAccuracyTracking); nil until tracking is enabled.
+	// Guarded by mu.
+	ledger *ledger
 
 	// obs, when set (see SetObserver), receives a KindMatcherSwap event for
 	// each published retrain. AttachMatcher sets it so swaps land in the
@@ -67,20 +62,82 @@ type predEntry struct {
 	streams int
 }
 
-// predictorBook accumulates one implementation's retired accuracy counters
-// across swaps.
-type predictorBook struct {
-	issued, hits uint64
-	swaps        uint64
+// ledger accounts prefetch accuracy: every address the published predictor
+// issues becomes outstanding, and an outstanding address observed by a
+// later reference counts as a hit — the paper's Table 2 accuracy metric
+// (prefetches actually used by the program vs. prefetches issued).
+// Outstanding addresses are bounded by a FIFO window so a stale predictor
+// cannot grow the set without limit; evicted addresses simply never hit.
+//
+// The books balance exactly: every issued address is either coalesced with
+// an already-outstanding copy at issue time, observed later (hit), evicted
+// by the window, retired unobserved at a Swap, or still outstanding (in
+// set). Coalesced, evicted and retired addresses together are dropped, so
+// issued == hits + outstanding + dropped.
+type ledger struct {
+	set  map[uint64]struct{}
+	fifo []uint64 // insertion-ordered ring over the outstanding set
+	head int      // next eviction slot
+
+	issued  uint64
+	hits    uint64
+	dropped uint64
 }
 
-// PredictorAccuracy is one predictor's cumulative accuracy ledger across
-// every instance of it this matcher has published; see AccuracyByPredictor.
-type PredictorAccuracy struct {
-	Name   string `json:"name"`
-	Issued uint64 `json:"issued"`
-	Hits   uint64 `json:"hits"`
-	Swaps  uint64 `json:"swaps"` // times an instance of this predictor was published
+func newLedger(window int) *ledger {
+	return &ledger{
+		set:  make(map[uint64]struct{}, window),
+		fifo: make([]uint64, 0, window),
+	}
+}
+
+// observeThenIssue credits a hit if addr is outstanding, then records the
+// prefetches that observation fired. Observing first means a reference
+// never hits a prefetch triggered by itself. Every address counts as
+// issued; an address already outstanding is not duplicated in the window
+// (one future observation clears it either way).
+func (l *ledger) observeThenIssue(addr uint64, issued []uint64) {
+	if _, ok := l.set[addr]; ok {
+		l.hits++
+		delete(l.set, addr)
+	}
+	l.issued += uint64(len(issued))
+	for _, a := range issued {
+		if _, ok := l.set[a]; ok {
+			l.dropped++ // coalesced
+			continue
+		}
+		if len(l.fifo) < cap(l.fifo) {
+			l.fifo = append(l.fifo, a)
+		} else {
+			// Window full: evict the oldest outstanding address. A slot
+			// whose address already left the set (hit, or re-issued into a
+			// younger slot) is stale — overwriting it retires nothing.
+			if old := l.fifo[l.head]; old != a {
+				if _, live := l.set[old]; live {
+					delete(l.set, old)
+					l.dropped++ // evicted
+				}
+			}
+			l.fifo[l.head] = a
+			l.head++
+			if l.head == len(l.fifo) {
+				l.head = 0
+			}
+		}
+		l.set[a] = struct{}{}
+	}
+}
+
+// retireOutstanding drops the whole outstanding window unobserved: a
+// swapped-in predictor starts with nothing outstanding, so the prefetches
+// of the instance it replaced can no longer hit. The cumulative counters
+// carry on.
+func (l *ledger) retireOutstanding() {
+	l.dropped += uint64(len(l.set))
+	clear(l.set)
+	l.fifo = l.fifo[:0]
+	l.head = 0
 }
 
 // SetObserver points the matcher's event emission at o (nil detaches).
@@ -107,21 +164,9 @@ func NewConcurrentPredictor(name string, streams []Stream, headLen int) (*Concur
 	if err != nil {
 		return nil, err
 	}
-	c := &ConcurrentMatcher{book: make(map[string]*predictorBook)}
+	c := &ConcurrentMatcher{}
 	c.cur.Store(&predEntry{name: name, p: p, streams: len(streams)})
-	c.bookFor(name).swaps++
 	return c, nil
-}
-
-// bookFor returns (creating if needed) the accumulated ledger for name.
-// Callers hold mu, except during construction.
-func (c *ConcurrentMatcher) bookFor(name string) *predictorBook {
-	b := c.book[name]
-	if b == nil {
-		b = &predictorBook{}
-		c.book[name] = b
-	}
-	return b
 }
 
 // Observe consumes one data reference; see Predictor. The returned prefetch
@@ -134,47 +179,38 @@ func (c *ConcurrentMatcher) bookFor(name string) *predictorBook {
 func (c *ConcurrentMatcher) Observe(r Ref) (prefetch []uint64, comparisons int) {
 	c.mu.Lock()
 	prefetch, comparisons = c.cur.Load().p.Observe(r)
+	if c.ledger != nil {
+		c.ledger.observeThenIssue(r.Addr, prefetch)
+	}
 	c.mu.Unlock()
 	c.observed.Add(1)
 	return prefetch, comparisons
 }
 
-// Swap retrains the current predictor implementation on a new stream set;
-// see SwapNamed. Swapping in an empty stream set installs the pass-through
-// instance (deoptimization).
+// Swap retrains the matcher on a new stream set: it builds a fresh instance
+// of the published predictor implementation — without holding the step
+// lock, so Observe proceeds against the old instance throughout the build —
+// and publishes it positioned at its start state. Swapping in an empty
+// stream set installs the pass-through instance (deoptimization). On error
+// the current predictor is left in place. Concurrent swaps are serialized by
+// a build mutex, so each retrain's build and publication are atomic with
+// respect to other retrains and the swap count is exact.
+//
+// Publication retires the ledger's outstanding window (see AccuracyBooks):
+// the new instance is judged only on its own prefetches, while the
+// cumulative counters carry on.
 func (c *ConcurrentMatcher) Swap(streams []Stream, headLen int) error {
-	return c.SwapNamed(c.cur.Load().name, streams, headLen)
-}
-
-// SwapNamed retrains the matcher, possibly changing the predictor
-// implementation: it builds the named predictor for the new stream set —
-// without holding the step lock, so Observe proceeds against the old
-// instance throughout the build — and publishes it positioned at its start
-// state. On error the current predictor is left in place. Concurrent swaps
-// are serialized by a build mutex, so each retrain's build and publication
-// are atomic with respect to other retrains and the swap count is exact.
-func (c *ConcurrentMatcher) SwapNamed(name string, streams []Stream, headLen int) error {
 	c.buildMu.Lock()
 	defer c.buildMu.Unlock()
+	name := c.cur.Load().name
 	p, err := NewPredictor(name, streams, headLen)
 	if err != nil {
 		return err
 	}
-	if w := c.trackWindow.Load(); w != 0 {
-		p.EnableAccuracyTracking(int(w))
-	}
-	// Publish under the step lock: the old predictor's accuracy counters
-	// are folded into its book in the same critical section, so no Observe
-	// can bump them between the read and the store.
 	c.mu.Lock()
-	old := c.cur.Load()
-	issued, hits := old.p.AccuracyCounters()
-	b := c.bookFor(old.name)
-	b.issued += issued
-	b.hits += hits
-	c.bookFor(name).swaps++
-	c.issuedBase.Add(issued)
-	c.hitBase.Add(hits)
+	if c.ledger != nil {
+		c.ledger.retireOutstanding()
+	}
 	c.cur.Store(&predEntry{name: name, p: p, streams: len(streams)})
 	c.mu.Unlock()
 	c.swaps.Add(1)
@@ -186,22 +222,27 @@ func (c *ConcurrentMatcher) SwapNamed(name string, streams []Stream, headLen int
 	return nil
 }
 
-// Predictor returns the registry name of the currently published predictor
+// Predictor returns the registry name of the published predictor
 // implementation.
 func (c *ConcurrentMatcher) Predictor() string { return c.cur.Load().name }
 
-// EnableAccuracyTracking turns on prefetch accuracy accounting on the
-// current predictor and every instance installed by future Swaps; see
-// Matcher.EnableAccuracyTracking. window <= 0 means 4096.
+// EnableAccuracyTracking turns on prefetch accuracy accounting: every
+// address Observe returns counts as issued, and an issued address observed
+// by a later Observe counts as a hit — the paper's Table 2 accuracy metric
+// (useful prefetches over prefetches issued), measured online. window
+// bounds the outstanding-address set (<= 0 means 4096); addresses evicted
+// by newer prefetches never count as hits. Tracking is off by default,
+// leaving Observe's hot path untouched. Once on it stays on: a repeated
+// call keeps the ledger as it is, window included, so the cumulative
+// counters never move backwards.
 func (c *ConcurrentMatcher) EnableAccuracyTracking(window int) {
 	if window <= 0 {
 		window = 4096
 	}
-	c.buildMu.Lock()
-	defer c.buildMu.Unlock()
-	c.trackWindow.Store(int64(window))
 	c.mu.Lock()
-	c.cur.Load().p.EnableAccuracyTracking(window)
+	if c.ledger == nil {
+		c.ledger = newLedger(window)
+	}
 	c.mu.Unlock()
 }
 
@@ -209,34 +250,25 @@ func (c *ConcurrentMatcher) EnableAccuracyTracking(window int) {
 // across all predictors this matcher has published (swaps included). Both
 // are zero until EnableAccuracyTracking.
 func (c *ConcurrentMatcher) AccuracyCounters() (issued, hits uint64) {
-	c.mu.Lock()
-	issued, hits = c.cur.Load().p.AccuracyCounters()
-	c.mu.Unlock()
-	return issued + c.issuedBase.Load(), hits + c.hitBase.Load()
+	issued, hits, _, _ = c.AccuracyBooks()
+	return issued, hits
 }
 
-// AccuracyByPredictor splits AccuracyCounters by predictor implementation:
-// each entry accumulates the issued/hit counters of every instance of that
-// name published so far, the live one included. Entries are sorted by name.
-// Reads fold under the step lock, so at any instant the per-predictor
-// counters sum exactly to AccuracyCounters — A/B accuracy windows cannot
-// cross-contaminate or lose observations at a swap boundary.
-func (c *ConcurrentMatcher) AccuracyByPredictor() []PredictorAccuracy {
+// AccuracyBooks returns the full ledger: addresses issued, the subset
+// observed (hits), the subset still outstanding in the window, and the
+// subset dropped unobserved (window evictions, issues coalesced with an
+// already-outstanding copy, and the outstanding window retired by each
+// Swap). The books balance exactly at every read:
+// issued == hits + outstanding + dropped. All zero until
+// EnableAccuracyTracking.
+func (c *ConcurrentMatcher) AccuracyBooks() (issued, hits, outstanding, dropped uint64) {
 	c.mu.Lock()
-	out := make([]PredictorAccuracy, 0, len(c.book))
-	cur := c.cur.Load()
-	liveIssued, liveHits := cur.p.AccuracyCounters()
-	for name, b := range c.book {
-		pa := PredictorAccuracy{Name: name, Issued: b.issued, Hits: b.hits, Swaps: b.swaps}
-		if name == cur.name {
-			pa.Issued += liveIssued
-			pa.Hits += liveHits
-		}
-		out = append(out, pa)
+	defer c.mu.Unlock()
+	l := c.ledger
+	if l == nil {
+		return 0, 0, 0, 0
 	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return l.issued, l.hits, uint64(len(l.set)), l.dropped
 }
 
 // Observations returns the number of references observed so far, for service

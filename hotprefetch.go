@@ -390,19 +390,6 @@ func (m *Matcher) Observe(r Ref) (prefetch []uint64, comparisons int) {
 // Reset returns the matcher to its start state (nothing matched).
 func (m *Matcher) Reset() { m.m.Reset() }
 
-// EnableAccuracyTracking turns on prefetch accuracy accounting: every
-// address returned by Observe is counted as issued, and an issued address
-// observed by a later Observe counts as a hit — the paper's Table 2
-// accuracy metric (useful prefetches over prefetches issued), measured
-// online. window bounds the outstanding-address set (<= 0 means 4096);
-// addresses evicted by newer prefetches never count as hits. Disabled by
-// default, leaving Observe's hot path untouched.
-func (m *Matcher) EnableAccuracyTracking(window int) { m.m.EnableHitTracking(window) }
-
-// AccuracyCounters returns the cumulative prefetch addresses issued and the
-// subset subsequently observed. Both are zero until EnableAccuracyTracking.
-func (m *Matcher) AccuracyCounters() (issued, hits uint64) { return m.m.HitCounters() }
-
 // NumStates returns the number of DFSM states, including the start state.
 // The paper observes close to headLen×n+1 states for n streams rather than
 // the exponential worst case (§3.1).

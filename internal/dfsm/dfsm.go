@@ -649,111 +649,6 @@ type Matcher struct {
 	arms    []addrArm
 	chains  []stateEntry
 	states  []*State
-
-	// tracker, when non-nil, accounts prefetch accuracy (issued vs. hit);
-	// see EnableHitTracking. Nil by default so Step's hot path pays one
-	// predictable branch.
-	tracker *hitTracker
-}
-
-// hitTracker accounts prefetch accuracy: every address issued by a firing
-// prefetch becomes outstanding, and an outstanding address observed by a
-// later Step counts as a hit — the paper's Table 2 accuracy metric
-// (prefetches actually used by the program vs. prefetches issued).
-// Outstanding addresses are bounded by a FIFO window so a stale matcher
-// cannot grow the set without limit; evicted addresses simply never hit.
-type hitTracker struct {
-	set  map[uint64]struct{}
-	fifo []uint64 // insertion-ordered ring over the outstanding set
-	head int      // next eviction slot
-
-	// The ledger balances exactly: every issued address is either coalesced
-	// with an already-outstanding copy at issue time, observed later (hit),
-	// evicted by the FIFO window, or still outstanding (in set). See
-	// Matcher.HitBooks.
-	issued    uint64
-	hits      uint64
-	evicted   uint64
-	coalesced uint64
-}
-
-func newHitTracker(window int) *hitTracker {
-	return &hitTracker{
-		set:  make(map[uint64]struct{}, window),
-		fifo: make([]uint64, 0, window),
-	}
-}
-
-// observe credits a hit if addr is outstanding.
-func (t *hitTracker) observe(addr uint64) {
-	if _, ok := t.set[addr]; ok {
-		t.hits++
-		delete(t.set, addr)
-	}
-}
-
-// issue records a fired prefetch list. Every address counts as issued; an
-// address already outstanding is not duplicated in the window (one future
-// observation clears it either way).
-func (t *hitTracker) issue(addrs []uint64) {
-	t.issued += uint64(len(addrs))
-	for _, a := range addrs {
-		if _, ok := t.set[a]; ok {
-			t.coalesced++
-			continue
-		}
-		if len(t.fifo) < cap(t.fifo) {
-			t.fifo = append(t.fifo, a)
-		} else {
-			// Window full: evict the oldest outstanding address. A slot
-			// whose address already left the set (hit, or re-issued into a
-			// younger slot) is stale — overwriting it retires nothing.
-			if old := t.fifo[t.head]; old != a {
-				if _, live := t.set[old]; live {
-					delete(t.set, old)
-					t.evicted++
-				}
-			}
-			t.fifo[t.head] = a
-			t.head++
-			if t.head == len(t.fifo) {
-				t.head = 0
-			}
-		}
-		t.set[a] = struct{}{}
-	}
-}
-
-// EnableHitTracking turns on prefetch accuracy accounting with the given
-// outstanding-address window (<= 0 means 4096). Tracking follows the same
-// single-goroutine contract as Step.
-func (m *Matcher) EnableHitTracking(window int) {
-	if window <= 0 {
-		window = 4096
-	}
-	m.tracker = newHitTracker(window)
-}
-
-// HitCounters returns the cumulative prefetch addresses issued and the
-// subset later observed (hits). Both are zero until EnableHitTracking.
-func (m *Matcher) HitCounters() (issued, hits uint64) {
-	if m.tracker == nil {
-		return 0, 0
-	}
-	return m.tracker.issued, m.tracker.hits
-}
-
-// HitBooks returns the tracker's full ledger: addresses issued, the subset
-// observed (hits), the subset still outstanding in the window, and the
-// subset dropped unobserved (FIFO evictions plus issues coalesced with an
-// already-outstanding copy). The books balance exactly:
-// issued == hits + outstanding + dropped. All zero until EnableHitTracking.
-func (m *Matcher) HitBooks() (issued, hits, outstanding, dropped uint64) {
-	if m.tracker == nil {
-		return 0, 0, 0, 0
-	}
-	t := m.tracker
-	return t.issued, t.hits, uint64(len(t.set)), t.evicted + t.coalesced
 }
 
 // NewMatcher returns a matcher positioned at the start state.
@@ -796,21 +691,9 @@ func (m *Matcher) Step(r ref.Ref) (prefetch []uint64, comparisons int) {
 	if span[0] == span[1] {
 		// Un-instrumented pc: no arms; the single failed address comparison.
 		m.cur = 0
-		if m.tracker != nil {
-			m.tracker.observe(r.Addr)
-		}
 		return nil, 1
 	}
-	prefetch, comparisons = m.stepArms(r.Addr, span)
-	if m.tracker != nil {
-		// Observe before issue: the triggering reference must not hit a
-		// prefetch issued by its own step.
-		m.tracker.observe(r.Addr)
-		if len(prefetch) > 0 {
-			m.tracker.issue(prefetch)
-		}
-	}
-	return prefetch, comparisons
+	return m.stepArms(r.Addr, span)
 }
 
 // stepArms walks the address arms of one instrumented pc (the out-of-line

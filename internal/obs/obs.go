@@ -90,13 +90,6 @@ const (
 	KindSnapshotLoadFailed
 	KindSnapshotStaleRejected
 
-	// KindPredictorTrial marks the supervisor starting an A/B predictor
-	// trial (Value is the trained stream count). KindPredictorWinner marks
-	// a trial concluding with the winner swapped in (Value is 0 when the
-	// champion won, 1 for the challenger).
-	KindPredictorTrial
-	KindPredictorWinner
-
 	kindCount // sentinel; keep last
 )
 
@@ -142,10 +135,6 @@ func (k Kind) String() string {
 		return "snapshot_load_failed"
 	case KindSnapshotStaleRejected:
 		return "snapshot_stale_rejected"
-	case KindPredictorTrial:
-		return "predictor_trial"
-	case KindPredictorWinner:
-		return "predictor_winner"
 	default:
 		return "unknown"
 	}

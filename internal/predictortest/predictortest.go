@@ -2,9 +2,9 @@
 // registered Predictor implementation must pass. The suite pins the
 // interface contracts the rest of the runtime leans on — bit-exact
 // determinism across instances, pass-through behavior when untrained,
-// replayability after Reset, and an accuracy ledger whose books balance —
-// so a new predictor that passes Conformance can be dropped behind
-// ConcurrentMatcher and the Supervisor's A/B machinery without further
+// replayability after Reset, and books that balance when ConcurrentMatcher's
+// accuracy ledger measures it — so a new predictor that passes Conformance
+// can be dropped behind ConcurrentMatcher and the Supervisor without further
 // ceremony.
 //
 // It lives under internal/ because it imports the root package (legal: an
@@ -147,24 +147,21 @@ func Conformance(t *testing.T, name string, streams []hotprefetch.Stream, trace 
 	})
 
 	t.Run("accuracy-books", func(t *testing.T) {
-		// The FIFO-window ledger must balance exactly:
-		// issued == hits + outstanding + dropped. A small window forces
-		// evictions; the full trace exercises hits and coalescing.
-		p, err := hotprefetch.NewPredictor(name, streams, 2)
+		// ConcurrentMatcher's FIFO-window ledger must balance exactly over
+		// this predictor: issued == hits + outstanding + dropped. A small
+		// window forces evictions; the full trace exercises hits and
+		// coalescing.
+		cm, err := hotprefetch.NewConcurrentPredictor(name, streams, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.EnableAccuracyTracking(8)
+		cm.EnableAccuracyTracking(8)
 		var issuedSum uint64
 		for _, r := range trace {
-			pf, _ := p.Observe(r)
+			pf, _ := cm.Observe(r)
 			issuedSum += uint64(len(pf))
 		}
-		books, ok := p.(hotprefetch.AccuracyBooks)
-		if !ok {
-			t.Fatalf("predictor %q does not implement AccuracyBooks", name)
-		}
-		issued, hits, outstanding, dropped := books.AccuracyBooks()
+		issued, hits, outstanding, dropped := cm.AccuracyBooks()
 		if issued != hits+outstanding+dropped {
 			t.Fatalf("books do not balance: issued=%d != hits=%d + outstanding=%d + dropped=%d",
 				issued, hits, outstanding, dropped)
@@ -172,7 +169,7 @@ func Conformance(t *testing.T, name string, streams []hotprefetch.Stream, trace 
 		if issued != issuedSum {
 			t.Fatalf("ledger issued=%d, observed %d prefetch addresses", issued, issuedSum)
 		}
-		cIssued, cHits := p.AccuracyCounters()
+		cIssued, cHits := cm.AccuracyCounters()
 		if cIssued != issued || cHits != hits {
 			t.Fatalf("AccuracyCounters (%d, %d) disagree with books (%d, %d)",
 				cIssued, cHits, issued, hits)
@@ -180,15 +177,16 @@ func Conformance(t *testing.T, name string, streams []hotprefetch.Stream, trace 
 	})
 
 	t.Run("tracking-off-counters-zero", func(t *testing.T) {
-		// Without EnableAccuracyTracking the counters stay zero — the
-		// ledger is opt-in so the zero-alloc observe path stays untouched.
-		p, err := hotprefetch.NewPredictor(name, streams, 2)
+		// Without EnableAccuracyTracking the books stay empty — the ledger
+		// is opt-in so the zero-alloc observe path stays untouched.
+		cm, err := hotprefetch.NewConcurrentPredictor(name, streams, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		record(p, trace)
-		if issued, hits := p.AccuracyCounters(); issued != 0 || hits != 0 {
-			t.Fatalf("counters without tracking = (%d, %d), want (0, 0)", issued, hits)
+		record(cm, trace)
+		if issued, hits, outstanding, dropped := cm.AccuracyBooks(); issued|hits|outstanding|dropped != 0 {
+			t.Fatalf("books without tracking = (%d, %d, %d, %d), want all zero",
+				issued, hits, outstanding, dropped)
 		}
 	})
 }

@@ -56,9 +56,6 @@ const (
 	EventSnapshotRestored      = obs.KindSnapshotRestored
 	EventSnapshotLoadFailed    = obs.KindSnapshotLoadFailed
 	EventSnapshotStaleRejected = obs.KindSnapshotStaleRejected
-
-	EventPredictorTrial  = obs.KindPredictorTrial
-	EventPredictorWinner = obs.KindPredictorWinner
 )
 
 // WriteMetrics writes the profile's metrics in Prometheus text exposition
@@ -95,22 +92,6 @@ func (sp *ShardedProfile) WriteMetrics(w io.Writer) {
 	obs.WriteGauge(w, "hotprefetch_restored_streams", "Warm-start streams currently merged into the banked set.", float64(st.RestoredStreams))
 	obs.WriteCounter(w, "hotprefetch_matcher_observations_total", "References observed by the attached matcher.", st.MatcherObservations)
 	obs.WriteCounter(w, "hotprefetch_matcher_swaps_total", "Matcher retraining swaps published.", st.MatcherSwaps)
-	if len(st.Predictors) > 0 {
-		issued := make(map[string]uint64, len(st.Predictors))
-		hits := make(map[string]uint64, len(st.Predictors))
-		swaps := make(map[string]uint64, len(st.Predictors))
-		for _, pa := range st.Predictors {
-			issued[pa.Name] = pa.Issued
-			hits[pa.Name] = pa.Hits
-			swaps[pa.Name] = pa.Swaps
-		}
-		obs.WriteCounterVec(w, "hotprefetch_predictor_prefetches_issued_total",
-			"Prefetch addresses issued, by predictor implementation.", "predictor", issued)
-		obs.WriteCounterVec(w, "hotprefetch_predictor_prefetches_hit_total",
-			"Issued prefetch addresses subsequently referenced, by predictor implementation.", "predictor", hits)
-		obs.WriteCounterVec(w, "hotprefetch_predictor_swaps_total",
-			"Predictor instances published, by implementation.", "predictor", swaps)
-	}
 	if sup := st.Supervisor; sup != nil {
 		obs.WriteGauge(w, "hotprefetch_supervisor_accuracy", "Last conclusive accuracy window's hits/issued ratio.", sup.Accuracy)
 		obs.WriteGauge(w, "hotprefetch_supervisor_windows_below_floor", "Current run of consecutive bad accuracy windows.", float64(sup.WindowsBelowFloor))

@@ -24,31 +24,14 @@ import (
 // Supervisor swaps in (§5).
 //
 // Implementations follow Matcher's contracts: not safe for concurrent use
-// (wrap in ConcurrentMatcher), returned prefetch slices alias internal state
-// and are valid only until the next Observe, and accuracy accounting uses
-// the same FIFO-window issued/hits ledger so A/B comparisons across
-// predictors measure the same thing.
+// (wrap in ConcurrentMatcher), and returned prefetch slices alias internal
+// state and are valid only until the next Observe. Accuracy accounting is
+// not the predictor's job: ConcurrentMatcher keeps the one ledger (see
+// ConcurrentMatcher.EnableAccuracyTracking), so every implementation is
+// measured by the same books.
 type Predictor interface {
 	Observe(r Ref) (prefetch []uint64, comparisons int)
 	Reset()
-	EnableAccuracyTracking(window int)
-	AccuracyCounters() (issued, hits uint64)
-}
-
-// AccuracyBooks is optionally implemented by predictors whose accuracy
-// tracker exposes its full ledger. The books balance exactly:
-// issued == hits + outstanding + dropped (dropped covers FIFO evictions and
-// issues coalesced with an already-outstanding address). The conformance
-// and fuzz suites assert this invariant; all registered predictors
-// implement it.
-type AccuracyBooks interface {
-	AccuracyBooks() (issued, hits, outstanding, dropped uint64)
-}
-
-// AccuracyBooks exposes the matcher's tracker ledger; see the AccuracyBooks
-// interface.
-func (m *Matcher) AccuracyBooks() (issued, hits, outstanding, dropped uint64) {
-	return m.m.HitBooks()
 }
 
 // PredictorFactory builds a trained predictor over a hot-stream set.
@@ -65,7 +48,7 @@ var (
 
 // RegisterPredictor adds a named predictor implementation to the registry.
 // Registering a name twice panics: the registry is process-global and a
-// silent override would re-route every service that selected the name.
+// silent override would change every matcher later built under the name.
 // Tests registering throwaway predictors should use distinct names.
 func RegisterPredictor(name string, f PredictorFactory) {
 	if name == "" || f == nil {
@@ -91,13 +74,6 @@ func NewPredictor(name string, streams []Stream, headLen int) (Predictor, error)
 	return f(streams, headLen)
 }
 
-// predictorRegistered reports whether name is in the registry.
-func predictorRegistered(name string) bool {
-	predictorMu.RLock()
-	defer predictorMu.RUnlock()
-	return predictorReg[name] != nil
-}
-
 // PredictorNames returns the registered predictor names, sorted.
 func PredictorNames() []string {
 	predictorMu.RLock()
@@ -111,7 +87,7 @@ func PredictorNames() []string {
 }
 
 // DefaultPredictor is the registry name of the paper's DFSM prefix matcher,
-// the default everywhere a predictor is selectable.
+// the predictor NewConcurrentMatcher installs.
 const DefaultPredictor = "dfsm"
 
 func init() {
@@ -123,14 +99,14 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &trackedPredictor{observe: p.Observe, reset: p.Reset}, nil
+		return &corePredictor{observe: p.Observe, reset: p.Reset}, nil
 	})
 	RegisterPredictor("stride", func(streams []Stream, headLen int) (Predictor, error) {
 		p, err := stride.New(toStrideStreams(streams), stride.Config{})
 		if err != nil {
 			return nil, err
 		}
-		return &trackedPredictor{observe: p.Observe, reset: p.Reset}, nil
+		return &corePredictor{observe: p.Observe, reset: p.Reset}, nil
 	})
 }
 
@@ -158,98 +134,15 @@ func toRefs(rs []Ref) []ref.Ref {
 	return out
 }
 
-// trackedPredictor adapts an internal predictor core (markov, stride) to the
-// Predictor interface, adding the same FIFO-window accuracy ledger the DFSM
-// matcher keeps (see internal/dfsm's hitTracker): observation is credited
-// before the core's new prefetches issue, so a reference never hits a
-// prefetch triggered by itself.
-type trackedPredictor struct {
+// corePredictor adapts an internal predictor core (markov, stride), which
+// observes internal ref.Ref values, to the Predictor interface.
+type corePredictor struct {
 	observe func(ref.Ref) ([]uint64, int)
 	reset   func()
-	tracker *predTracker
 }
 
-func (t *trackedPredictor) Observe(r Ref) (prefetch []uint64, comparisons int) {
-	prefetch, comparisons = t.observe(ref.Ref{PC: r.PC, Addr: r.Addr})
-	if t.tracker != nil {
-		t.tracker.observeThenIssue(r.Addr, prefetch)
-	}
-	return prefetch, comparisons
+func (c *corePredictor) Observe(r Ref) (prefetch []uint64, comparisons int) {
+	return c.observe(ref.Ref{PC: r.PC, Addr: r.Addr})
 }
 
-func (t *trackedPredictor) Reset() { t.reset() }
-
-func (t *trackedPredictor) EnableAccuracyTracking(window int) {
-	if window <= 0 {
-		window = 4096
-	}
-	t.tracker = newPredTracker(window)
-}
-
-func (t *trackedPredictor) AccuracyCounters() (issued, hits uint64) {
-	if t.tracker == nil {
-		return 0, 0
-	}
-	return t.tracker.issued, t.tracker.hits
-}
-
-func (t *trackedPredictor) AccuracyBooks() (issued, hits, outstanding, dropped uint64) {
-	if t.tracker == nil {
-		return 0, 0, 0, 0
-	}
-	tr := t.tracker
-	return tr.issued, tr.hits, uint64(len(tr.set)), tr.evicted + tr.coalesced
-}
-
-// predTracker mirrors internal/dfsm's hitTracker — the conformance suite
-// pins the two to identical ledger semantics so per-predictor accuracy
-// numbers are comparable.
-type predTracker struct {
-	set       map[uint64]struct{}
-	fifo      []uint64
-	head      int
-	issued    uint64
-	hits      uint64
-	evicted   uint64
-	coalesced uint64
-}
-
-func newPredTracker(window int) *predTracker {
-	return &predTracker{
-		set:  make(map[uint64]struct{}, window),
-		fifo: make([]uint64, 0, window),
-	}
-}
-
-func (t *predTracker) observeThenIssue(addr uint64, issued []uint64) {
-	if _, ok := t.set[addr]; ok {
-		t.hits++
-		delete(t.set, addr)
-	}
-	if len(issued) == 0 {
-		return
-	}
-	t.issued += uint64(len(issued))
-	for _, a := range issued {
-		if _, ok := t.set[a]; ok {
-			t.coalesced++
-			continue
-		}
-		if len(t.fifo) < cap(t.fifo) {
-			t.fifo = append(t.fifo, a)
-		} else {
-			if old := t.fifo[t.head]; old != a {
-				if _, live := t.set[old]; live {
-					delete(t.set, old)
-					t.evicted++
-				}
-			}
-			t.fifo[t.head] = a
-			t.head++
-			if t.head == len(t.fifo) {
-				t.head = 0
-			}
-		}
-		t.set[a] = struct{}{}
-	}
-}
+func (c *corePredictor) Reset() { c.reset() }

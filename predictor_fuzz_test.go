@@ -3,7 +3,8 @@ package hotprefetch_test
 // FuzzPredictorObserve feeds arbitrary byte strings through the full
 // predictor pipeline: the input decodes into a training stream and an
 // observation trace, a fuzzer-chosen implementation is built over the
-// stream, and the trace replays through two independent instances. The
+// stream, and the trace replays through two independent instances — one
+// behind ConcurrentMatcher with its accuracy ledger on, one bare. The
 // invariants are the conformance suite's, checked on adversarial input:
 // no panic anywhere, at least one comparison per observation, bit-exact
 // agreement between the twin instances, and accuracy books that balance.
@@ -59,7 +60,7 @@ func FuzzPredictorObserve(f *testing.F) {
 		if cut := len(refs) / 2; cut > 0 {
 			streams = []hotprefetch.Stream{{Refs: refs[:cut], Heat: heat}}
 		}
-		a, err := hotprefetch.NewPredictor(name, streams, 2)
+		a, err := hotprefetch.NewConcurrentPredictor(name, streams, 2)
 		if err != nil {
 			t.Fatalf("%s: build failed on fuzz streams: %v", name, err)
 		}
@@ -68,7 +69,6 @@ func FuzzPredictorObserve(f *testing.F) {
 			t.Fatalf("%s: twin build failed: %v", name, err)
 		}
 		a.EnableAccuracyTracking(window)
-		b.EnableAccuracyTracking(window)
 		var issuedSum uint64
 		for i, r := range refs {
 			pfA, cmpA := a.Observe(r)
@@ -82,11 +82,7 @@ func FuzzPredictorObserve(f *testing.F) {
 			}
 			issuedSum += uint64(len(pfA))
 		}
-		books, ok := a.(hotprefetch.AccuracyBooks)
-		if !ok {
-			t.Fatalf("%s does not implement AccuracyBooks", name)
-		}
-		issued, hits, outstanding, dropped := books.AccuracyBooks()
+		issued, hits, outstanding, dropped := a.AccuracyBooks()
 		if issued != hits+outstanding+dropped {
 			t.Fatalf("%s: books do not balance: issued=%d hits=%d outstanding=%d dropped=%d",
 				name, issued, hits, outstanding, dropped)

@@ -102,13 +102,6 @@ type ServiceConfig struct {
 	// is set: 0 means 60s, negative disables the background loop (leaving
 	// checkpoints to CheckpointAll and the /snapshot endpoints).
 	SnapshotInterval time.Duration
-
-	// Predictor names the prefetch-predictor implementation this deployment
-	// selects for consumers of its hot streams (see RegisterPredictor);
-	// it is validated against the registry and surfaced in ServiceStats so
-	// clients and dashboards agree on which implementation the detected
-	// streams will drive. Empty means DefaultPredictor.
-	Predictor string
 }
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
@@ -132,9 +125,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.SnapshotDir != "" && c.SnapshotInterval == 0 {
 		c.SnapshotInterval = defaultSnapshotInterval
 	}
-	if c.Predictor == "" {
-		c.Predictor = DefaultPredictor
-	}
 	return c
 }
 
@@ -142,10 +132,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 func (c ServiceConfig) Validate() error {
 	if err := c.Tenant.Validate(); err != nil {
 		return fmt.Errorf("Tenant: %w", err)
-	}
-	if c.Predictor != "" && !predictorRegistered(c.Predictor) {
-		return fmt.Errorf("hotprefetch: ServiceConfig.Predictor %q is not registered (have %v)",
-			c.Predictor, PredictorNames())
 	}
 	return nil
 }
@@ -393,10 +379,6 @@ type TenantStats struct {
 // profile stats plus registry and ingest-endpoint counters. Like Stats it is
 // approximate under concurrency and marshals to JSON.
 type ServiceStats struct {
-	// Predictor is the registry name of the implementation this deployment
-	// selected (ServiceConfig.Predictor after defaulting).
-	Predictor string `json:"predictor"`
-
 	Tenants       []TenantStats `json:"tenants"`
 	TenantCount   int           `json:"tenant_count"`
 	Evictions     uint64        `json:"evictions"`
@@ -421,7 +403,6 @@ func (svc *Service) Stats() ServiceStats {
 	tenants := svc.snapshotTenants()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].key < tenants[j].key })
 	st := ServiceStats{
-		Predictor:     svc.cfg.Predictor,
 		Tenants:       make([]TenantStats, len(tenants)),
 		TenantCount:   len(tenants),
 		Evictions:     svc.evictions.Load(),

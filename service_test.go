@@ -606,43 +606,3 @@ func TestServiceMetricsCardinalityBound(t *testing.T) {
 		t.Error("tail tenant got its own label series despite the cardinality bound")
 	}
 }
-
-// TestServicePredictorSelection pins the deployment-level predictor choice:
-// the default resolves to the DFSM, an explicit registered name is accepted
-// and surfaced through Stats (and thus GET /stats), and an unregistered
-// name is rejected at construction.
-func TestServicePredictorSelection(t *testing.T) {
-	svc, err := NewService(ServiceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.Stats().Predictor; got != DefaultPredictor {
-		t.Fatalf("default Stats.Predictor = %q, want %q", got, DefaultPredictor)
-	}
-	svc.Close()
-
-	svc, err = NewService(ServiceConfig{Predictor: "markov"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	st := svc.Stats()
-	if st.Predictor != "markov" {
-		t.Fatalf("Stats.Predictor = %q, want %q", st.Predictor, "markov")
-	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded["predictor"] != "markov" {
-		t.Fatalf("stats JSON predictor = %v, want %q", decoded["predictor"], "markov")
-	}
-
-	if _, err := NewService(ServiceConfig{Predictor: "no-such"}); err == nil {
-		t.Fatal("unregistered ServiceConfig.Predictor accepted")
-	}
-}

@@ -9,29 +9,27 @@ import (
 )
 
 // Mode selects how much of the dynamic prefetching pipeline a simulated run
-// executes — the bars of the paper's Figures 11 and 12.
-type Mode int
+// executes — the bars of the paper's Figures 11 and 12. Its String method
+// returns the paper's name for the mode.
+type Mode = opt.Mode
 
 const (
 	// ModeBase pays only for the dynamic checks (Figure 11 "Base").
-	ModeBase Mode = iota
+	ModeBase = opt.ModeBase
 	// ModeProfile adds temporal data reference profiling (Figure 11 "Prof").
-	ModeProfile
+	ModeProfile = opt.ModeProfile
 	// ModeHds adds hot data stream analysis (Figure 11 "Hds").
-	ModeHds
+	ModeHds = opt.ModeHds
 	// ModeNoPref adds DFSM matching without prefetching (Figure 12
 	// "No-pref").
-	ModeNoPref
+	ModeNoPref = opt.ModeNoPref
 	// ModeSeqPref prefetches sequentially-following blocks instead of
 	// stream addresses (Figure 12 "Seq-pref").
-	ModeSeqPref
+	ModeSeqPref = opt.ModeSeqPref
 	// ModeDynPref is the full dynamic prefetching scheme (Figure 12
 	// "Dyn-pref").
-	ModeDynPref
+	ModeDynPref = opt.ModeDynPref
 )
-
-// String returns the paper's name for the mode.
-func (m Mode) String() string { return opt.Mode(m).String() }
 
 // Benchmarks lists the simulated benchmark suite in the paper's order:
 // vpr, mcf, twolf, parser, vortex, boxsim (§4.1).
@@ -79,18 +77,18 @@ func RunBenchmark(name string, mode Mode) (Report, error) {
 	if !ok {
 		return Report{}, fmt.Errorf("hotprefetch: unknown benchmark %q (have %v)", name, Benchmarks())
 	}
-	run, err := experiment.RunBenchmark(p, []opt.Mode{opt.Mode(mode)})
+	run, err := experiment.RunBenchmark(p, []opt.Mode{mode})
 	if err != nil {
 		return Report{}, err
 	}
-	res := run.Results[opt.Mode(mode)]
+	res := run.Results[mode]
 	avg := res.AvgPerCycle()
 	return Report{
 		Benchmark:          name,
 		Mode:               mode,
 		BaselineCycles:     run.Baseline,
 		ExecCycles:         res.ExecCycles,
-		OverheadPct:        run.Overhead(opt.Mode(mode)),
+		OverheadPct:        run.Overhead(mode),
 		OptCycles:          res.OptCycles(),
 		TracedRefsPerCycle: avg.TracedRefs,
 		HotStreamsPerCycle: avg.HotStreams,

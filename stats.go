@@ -173,16 +173,11 @@ type Stats struct {
 
 	// MatcherObservations is the number of references observed by the
 	// ConcurrentMatcher registered with AttachMatcher, if any;
-	// MatcherSwaps counts its lock-free retraining swaps.
-	// MatcherPredictor names the predictor implementation currently
-	// published, and Predictors splits the cumulative accuracy counters by
-	// implementation (see ConcurrentMatcher.AccuracyByPredictor): at any
-	// snapshot the per-predictor issued/hits sum exactly to the matcher's
-	// totals, so A/B trial windows reconcile without cross-contamination.
-	MatcherObservations uint64              `json:"matcher_observations"`
-	MatcherSwaps        uint64              `json:"matcher_swaps"`
-	MatcherPredictor    string              `json:"matcher_predictor,omitempty"`
-	Predictors          []PredictorAccuracy `json:"predictors,omitempty"`
+	// MatcherSwaps counts its retraining swaps, and MatcherPredictor names
+	// the predictor implementation it publishes.
+	MatcherObservations uint64 `json:"matcher_observations"`
+	MatcherSwaps        uint64 `json:"matcher_swaps"`
+	MatcherPredictor    string `json:"matcher_predictor,omitempty"`
 
 	// Snapshot lifecycle counters (see WriteSnapshot / RestoreSnapshot):
 	// RestoredStreams is the size of the warm-start stream set currently
@@ -301,7 +296,6 @@ func (sp *ShardedProfile) Stats() Stats {
 		st.MatcherObservations = m.Observations()
 		st.MatcherSwaps = m.Swaps()
 		st.MatcherPredictor = m.Predictor()
-		st.Predictors = m.AccuracyByPredictor()
 	}
 	if sup := sp.supervisor.Load(); sup != nil {
 		ss := sup.Snapshot()

@@ -120,28 +120,6 @@ type SupervisorConfig struct {
 	// (fault.Injector.MatcherStale), driving the deoptimization path on
 	// demand in chaos tests.
 	Fault fault.Injector
-
-	// Predictor selects the registered predictor implementation the
-	// supervisor builds at every (re)optimization (see RegisterPredictor).
-	// Empty means DefaultPredictor, the paper's DFSM.
-	Predictor string
-
-	// ABTest, when non-empty, names a challenger predictor: every
-	// (re)optimization starts a live A/B trial on the same trained stream
-	// set. The champion (Predictor) runs first; after ABWindows conclusive
-	// accuracy windows the supervisor hot-swaps the challenger in for its
-	// own ABWindows, then publishes whichever implementation measured the
-	// higher mean window accuracy (ties keep the champion). Window
-	// accounting is exact across arm swaps — counters fold at publication
-	// (see ConcurrentMatcher.AccuracyByPredictor) — so neither arm's
-	// issued/hit deltas bleed into the other's. Deoptimization (a bad-window
-	// run, drift demotion, or a failed/panicking arm build) aborts the
-	// trial. The challenger must differ from the champion.
-	ABTest string
-
-	// ABWindows is the number of conclusive accuracy windows each A/B arm
-	// is judged on. Zero means 3.
-	ABWindows int
 }
 
 // withDefaults returns the configuration with zero fields replaced.
@@ -173,12 +151,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.DriftOverlapFloor == 0 {
 		c.DriftOverlapFloor = 0.25
 	}
-	if c.Predictor == "" {
-		c.Predictor = DefaultPredictor
-	}
-	if c.ABWindows == 0 {
-		c.ABWindows = 3
-	}
 	return c
 }
 
@@ -204,26 +176,6 @@ func (c SupervisorConfig) Validate() error {
 	}
 	if err := c.Analysis.Validate(); err != nil {
 		return fmt.Errorf("supervisor Analysis: %w", err)
-	}
-	if c.Predictor != "" && !predictorRegistered(c.Predictor) {
-		return fmt.Errorf("hotprefetch: supervisor Predictor %q not registered (have %v)",
-			c.Predictor, PredictorNames())
-	}
-	if c.ABTest != "" {
-		if !predictorRegistered(c.ABTest) {
-			return fmt.Errorf("hotprefetch: supervisor ABTest predictor %q not registered (have %v)",
-				c.ABTest, PredictorNames())
-		}
-		champion := c.Predictor
-		if champion == "" {
-			champion = DefaultPredictor
-		}
-		if c.ABTest == champion {
-			return fmt.Errorf("hotprefetch: supervisor ABTest challenger %q equals the champion", c.ABTest)
-		}
-	}
-	if c.ABWindows < 0 {
-		return fmt.Errorf("hotprefetch: negative supervisor ABWindows %d", c.ABWindows)
 	}
 	return nil
 }
@@ -258,27 +210,6 @@ type SupervisorStats struct {
 	// restored snapshot and has not yet earned a conclusive good accuracy
 	// window (see SupervisorConfig.ProvisionalWindows).
 	Provisional bool `json:"provisional,omitempty"`
-
-	// Predictor names the predictor implementation currently published on
-	// the supervised matcher.
-	Predictor string `json:"predictor,omitempty"`
-
-	// A/B trial state (see SupervisorConfig.ABTest): while ABActive, the
-	// champion/challenger fields report each arm's conclusive windows so
-	// far and its mean window accuracy over them. ABTrials counts trials
-	// concluded with a winner, ABAborts trials torn down early
-	// (deoptimization, drift demotion, or a failed arm build), and
-	// ABLastWinner the implementation the last concluded trial kept.
-	ABActive             bool    `json:"ab_active,omitempty"`
-	ABChampion           string  `json:"ab_champion,omitempty"`
-	ABChallenger         string  `json:"ab_challenger,omitempty"`
-	ABChampionWindows    int     `json:"ab_champion_windows,omitempty"`
-	ABChallengerWindows  int     `json:"ab_challenger_windows,omitempty"`
-	ABChampionAccuracy   float64 `json:"ab_champion_accuracy,omitempty"`
-	ABChallengerAccuracy float64 `json:"ab_challenger_accuracy,omitempty"`
-	ABTrials             uint64  `json:"ab_trials,omitempty"`
-	ABAborts             uint64  `json:"ab_aborts,omitempty"`
-	ABLastWinner         string  `json:"ab_last_winner,omitempty"`
 }
 
 // Supervisor closes the paper's control loop over a profiling service and
@@ -322,33 +253,9 @@ type Supervisor struct {
 	restored     []Stream
 	driftChecked bool
 
-	// A/B trial state. Guarded by abMu — not pollMu — because Snapshot
-	// must read it while Poll (which holds pollMu) is inside a Stats call.
-	// Mutations happen only under pollMu, so judgeWindow's read-decide-act
-	// sequences are still single-writer.
-	abMu         sync.Mutex
-	ab           abTrial
-	abLastWinner string
-	abTrials     atomic.Uint64
-	abAborts     atomic.Uint64
-
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-}
-
-// abTrial is one live A/B predictor trial: the trained stream set both arms
-// share, the arm currently published (0 champion, 1 challenger), and each
-// arm's exact ledger of conclusive windows.
-type abTrial struct {
-	active  bool
-	streams []Stream
-	arm     int
-	names   [2]string
-	windows [2]int
-	accSum  [2]float64
-	issued  [2]uint64
-	hits    [2]uint64
 }
 
 // Supervise wires a Supervisor over the profile and matcher: it enables
@@ -383,7 +290,7 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 		// gives it only ProvisionalWindows strikes and checkDrift compares it
 		// against the first live banked cycle. Either demotion clears the
 		// restored set and falls back to cold profiling.
-		if err := cm.SwapNamed(cfg.Predictor, restored, cfg.HeadLen); err != nil {
+		if err := cm.Swap(restored, cfg.HeadLen); err != nil {
 			return nil, err
 		}
 		s.provisional.Store(true)
@@ -460,7 +367,7 @@ func (s *Supervisor) Accuracy() float64 { return math.Float64frombits(s.accBits.
 // Snapshot returns the supervision counters for Stats.
 func (s *Supervisor) Snapshot() SupervisorStats {
 	issued, hits := s.cm.AccuracyCounters()
-	st := SupervisorStats{
+	return SupervisorStats{
 		State:             s.State().String(),
 		Accuracy:          s.Accuracy(),
 		WindowsBelowFloor: int(s.badRun.Load()),
@@ -470,25 +377,7 @@ func (s *Supervisor) Snapshot() SupervisorStats {
 		PrefetchesHit:     hits,
 		PollErrors:        s.pollErrors.Load(),
 		Provisional:       s.provisional.Load(),
-		Predictor:         s.cm.Predictor(),
-		ABTrials:          s.abTrials.Load(),
-		ABAborts:          s.abAborts.Load(),
 	}
-	s.abMu.Lock()
-	st.ABLastWinner = s.abLastWinner
-	if s.ab.active {
-		st.ABActive = true
-		st.ABChampion, st.ABChallenger = s.ab.names[0], s.ab.names[1]
-		st.ABChampionWindows, st.ABChallengerWindows = s.ab.windows[0], s.ab.windows[1]
-		if s.ab.windows[0] > 0 {
-			st.ABChampionAccuracy = s.ab.accSum[0] / float64(s.ab.windows[0])
-		}
-		if s.ab.windows[1] > 0 {
-			st.ABChallengerAccuracy = s.ab.accSum[1] / float64(s.ab.windows[1])
-		}
-	}
-	s.abMu.Unlock()
-	return st
 }
 
 // Poll advances the state machine by one supervision window: in
@@ -541,7 +430,6 @@ func (s *Supervisor) judgeWindow() {
 	}
 	s.accBits.Store(math.Float64bits(acc))
 	s.sp.obs.AccuracyWindow.ObserveRatio(acc)
-	s.abObserveWindow(acc, dIssued, dHits)
 	if acc >= s.cfg.AccuracyFloor {
 		s.badRun.Store(0)
 		// One conclusive good window promotes a provisional (warm-started)
@@ -562,97 +450,16 @@ func (s *Supervisor) judgeWindow() {
 	}
 }
 
-// abObserveWindow attributes one conclusive accuracy window to the live A/B
-// arm and advances the trial: after cfg.ABWindows windows the live arm yields
-// to the other, and once both arms served their windows the higher mean
-// accuracy wins (ties keep the champion) and is published for good. Each
-// window's issued/hit deltas are banked per arm; because counter folding and
-// publication share the matcher's step lock, the deltas partition exactly —
-// no observation is counted in both arms or lost at a swap boundary.
-func (s *Supervisor) abObserveWindow(acc float64, dIssued, dHits uint64) {
-	s.abMu.Lock()
-	if !s.ab.active {
-		s.abMu.Unlock()
-		return
-	}
-	arm := s.ab.arm
-	s.ab.windows[arm]++
-	s.ab.accSum[arm] += acc
-	s.ab.issued[arm] += dIssued
-	s.ab.hits[arm] += dHits
-	if s.ab.windows[arm] < s.cfg.ABWindows {
-		s.abMu.Unlock()
-		return
-	}
-	if s.ab.windows[1-arm] < s.cfg.ABWindows {
-		// This arm is done; hand the matcher to the other on the same
-		// trained stream set.
-		next := s.ab.names[1-arm]
-		streams := s.ab.streams
-		s.ab.arm = 1 - arm
-		s.abMu.Unlock()
-		if err := s.safeSwap(next, streams); err != nil {
-			s.abortTrial()
-		}
-		return
-	}
-	// Both arms served: conclude. Strictly-higher mean accuracy promotes the
-	// challenger; anything else keeps the champion.
-	winner := 0
-	if s.ab.accSum[1]/float64(s.ab.windows[1]) > s.ab.accSum[0]/float64(s.ab.windows[0]) {
-		winner = 1
-	}
-	name := s.ab.names[winner]
-	streams := s.ab.streams
-	s.ab = abTrial{}
-	s.abLastWinner = name
-	s.abMu.Unlock()
-	if err := s.safeSwap(name, streams); err != nil {
-		s.abortTrial()
-		return
-	}
-	s.abTrials.Add(1)
-	// Value distinguishes a defended title (0) from an upset (1).
-	s.sp.obs.Emit(obs.KindPredictorWinner, -1, uint64(winner))
-}
-
-// safeSwap publishes the named predictor trained on streams, converting a
-// panicking factory into an error: a broken implementation under A/B trial
-// must not take down the supervision loop.
-func (s *Supervisor) safeSwap(name string, streams []Stream) (err error) {
+// safeSwap retrains the matcher's predictor on streams, converting a
+// panicking factory into an error: a broken implementation must not take
+// down the supervision loop.
+func (s *Supervisor) safeSwap(streams []Stream) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("hotprefetch: predictor %q build panicked: %v", name, r)
+			err = fmt.Errorf("hotprefetch: predictor %q build panicked: %v", s.cm.Predictor(), r)
 		}
 	}()
-	return s.cm.SwapNamed(name, streams, s.cfg.HeadLen)
-}
-
-// abortTrial tears down an active A/B trial (a failed or panicking arm
-// build) and demotes to the pass-through state: the trial's ledger is
-// dropped, the abort is counted, and the supervisor deoptimizes — the
-// champion's pass-through instance is published, so a crashing challenger
-// costs the process nothing but the trial.
-func (s *Supervisor) abortTrial() {
-	s.abMu.Lock()
-	s.ab = abTrial{}
-	s.abMu.Unlock()
-	s.abAborts.Add(1)
-	s.pollErrors.Add(1)
-	s.deoptimize()
-}
-
-// clearTrialOnTeardown drops an active trial when the optimization it was
-// judging is torn down underneath it (deoptimization or warm-start
-// demotion), counting the abort.
-func (s *Supervisor) clearTrialOnTeardown() {
-	s.abMu.Lock()
-	active := s.ab.active
-	s.ab = abTrial{}
-	s.abMu.Unlock()
-	if active {
-		s.abAborts.Add(1)
-	}
+	return s.cm.Swap(streams, s.cfg.HeadLen)
 }
 
 // demoteProvisional rejects the warm start as stale: a pass-through matcher
@@ -662,11 +469,10 @@ func (s *Supervisor) clearTrialOnTeardown() {
 // the stale-rejection counter and event. value is the bad-window run that
 // triggered it, or 0 for drift detection.
 func (s *Supervisor) demoteProvisional(value uint64) {
-	if err := s.safeSwap(s.cfg.Predictor, nil); err != nil {
+	if err := s.safeSwap(nil); err != nil {
 		s.pollErrors.Add(1)
 		return
 	}
-	s.clearTrialOnTeardown()
 	s.provisional.Store(false)
 	s.restored = nil
 	s.driftChecked = true
@@ -709,13 +515,12 @@ func (s *Supervisor) checkDrift() {
 // gathering phase. The paper's §5 de-optimization, triggered by measured
 // accuracy decay instead of an external call.
 func (s *Supervisor) deoptimize() {
-	if err := s.safeSwap(s.cfg.Predictor, nil); err != nil {
+	if err := s.safeSwap(nil); err != nil {
 		// Building the empty machine cannot fail with a valid HeadLen;
 		// treat a failure as a poll error rather than wedging the loop.
 		s.pollErrors.Add(1)
 		return
 	}
-	s.clearTrialOnTeardown()
 	if s.cfg.ForgetOnDeoptimize {
 		for _, sh := range s.sp.shards {
 			sh.mu.Lock()
@@ -765,22 +570,8 @@ func (s *Supervisor) tryOptimize() error {
 		// Evidence banked but nothing hot yet; keep profiling.
 		return nil
 	}
-	if err := s.safeSwap(s.cfg.Predictor, streams); err != nil {
+	if err := s.safeSwap(streams); err != nil {
 		return err
-	}
-	if s.cfg.ABTest != "" {
-		// Every (re)optimization under an ABTest config opens a fresh trial:
-		// the champion just published runs its windows first, then
-		// abObserveWindow hands the same stream set to the challenger.
-		s.abMu.Lock()
-		s.ab = abTrial{
-			active:  true,
-			streams: streams,
-			names:   [2]string{s.cfg.Predictor, s.cfg.ABTest},
-		}
-		s.abMu.Unlock()
-		// Value carries the trained stream count both arms share.
-		s.sp.obs.Emit(obs.KindPredictorTrial, -1, uint64(len(streams)))
 	}
 	wasProfiling := s.State() == StateProfiling
 	// Start the accuracy bookkeeping from this instant so the optimization

@@ -3,6 +3,8 @@ package hotprefetch
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,5 +350,118 @@ func TestStatsJSONRoundTripWithSupervisor(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st, back) {
 		t.Fatalf("Stats did not survive the JSON round trip:\n got %+v\nwant %+v", back, st)
+	}
+}
+
+// boomArmed arms test-boom: the next build over a trained stream set
+// panics, once.
+var boomArmed atomic.Bool
+
+func init() {
+	// test-boom is the DFSM with a one-shot fuse — the shape of a broken
+	// implementation detonating exactly when the supervisor first trains
+	// it. Untrained builds (the pass-through state) never detonate, so the
+	// matcher can be constructed over it.
+	RegisterPredictor("test-boom",
+		func(streams []Stream, headLen int) (Predictor, error) {
+			if len(streams) > 0 && boomArmed.Swap(false) {
+				panic("test-boom: deliberate build panic")
+			}
+			return NewPredictor(DefaultPredictor, streams, headLen)
+		})
+}
+
+// TestSupervisorABChaosPanicDemotes supervises a matcher whose own
+// predictor panics on its first trained build: the optimizing Poll must
+// recover the panic into an error and leave the pass-through instance
+// published, and the next Poll must retrain the same implementation on the
+// same banked evidence and serve accurate prefetches.
+func TestSupervisorABChaosPanicDemotes(t *testing.T) {
+	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		CycleAnalysis:     analysis,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	cm, err := NewConcurrentPredictor("test-boom", nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := Supervise(sp, cm, SupervisorConfig{
+		AccuracyFloor:         0.25,
+		MinWindowObservations: 64,
+		HeadLen:               2,
+		Analysis:              analysis,
+		MinFreshCycles:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+
+	boomArmed.Store(true)
+	defer boomArmed.Store(false)
+	trace := phaseTrace(2, 40)
+	feedUntilCycle(t, sp, trace, 0)
+
+	// The banked cycle triggers the first optimization, whose build panics.
+	// Poll reports it; the poll itself must not panic.
+	err = sup.Poll()
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Poll over a panicking build = %v, want the recovered panic", err)
+	}
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state after the panicking build = %v, want %v", got, StateProfiling)
+	}
+	if got := cm.NumStates(); got != 1 {
+		t.Fatalf("matcher has %d states after the failed build, want 1 (pass-through)", got)
+	}
+	if got := cm.Swaps(); got != 0 {
+		t.Fatalf("Swaps = %d after the failed build, want 0 (nothing published)", got)
+	}
+	for i, r := range trace {
+		if pf, _ := cm.Observe(r); len(pf) != 0 {
+			t.Fatalf("pass-through matcher prefetched %v at ref %d", pf, i)
+		}
+	}
+	if issued, _ := cm.AccuracyCounters(); issued != 0 {
+		t.Fatalf("pass-through matcher issued %d prefetches, want 0", issued)
+	}
+
+	// Supervision goes on: the next poll retrains the matcher's own
+	// implementation on the same banked cycle, and this time it publishes.
+	if err := sup.Poll(); err != nil {
+		t.Fatalf("retraining poll: %v", err)
+	}
+	if got := sup.State(); got != StateOptimized {
+		t.Fatalf("state after the retraining poll = %v, want %v", got, StateOptimized)
+	}
+	if got := cm.Predictor(); got != "test-boom" {
+		t.Fatalf("published predictor = %q, want the matcher's own %q", got, "test-boom")
+	}
+	if cm.NumStates() < 2 || cm.Swaps() != 1 {
+		t.Fatalf("after retraining: %d states, %d swaps; want a trained machine from one swap",
+			cm.NumStates(), cm.Swaps())
+	}
+
+	// The optimization serves: a window of the hot trace is judged good.
+	observeAll(cm, trace)
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sup.Snapshot()
+	if snap.State != "optimized" || snap.Accuracy < 0.25 || snap.WindowsBelowFloor != 0 {
+		t.Fatalf("window after recovery: %+v, want an optimized state with a good window", snap)
+	}
+	if snap.PrefetchesIssued == 0 || snap.PrefetchesHit == 0 {
+		t.Fatalf("recovered matcher issued=%d hit=%d, want both > 0", snap.PrefetchesIssued, snap.PrefetchesHit)
+	}
+	if snap.Deoptimizations != 0 || snap.Reoptimizations != 0 {
+		t.Fatalf("deopts=%d reopts=%d, want 0, 0 (the failed build never optimized)",
+			snap.Deoptimizations, snap.Reoptimizations)
 	}
 }
