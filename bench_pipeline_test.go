@@ -111,28 +111,6 @@ func BenchmarkAddBatchBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkAddBatchAuto measures batched ingestion through shard-per-P
-// placement (AddBatchAuto): the AddBatch path plus one procPin read and an
-// uncontended producer-lock CAS per batch.
-func BenchmarkAddBatchAuto(b *testing.B) {
-	trace := coreTrace(1 << 16)
-	sp := NewShardedProfile(1)
-	defer sp.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	const size = 256
-	pos := 0
-	for i := 0; i < b.N; i += size {
-		if pos+size > len(trace) {
-			pos = 0
-		}
-		if err := sp.AddBatchAuto(trace[pos : pos+size]); err != nil {
-			b.Fatal(err)
-		}
-		pos += size
-	}
-}
-
 // benchCycleTurnaround drives a grammar-budget shard hard enough to cycle
 // repeatedly and reports, alongside the per-reference ingest cost, the
 // longest stall a phase transition imposed on the ingest path

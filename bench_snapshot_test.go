@@ -19,7 +19,7 @@ func benchSnapshotBytes(b *testing.B, streams, refsPer int) []byte {
 		for i := range refs {
 			refs[i] = ref.Ref{PC: 1000*s + i, Addr: uint64(0x10000*s + 8*i)}
 		}
-		p.Streams = append(p.Streams, snapshot.Stream{Refs: refs, Heat: uint64(1000 - s)})
+		p.Streams = append(p.Streams, ref.Stream{Refs: refs, Heat: uint64(1000 - s)})
 	}
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, p); err != nil {

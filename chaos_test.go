@@ -372,7 +372,7 @@ func TestChaosDoubleCloseBlockedProducers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// The ring is never acceptable, so this Add parks until Close.
-			errs <- sp.Shard(i%2).Add(Ref{PC: i, Addr: uint64(i)})
+			errs <- sp.Shard(i % 2).Add(Ref{PC: i, Addr: uint64(i)})
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond) // let the producers park

@@ -120,12 +120,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Ref is a single captured data reference: the program counter of the load
-// or store and the address it touched. It mirrors the service's reference
-// type so applications can batch captures without importing anything else.
-type Ref struct {
-	PC   int
-	Addr uint64
-}
+// or store and the address it touched. It is the service's reference type,
+// so applications can batch captures without importing anything else.
+type Ref = ref.Ref
 
 // Stats counts a Capture's activity. All fields are cumulative.
 type Stats struct {
@@ -201,8 +198,8 @@ func New(cfg Config) (*Capture, error) {
 		return nil, fmt.Errorf("client: bad ingest URL: %w", err)
 	}
 	c := &Capture{
-		cfg: cfg,
-		url: u,
+		cfg:     cfg,
+		url:     u,
 		buf:     make([]ref.Ref, 0, cfg.BufferRefs),
 		pending: make(chan []ref.Ref, cfg.MaxPending),
 		done:    make(chan struct{}),
@@ -257,9 +254,7 @@ func (c *Capture) AddBatch(refs []Ref) {
 		if n > len(refs) {
 			n = len(refs)
 		}
-		for _, r := range refs[:n] {
-			c.buf = append(c.buf, ref.Ref{PC: r.PC, Addr: r.Addr})
-		}
+		c.buf = append(c.buf, refs[:n]...)
 		refs = refs[n:]
 		if len(c.buf) >= c.cfg.BufferRefs {
 			batches = append(batches, c.buf)
@@ -410,12 +405,24 @@ func (c *Capture) recycleBatch(batch []ref.Ref) {
 	}
 }
 
-// encodeBuffer is a bytes.Buffer usable directly as a request body — the
-// no-op Close lets publish hand the pooled buffer to the transport without
-// wrapping it in a fresh NopCloser allocation per request.
-type encodeBuffer struct{ bytes.Buffer }
+// pooledBody is one checkout of a pooled encode buffer as a request body.
+// A RoundTripper may still hold the body after HTTPClient.Do returns, so the
+// buffer goes back to the pool when the transport closes the body, not when
+// Do returns. Every publish hands out its own pooledBody and only its first
+// Close pools the buffer: a stale second Close from an earlier round trip
+// cannot pool a buffer a later publish holds.
+type pooledBody struct {
+	*bytes.Buffer
+	pool   *sync.Pool
+	closed atomic.Bool
+}
 
-func (*encodeBuffer) Close() error { return nil }
+func (b *pooledBody) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.pool.Put(b.Buffer)
+	}
+	return nil
+}
 
 var octetStream = []string{"application/octet-stream"}
 
@@ -467,39 +474,42 @@ func backoffSleep(base time.Duration, attempt int) {
 
 // tryPublish frames the batch and POSTs it to the ingest endpoint once,
 // reporting whether a failure is worth retrying. The encode buffer is
-// pooled: after the transport has consumed the request body the buffer's
-// capacity is reused by the next attempt, so a warm capture frames batches
-// without allocating the body again. The request is built by hand from the
-// pre-parsed URL (http.Client.Post would re-parse it per call); GetBody is
-// deliberately absent — the ingest endpoint never redirects, a retry
-// re-frames into a fresh pooled buffer, and a transport-level replay would
-// outlive the pooled buffer.
+// pooled: once the transport has closed the request body (see pooledBody)
+// the buffer's capacity is reused by a later attempt, so a warm capture
+// frames batches without allocating the body again. The request is built by
+// hand from the pre-parsed URL (http.Client.Post would re-parse it per
+// call); GetBody is deliberately absent — the ingest endpoint never
+// redirects, a retry re-frames into a fresh pooled buffer, and a
+// transport-level replay would outlive the pooled buffer.
 func (c *Capture) tryPublish(batch []ref.Ref) (retryable bool, err error) {
-	body, _ := c.bodyPool.Get().(*encodeBuffer)
-	if body == nil {
-		body = new(encodeBuffer)
+	buf, _ := c.bodyPool.Get().(*bytes.Buffer)
+	if buf == nil {
+		buf = new(bytes.Buffer)
 	}
-	body.Reset()
-	if err := tracefile.Write(&body.Buffer, batch); err != nil {
-		c.bodyPool.Put(body)
+	buf.Reset()
+	if err := tracefile.Write(buf, batch); err != nil {
+		c.bodyPool.Put(buf)
 		return false, fmt.Errorf("client: encode: %w", err)
 	}
+	// The request and its body handle share one allocation.
+	rb := &struct {
+		req  http.Request
+		body pooledBody
+	}{body: pooledBody{Buffer: buf, pool: &c.bodyPool}}
 	u := *c.url // per-request copy; concurrent publishes must not share one URL
-	req := &http.Request{
+	rb.req = http.Request{
 		Method:        http.MethodPost,
 		URL:           &u,
 		Host:          u.Host,
 		Header:        http.Header{"Content-Type": octetStream},
-		Body:          body,
-		ContentLength: int64(body.Len()),
+		Body:          &rb.body,
+		ContentLength: int64(buf.Len()),
 	}
+	req := &rb.req
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		// An aborted round trip may leave the transport still draining the
-		// body; let this buffer go to the collector instead of the pool.
 		return true, fmt.Errorf("client: publish: %w", err)
 	}
-	defer c.bodyPool.Put(body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var msg [256]byte

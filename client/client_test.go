@@ -4,6 +4,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 
 	"hotprefetch"
 	"hotprefetch/client"
+	"hotprefetch/internal/tracefile"
 )
 
 // newService boots a real multi-tenant service on a test listener.
@@ -362,11 +365,110 @@ func TestCaptureTenantMismatch(t *testing.T) {
 
 // stubTransport answers every publish with 200 without a network or a
 // server, so allocation measurements see only the client's own work plus
-// net/http's fixed per-request cost.
+// net/http's fixed per-request cost. Like any RoundTripper it closes the
+// request body, which is what returns the encode buffer to the pool.
 type stubTransport struct{}
 
-func (stubTransport) RoundTrip(*http.Request) (*http.Response, error) {
-	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody}, nil
+func (stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	req.Body.Close()
+	return ok200(), nil
+}
+
+func ok200() *http.Response {
+	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody}
+}
+
+// holdingTransport answers every publish with 200 without reading the
+// request body, keeping every body it was handed — a transport that still
+// holds a body after HTTPClient.Do has returned. onRoundTrip, when set,
+// runs with the bodies held so far, the current one last.
+type holdingTransport struct {
+	bodies      []io.ReadCloser
+	onRoundTrip func(bodies []io.ReadCloser)
+}
+
+func (h *holdingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	h.bodies = append(h.bodies, req.Body)
+	if h.onRoundTrip != nil {
+		h.onRoundTrip(h.bodies)
+	}
+	return ok200(), nil
+}
+
+// publishThrough flushes each batch as its own publish through rt and
+// returns the bodies rt kept.
+func publishThrough(t *testing.T, rt *holdingTransport, batches ...[]client.Ref) []io.ReadCloser {
+	t.Helper()
+	cc, err := client.New(client.Config{
+		Server: "http://stub", Tenant: "hold", Stream: 1,
+		BufferRefs: 1024, FlushInterval: -1,
+		HTTPClient: &http.Client{Transport: rt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	for _, b := range batches {
+		cc.AddBatch(b)
+		if err := cc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rt.bodies) != len(batches) {
+		t.Fatalf("transport saw %d publishes, want %d", len(rt.bodies), len(batches))
+	}
+	return rt.bodies
+}
+
+// testBatch returns n distinct references starting at pc base.
+func testBatch(base, n int) []client.Ref {
+	refs := make([]client.Ref, n)
+	for i := range refs {
+		refs[i] = client.Ref{PC: base + i, Addr: uint64(base+i) * 64}
+	}
+	return refs
+}
+
+// assertBody decodes a held request body and checks it is batch want.
+func assertBody(t *testing.T, body io.Reader, want []client.Ref, which string) {
+	t.Helper()
+	got, err := tracefile.Read(body)
+	if err != nil {
+		t.Fatalf("%s body: %v", which, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s body decoded to a different batch: its buffer was reused while the transport held it", which)
+	}
+}
+
+// TestCaptureHeldBodyNotReused pins the pooled body's lifetime: the encode
+// buffer returns to the pool when the transport closes the body, not when
+// HTTPClient.Do returns, so a body the transport still holds keeps its
+// batch across the next publish.
+func TestCaptureHeldBodyNotReused(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	first, second := testBatch(0, 300), testBatch(5000, 300)
+	bodies := publishThrough(t, &holdingTransport{}, first, second)
+	assertBody(t, bodies[0], first, "first")
+	assertBody(t, bodies[1], second, "second")
+}
+
+// TestCaptureStaleCloseNotPooled: a second Close of an already-closed body
+// must not pool the buffer again — by then a later publish holds it.
+func TestCaptureStaleCloseNotPooled(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt := &holdingTransport{onRoundTrip: func(bodies []io.ReadCloser) {
+		// The first body closes normally, pooling its buffer, which the
+		// second publish then takes; that publish's round trip sees a stale
+		// repeat Close of the first body.
+		if len(bodies) <= 2 {
+			bodies[0].Close()
+		}
+	}}
+	batches := [][]client.Ref{testBatch(0, 300), testBatch(5000, 300), testBatch(9000, 300)}
+	bodies := publishThrough(t, rt, batches...)
+	assertBody(t, bodies[1], batches[1], "second")
+	assertBody(t, bodies[2], batches[2], "third")
 }
 
 // newStubCapture builds a capture publishing into stubTransport with the

@@ -35,7 +35,6 @@ import (
 	"hotprefetch"
 	"hotprefetch/internal/dfsm"
 	"hotprefetch/internal/machine"
-	"hotprefetch/internal/ref"
 	"hotprefetch/internal/tracefile"
 	"hotprefetch/internal/workload"
 )
@@ -44,7 +43,7 @@ import (
 // or a shutdown signal lands.
 type collector struct {
 	add     func(hotprefetch.Ref) // profiling sink (plain Profile or service shard)
-	raw     []ref.Ref             // kept when the trace will be saved
+	raw     []hotprefetch.Ref     // kept when the trace will be saved
 	keepRaw bool
 	budget  int
 	machine *machine.Machine
@@ -56,9 +55,10 @@ func (c *collector) Check(pc int) (machine.Version, uint64) {
 }
 
 func (c *collector) TraceRef(pc int, addr machine.Word, isWrite bool) uint64 {
-	c.add(hotprefetch.Ref{PC: pc, Addr: addr})
+	r := hotprefetch.Ref{PC: pc, Addr: addr}
+	c.add(r)
 	if c.keepRaw {
-		c.raw = append(c.raw, ref.Ref{PC: pc, Addr: addr})
+		c.raw = append(c.raw, r)
 	}
 	c.budget--
 	if c.budget <= 0 || c.stop.Load() {
@@ -210,7 +210,7 @@ func main() {
 			if col.stop.Load() {
 				break
 			}
-			col.add(hotprefetch.Ref{PC: r.PC, Addr: r.Addr})
+			col.add(r)
 			if col.keepRaw {
 				col.raw = append(col.raw, r)
 			}
@@ -342,7 +342,7 @@ func main() {
 // replayPredictors trains each named predictor on the detected streams and
 // replays the captured trace through it, reporting the matcher's accuracy
 // ledger — an offline miniature of the predictor head-to-head.
-func replayPredictors(names []string, streams []hotprefetch.Stream, raw []ref.Ref, headLen int) {
+func replayPredictors(names []string, streams []hotprefetch.Stream, raw []hotprefetch.Ref, headLen int) {
 	fmt.Println()
 	fmt.Println("predictor replay (trained on the streams above, over the captured trace)")
 	for _, name := range names {
@@ -353,7 +353,7 @@ func replayPredictors(names []string, streams []hotprefetch.Stream, raw []ref.Re
 		cm.EnableAccuracyTracking(0)
 		var comparisons uint64
 		for _, r := range raw {
-			_, cmp := cm.Observe(hotprefetch.Ref{PC: r.PC, Addr: r.Addr})
+			_, cmp := cm.Observe(r)
 			comparisons += uint64(cmp)
 		}
 		issued, hits, outstanding, dropped := cm.AccuracyBooks()
@@ -373,13 +373,5 @@ func replayPredictors(names []string, streams []hotprefetch.Stream, raw []ref.Re
 // writeDOT builds the combined prefix-matching DFSM for the streams and
 // renders it as Graphviz DOT.
 func writeDOT(w io.Writer, streams []hotprefetch.Stream, headLen int) error {
-	split := make([]dfsm.Stream, 0, len(streams))
-	for _, s := range streams {
-		rs := make([]ref.Ref, len(s.Refs))
-		for i, r := range s.Refs {
-			rs[i] = ref.Ref{PC: r.PC, Addr: r.Addr}
-		}
-		split = append(split, dfsm.Split(rs, s.Heat, headLen))
-	}
-	return dfsm.Build(split, headLen).WriteDOT(w)
+	return dfsm.New(streams, headLen).WriteDOT(w)
 }

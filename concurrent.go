@@ -21,7 +21,7 @@ import (
 // de-optimize/re-optimize transition without a stop-the-world on the
 // detection path. The step mutex guards the predictor's rolling match state
 // and the accuracy ledger; the common case is a short critical section
-// around an array-indexed Step.
+// around an array-indexed Observe.
 //
 // All callers share one match state — observations interleave into a single
 // logical reference stream, exactly as if one goroutine called Observe with

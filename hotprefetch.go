@@ -21,38 +21,23 @@ package hotprefetch
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"hotprefetch/internal/dfsm"
 	"hotprefetch/internal/hotds"
+	"hotprefetch/internal/predictor"
 	"hotprefetch/internal/ref"
 	"hotprefetch/internal/sequitur"
 )
 
 // Ref is a single data reference: the program counter of a load or store
 // and the address it touched (paper §2.1).
-type Ref struct {
-	PC   int
-	Addr uint64
-}
+type Ref = ref.Ref
 
 // Stream is a hot data stream: a reference sequence that frequently repeats
 // in the same order, with its regularity magnitude Heat = length ×
-// frequency (paper §2.3).
-type Stream struct {
-	Refs []Ref
-	Heat uint64
-}
-
-// Coverage returns the fraction of a trace of traceLen references this
-// stream accounts for.
-func (s Stream) Coverage(traceLen uint64) float64 {
-	if traceLen == 0 {
-		return 0
-	}
-	return float64(s.Heat) / float64(traceLen)
-}
+// frequency (paper §2.3). Its Refs are read-only once produced: matchers
+// and predictors built over a stream share them instead of copying.
+type Stream = ref.Stream
 
 // AnalysisConfig controls hot data stream detection.
 type AnalysisConfig struct {
@@ -189,8 +174,7 @@ func NewPrepassProfile(cfg PrepassConfig) *Profile {
 
 // Add appends one data reference to the profile.
 func (p *Profile) Add(r Ref) {
-	sym := p.interner.Intern(ref.Ref{PC: r.PC, Addr: r.Addr})
-	p.grammar.Append(uint64(sym))
+	p.grammar.Append(uint64(p.interner.Intern(r)))
 }
 
 // AddBatch appends a burst of references in order — the batch entry point
@@ -208,7 +192,7 @@ func (p *Profile) AddBatch(refs []Ref) {
 	}
 	buf := p.symbuf[:len(refs)]
 	for i, r := range refs {
-		buf[i] = uint64(p.interner.Intern(ref.Ref{PC: r.PC, Addr: r.Addr}))
+		buf[i] = uint64(p.interner.Intern(r))
 	}
 	if p.prepass != nil {
 		p.prepass.Append(buf)
@@ -314,12 +298,7 @@ func (p *Profile) HotStreamsPrecise(cfg AnalysisConfig) []Stream {
 func (p *Profile) toStreams(infos []hotds.StreamInfo) []Stream {
 	out := make([]Stream, len(infos))
 	for i, info := range infos {
-		refs := make([]Ref, len(info.Word))
-		for j, sym := range info.Word {
-			r := p.interner.Ref(ref.Symbol(sym))
-			refs[j] = Ref{PC: r.PC, Addr: r.Addr}
-		}
-		out[i] = Stream{Refs: refs, Heat: info.Heat}
+		out[i] = p.interner.Stream(info.Word, info.Heat)
 	}
 	return out
 }
@@ -327,77 +306,15 @@ func (p *Profile) toStreams(infos []hotds.StreamInfo) []Stream {
 // Matcher tracks the matching prefixes of a set of hot data streams with a
 // single DFSM (paper §3.1, Figures 7-9). Feed it the data references
 // observed at the streams' head pcs; when a stream's head completes, Observe
-// returns the remaining stream addresses to prefetch.
-type Matcher struct {
-	d *dfsm.DFSM
-	m *dfsm.Matcher
-}
+// returns the remaining stream addresses to prefetch, with the number of
+// comparisons the generated detection code would have executed — the
+// matching overhead the paper charges against prefetching gains.
+type Matcher = dfsm.Matcher
 
 // NewMatcher builds the combined prefix-matching DFSM for the given streams.
 // headLen is the prefix length that must match before prefetching is
 // initiated; the paper finds 2 best (§4.3). Streams too short to have a
 // prefetchable tail are ignored.
-//
-// Per-stream preparation (reference conversion and tail deduplication) is
-// independent across streams, so large stream sets are prepared in parallel
-// partitions; each worker writes disjoint slots, so the built machine is
-// identical regardless of parallelism.
 func NewMatcher(streams []Stream, headLen int) (*Matcher, error) {
-	if headLen < 1 {
-		return nil, fmt.Errorf("hotprefetch: headLen must be >= 1, got %d", headLen)
-	}
-	split := make([]dfsm.Stream, len(streams))
-	prep := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := streams[i]
-			refs := make([]ref.Ref, len(s.Refs))
-			for j, r := range s.Refs {
-				refs[j] = ref.Ref{PC: r.PC, Addr: r.Addr}
-			}
-			split[i] = dfsm.Split(refs, s.Heat, headLen)
-		}
-	}
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(streams) >= 32 {
-		var wg sync.WaitGroup
-		chunk := (len(streams) + workers - 1) / workers
-		for lo := 0; lo < len(streams); lo += chunk {
-			hi := lo + chunk
-			if hi > len(streams) {
-				hi = len(streams)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				prep(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		prep(0, len(streams))
-	}
-	d := dfsm.Build(split, headLen)
-	return &Matcher{d: d, m: dfsm.NewMatcher(d)}, nil
+	return predictor.NewMatcher(streams, headLen)
 }
-
-// Observe consumes one data reference. It returns the addresses to prefetch
-// (non-nil exactly when a stream's head just completed) and the number of
-// comparisons the generated detection code would have executed — the
-// matching overhead the paper charges against prefetching gains.
-func (m *Matcher) Observe(r Ref) (prefetch []uint64, comparisons int) {
-	return m.m.Step(ref.Ref{PC: r.PC, Addr: r.Addr})
-}
-
-// Reset returns the matcher to its start state (nothing matched).
-func (m *Matcher) Reset() { m.m.Reset() }
-
-// NumStates returns the number of DFSM states, including the start state.
-// The paper observes close to headLen×n+1 states for n streams rather than
-// the exponential worst case (§3.1).
-func (m *Matcher) NumStates() int { return m.d.NumStates() }
-
-// NumTransitions returns the number of explicit DFSM transitions.
-func (m *Matcher) NumTransitions() int { return m.d.NumTransitions() }
-
-// PCs returns the sorted instruction addresses at which detection code must
-// be injected: every pc appearing in any stream's head.
-func (m *Matcher) PCs() []int { return m.d.PCs() }

@@ -17,8 +17,8 @@ func TestRatesZeroConfig(t *testing.T) {
 	}
 	// Partially-zero configs hit the other zero-denominator shapes.
 	for _, c := range []Config{
-		{NAwake0: 50, NHibernate0: 2450},              // nCheck0+nInstr0 == 0
-		{NCheck0: 11940, NInstr0: 60},                 // nAwake0+nHibernate0 == 0
+		{NAwake0: 50, NHibernate0: 2450},                        // nCheck0+nInstr0 == 0
+		{NCheck0: 11940, NInstr0: 60},                           // nAwake0+nHibernate0 == 0
 		{NCheck0: -60, NInstr0: 60, NAwake0: 1, NHibernate0: 1}, // negative sum
 	} {
 		if r := c.SamplingRate(); math.IsNaN(r) || math.IsInf(r, 0) {

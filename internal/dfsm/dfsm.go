@@ -16,13 +16,13 @@
 // the lazy work-list algorithm of Figure 9; the number of reachable states
 // is usually close to headLen*n+1 rather than the exponential worst case.
 //
-// Because Step models code injected on the program's own loads (§3.2 charges
-// every executed comparison), the built machine is compiled into flat
-// per-pc transition tables — sorted address arms over state-indexed entry
-// runs — so that driving it is array indexing with no map lookups and no
-// allocations unless a prefetch fires. The comparison counts Step reports
-// are those of the paper's Figure 7 generated code and are unchanged by the
-// compilation.
+// Because Observe models code injected on the program's own loads (§3.2
+// charges every executed comparison), the built machine is compiled into
+// flat per-pc transition tables — sorted address arms over state-indexed
+// entry runs — so that driving it is array indexing with no map lookups and
+// no allocations unless a prefetch fires. The comparison counts Observe
+// reports are those of the paper's Figure 7 generated code and are
+// unchanged by the compilation.
 package dfsm
 
 import (
@@ -38,12 +38,12 @@ import (
 	"hotprefetch/internal/ref"
 )
 
-// Stream is one hot data stream prepared for prefix matching.
+// Stream is one hot data stream prepared for prefix matching: the stream
+// itself plus its head/tail split.
 type Stream struct {
-	Refs []ref.Ref // the complete stream
+	ref.Stream
 	Head []ref.Ref // Refs[:headLen]
 	Tail []uint64  // deduplicated addresses of Refs[headLen:]
-	Heat uint64
 }
 
 // Split prepares a stream for matching with the given head length,
@@ -52,7 +52,7 @@ type Stream struct {
 // Streams are bounded at ~100 references, so the dedup is a linear scan over
 // the tail built so far rather than a per-stream map.
 func Split(refs []ref.Ref, heat uint64, headLen int) Stream {
-	s := Stream{Refs: refs, Heat: heat}
+	s := Stream{Stream: ref.Stream{Refs: refs, Heat: heat}}
 	if len(refs) <= headLen {
 		s.Head = refs
 		return s
@@ -70,6 +70,39 @@ outer:
 	}
 	s.Tail = tail
 	return s
+}
+
+// New splits each hot stream with the given head length and builds their
+// combined prefix-matching DFSM — the one constructor every layer that
+// matches a stream set goes through. Split only reads a stream's Refs, so
+// the machine shares them with the caller (see ref.Stream).
+//
+// Splitting is independent across streams, so large stream sets are split
+// in parallel partitions; each worker writes disjoint slots, so the built
+// machine is identical regardless of parallelism.
+func New(streams []ref.Stream, headLen int) *DFSM {
+	split := make([]Stream, len(streams))
+	prep := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			split[i] = Split(streams[i].Refs, streams[i].Heat, headLen)
+		}
+	}
+	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(streams) >= 32 {
+		var wg sync.WaitGroup
+		chunk := (len(streams) + workers - 1) / workers
+		for lo := 0; lo < len(streams); lo += chunk {
+			hi := min(lo+chunk, len(streams))
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				prep(lo, hi)
+			}(lo, hi)
+		}
+		wg.Wait()
+	} else {
+		prep(0, len(streams))
+	}
+	return Build(split, headLen)
 }
 
 // Element is one [stream, seen] pair of a DFSM state: the first seen
@@ -114,7 +147,7 @@ type DFSM struct {
 
 	// transRecs is the explicit transition relation in flat, sorted form
 	// (by pc, then addr, then source state). The matching hot path never
-	// touches it: Step runs on the compiled tables below. trans is the map
+	// touches it: Observe runs on the compiled tables below. trans is the map
 	// view, built lazily on the first Next call.
 	transRecs []transRec
 	transOnce sync.Once
@@ -128,7 +161,7 @@ type DFSM struct {
 	// pcDense maps pc-pcMin straight to the pc's [start,end) arm range
 	// when the instrumented pc range is dense enough ({0,0} = not
 	// instrumented); otherwise pcKeys holds the sorted instrumented pcs,
-	// Step binary-searches, and pcSpan[slot] holds the range.
+	// Observe binary-searches, and pcSpan[slot] holds the range.
 	pcMin   int
 	pcDense [][2]int32
 	pcKeys  []int
@@ -521,7 +554,7 @@ func (d *DFSM) compile() {
 
 	// Dense pc index when the instrumented pcs span a reasonable range
 	// (pcs are instruction indices, so this is the overwhelmingly common
-	// case); otherwise Step binary-searches pcKeys. A pc's arm range is
+	// case); otherwise Observe binary-searches pcKeys. A pc's arm range is
 	// never empty, so the zero span marks un-instrumented pcs.
 	if len(pcs) > 0 {
 		span := pcs[len(pcs)-1] - pcs[0] + 1
@@ -536,7 +569,7 @@ func (d *DFSM) compile() {
 }
 
 // spanOf returns pc's [start,end) arm range, zero if pc is not instrumented.
-// The dense fast path is small enough to inline into Step.
+// The dense fast path is small enough to inline into Observe.
 func (d *DFSM) spanOf(pc int) [2]int32 {
 	if d.pcDense != nil {
 		if i := pc - d.pcMin; uint(i) < uint(len(d.pcDense)) {
@@ -640,7 +673,7 @@ func (d *DFSM) String() string {
 // Matcher drives a DFSM over a stream of observed data references at the
 // injected check sites. It is the runtime counterpart of the generated code
 // in paper Figure 7. The compiled tables are cached in the matcher itself so
-// Step touches one object, not the DFSM behind it.
+// Observe touches one object, not the DFSM behind it.
 type Matcher struct {
 	d       *DFSM
 	cur     int32 // current state ID
@@ -663,13 +696,22 @@ func NewMatcher(d *DFSM) *Matcher {
 	}
 }
 
-// State returns the current state.
-func (m *Matcher) State() *State { return m.d.States[m.cur] }
-
-// Reset returns the matcher to the start state.
+// Reset returns the matcher to the start state (nothing matched).
 func (m *Matcher) Reset() { m.cur = 0 }
 
-// Step consumes one data reference observed at an instrumented pc. It
+// NumStates returns the number of DFSM states, including the start state.
+// The paper observes close to headLen×n+1 states for n streams rather than
+// the exponential worst case (§3.1).
+func (m *Matcher) NumStates() int { return m.d.NumStates() }
+
+// NumTransitions returns the number of explicit DFSM transitions.
+func (m *Matcher) NumTransitions() int { return m.d.NumTransitions() }
+
+// PCs returns the sorted instruction addresses at which detection code must
+// be injected: every pc appearing in any stream's head.
+func (m *Matcher) PCs() []int { return m.d.PCs() }
+
+// Observe consumes one data reference observed at an instrumented pc. It
 // returns the addresses to prefetch (non-nil exactly when a stream head
 // completes) and the number of comparisons the injected check chain
 // executed, which the caller charges as detection overhead.
@@ -677,9 +719,9 @@ func (m *Matcher) Reset() { m.cur = 0 }
 // The comparison count follows the structure of the generated code in paper
 // Figure 7: an outer if-chain over the addresses checked at this pc, then an
 // inner if-chain over source states, with the restart transition as the
-// arm's else branch. Step performs no allocations and no map lookups; the
-// returned prefetch slice aliases the machine's state table.
-func (m *Matcher) Step(r ref.Ref) (prefetch []uint64, comparisons int) {
+// arm's else branch. Observe performs no allocations and no map lookups;
+// the returned prefetch slice aliases the machine's state table.
+func (m *Matcher) Observe(r ref.Ref) (prefetch []uint64, comparisons int) {
 	var span [2]int32
 	if m.pcDense != nil {
 		if i := r.PC - m.pcMin; uint(i) < uint(len(m.pcDense)) {
@@ -697,7 +739,7 @@ func (m *Matcher) Step(r ref.Ref) (prefetch []uint64, comparisons int) {
 }
 
 // stepArms walks the address arms of one instrumented pc (the out-of-line
-// part of Step, keeping Step itself inlinable for the frequent
+// part of Observe, keeping Observe itself inlinable for the frequent
 // un-instrumented case).
 func (m *Matcher) stepArms(addr uint64, span [2]int32) (prefetch []uint64, comparisons int) {
 	prev := m.cur

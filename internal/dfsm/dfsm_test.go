@@ -9,6 +9,9 @@ import (
 	"hotprefetch/internal/ref"
 )
 
+// state returns the matcher's current state.
+func (m *Matcher) state() *State { return m.d.States[m.cur] }
+
 // refOf maps a letter to a distinct data reference, mirroring the paper's
 // examples where each symbol is one (pc, addr) pair.
 func refOf(c byte) ref.Ref {
@@ -42,7 +45,7 @@ func TestPaperFigure7SingleStream(t *testing.T) {
 	m := NewMatcher(d)
 	var fired []uint64
 	for _, r := range refsOf("aba") {
-		pf, comp := m.Step(r)
+		pf, comp := m.Observe(r)
 		if comp < 1 {
 			t.Error("each step must cost at least one comparison")
 		}
@@ -72,35 +75,35 @@ func TestPaperFigure8DFSM(t *testing.T) {
 
 	// Walk the machine through v's head and check element sets.
 	m := NewMatcher(d)
-	m.Step(refOf('a'))
-	assertElements(t, m.State(), []Element{{0, 1}})
-	m.Step(refOf('b'))
-	assertElements(t, m.State(), []Element{{0, 2}, {1, 1}})
-	pf, _ := m.Step(refOf('a'))
-	assertElements(t, m.State(), []Element{{0, 1}, {0, 3}})
+	m.Observe(refOf('a'))
+	assertElements(t, m.state(), []Element{{0, 1}})
+	m.Observe(refOf('b'))
+	assertElements(t, m.state(), []Element{{0, 2}, {1, 1}})
+	pf, _ := m.Observe(refOf('a'))
+	assertElements(t, m.state(), []Element{{0, 1}, {0, 3}})
 	if len(pf) != 4 {
 		t.Errorf("completing v.head must prefetch its 4 tail addresses, got %v", pf)
 	}
 
 	// From {[v,1],[v,3]}, b leads back to {[v,2],[w,1]}.
-	m.Step(refOf('b'))
-	assertElements(t, m.State(), []Element{{0, 2}, {1, 1}})
+	m.Observe(refOf('b'))
+	assertElements(t, m.state(), []Element{{0, 2}, {1, 1}})
 
 	// Walk w's head: b b g.
 	m.Reset()
-	m.Step(refOf('b'))
-	assertElements(t, m.State(), []Element{{1, 1}})
-	m.Step(refOf('b'))
-	assertElements(t, m.State(), []Element{{1, 1}, {1, 2}})
-	pf, _ = m.Step(refOf('g'))
-	assertElements(t, m.State(), []Element{{1, 3}})
+	m.Observe(refOf('b'))
+	assertElements(t, m.state(), []Element{{1, 1}})
+	m.Observe(refOf('b'))
+	assertElements(t, m.state(), []Element{{1, 1}, {1, 2}})
+	pf, _ = m.Observe(refOf('g'))
+	assertElements(t, m.state(), []Element{{1, 3}})
 	if len(pf) != 3 {
 		t.Errorf("completing w.head must prefetch h,i,j, got %v", pf)
 	}
 
 	// An unrelated reference resets to the start state.
-	m.Step(refOf('z'))
-	if m.State().ID != 0 {
+	m.Observe(refOf('z'))
+	if m.state().ID != 0 {
 		t.Error("unmatched reference must reset to the start state")
 	}
 }
@@ -178,20 +181,20 @@ func TestSamePCDifferentAddr(t *testing.T) {
 	d := Build([]Stream{Split(v, 10, 2), Split(w, 9, 2)}, 2)
 
 	m := NewMatcher(d)
-	m.Step(ref.Ref{PC: 1, Addr: 100})
-	m.Step(ref.Ref{PC: 2, Addr: 200})
-	if len(m.State().Prefetches) == 0 {
+	m.Observe(ref.Ref{PC: 1, Addr: 100})
+	m.Observe(ref.Ref{PC: 2, Addr: 200})
+	if len(m.state().Prefetches) == 0 {
 		t.Error("v's head should have completed")
 	}
 	m.Reset()
-	m.Step(ref.Ref{PC: 1, Addr: 500})
-	pf, _ := m.Step(ref.Ref{PC: 2, Addr: 600})
+	m.Observe(ref.Ref{PC: 1, Addr: 500})
+	pf, _ := m.Observe(ref.Ref{PC: 2, Addr: 600})
 	if len(pf) != 2 || pf[0] != 700 {
 		t.Errorf("w's completion should prefetch 700,800; got %v", pf)
 	}
 	// Same pc, unknown address: reset.
-	m.Step(ref.Ref{PC: 1, Addr: 999})
-	if m.State().ID != 0 {
+	m.Observe(ref.Ref{PC: 1, Addr: 999})
+	if m.state().ID != 0 {
 		t.Error("unknown address at a known pc must reset")
 	}
 }
@@ -265,16 +268,16 @@ func TestPropertyDFSMMatchesSubsetConstruction(t *testing.T) {
 
 		for step := 0; step < 200; step++ {
 			a := alphabet[r.Intn(len(alphabet))]
-			pf, _ := m.Step(a)
+			pf, _ := m.Observe(a)
 			wantFired := rm.step(a)
 			if (len(pf) > 0) != wantFired {
 				return false
 			}
 			// Element sets must agree.
-			if len(m.State().Elements) != len(rm.cur) {
+			if len(m.state().Elements) != len(rm.cur) {
 				return false
 			}
-			for _, e := range m.State().Elements {
+			for _, e := range m.state().Elements {
 				if !rm.cur[e] {
 					return false
 				}
@@ -307,14 +310,14 @@ func TestPropertyFireMatchesWindow(t *testing.T) {
 		m := NewMatcher(d)
 
 		var window []ref.Ref
-		prevID := m.State().ID
+		prevID := m.state().ID
 		for step := 0; step < 300; step++ {
 			a := alphabet[r.Intn(len(alphabet))]
 			window = append(window, a)
 			if len(window) > headLen {
 				window = window[1:]
 			}
-			pf, _ := m.Step(a)
+			pf, _ := m.Observe(a)
 			windowMatches := false
 			if len(window) == headLen {
 				for _, s := range d.Streams {
@@ -331,8 +334,8 @@ func TestPropertyFireMatchesWindow(t *testing.T) {
 					}
 				}
 			}
-			stateChanged := m.State().ID != prevID
-			prevID = m.State().ID
+			stateChanged := m.state().ID != prevID
+			prevID = m.state().ID
 			if (len(pf) > 0) != (windowMatches && stateChanged) {
 				return false
 			}
@@ -399,7 +402,7 @@ func BenchmarkMatcherStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Step(trace[i%len(trace)])
+		m.Observe(trace[i%len(trace)])
 	}
 }
 

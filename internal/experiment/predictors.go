@@ -14,13 +14,11 @@ package experiment
 import (
 	"fmt"
 
-	"hotprefetch/internal/dfsm"
 	"hotprefetch/internal/hotds"
-	"hotprefetch/internal/markov"
 	"hotprefetch/internal/memsim"
+	"hotprefetch/internal/predictor"
 	"hotprefetch/internal/ref"
 	"hotprefetch/internal/sequitur"
-	"hotprefetch/internal/stride"
 	"hotprefetch/internal/workload"
 )
 
@@ -47,16 +45,9 @@ type PredictorResult struct {
 	CycleDelta     float64 // (Cycles - BaselineCycles) / BaselineCycles
 }
 
-// refStream is one extracted hot stream with its full reference sequence
-// (pc and address), the common training input every predictor consumes.
-type refStream struct {
-	refs []ref.Ref
-	heat uint64
-}
-
 // analyzeTraceRefs compresses a reference sequence and extracts its hot
 // streams with full references (analyzeTrace keeps only pc sequences).
-func analyzeTraceRefs(trace []ref.Ref, cfg hotds.Config) []refStream {
+func analyzeTraceRefs(trace []ref.Ref, cfg hotds.Config) []ref.Stream {
 	g := sequitur.New()
 	in := ref.NewInterner()
 	vals := make([]uint64, len(trace))
@@ -65,65 +56,16 @@ func analyzeTraceRefs(trace []ref.Ref, cfg hotds.Config) []refStream {
 	}
 	g.AppendRun(vals)
 	infos := hotds.Analyze(g.Snapshot(), cfg)
-	out := make([]refStream, len(infos))
+	out := make([]ref.Stream, len(infos))
 	for i, info := range infos {
-		refs := make([]ref.Ref, len(info.Word))
-		for j, sym := range info.Word {
-			refs[j] = in.Ref(ref.Symbol(sym))
-		}
-		out[i] = refStream{refs: refs, heat: info.Heat}
+		out[i] = in.Stream(info.Word, info.Heat)
 	}
 	return out
 }
 
-// observeFn is the predictor surface the replay drives: one reference in,
-// prefetch addresses and a detection comparison count out.
-type observeFn func(ref.Ref) ([]uint64, int)
-
 // PredictorHeadLen is the stream-head length the harness trains the DFSM
 // with (the paper's best setting, §4.3).
 const PredictorHeadLen = 2
-
-// buildPredictor trains the named predictor implementation on streams. The
-// set of names mirrors the root package's registry; it is spelled out here
-// because internal packages cannot import the root registry (the root
-// package imports them).
-func buildPredictor(name string, streams []refStream) (observeFn, error) {
-	switch name {
-	case "dfsm":
-		split := make([]dfsm.Stream, len(streams))
-		for i, s := range streams {
-			split[i] = dfsm.Split(s.refs, s.heat, PredictorHeadLen)
-		}
-		m := dfsm.NewMatcher(dfsm.Build(split, PredictorHeadLen))
-		return m.Step, nil
-	case "markov":
-		ms := make([]markov.Stream, len(streams))
-		for i, s := range streams {
-			ms[i] = markov.Stream{Refs: s.refs, Heat: s.heat}
-		}
-		p, err := markov.New(ms, markov.Config{})
-		if err != nil {
-			return nil, err
-		}
-		return p.Observe, nil
-	case "stride":
-		ss := make([]stride.Stream, len(streams))
-		for i, s := range streams {
-			ss[i] = stride.Stream{Refs: s.refs, Heat: s.heat}
-		}
-		p, err := stride.New(ss, stride.Config{})
-		if err != nil {
-			return nil, err
-		}
-		return p.Observe, nil
-	}
-	return nil, fmt.Errorf("experiment: unknown predictor %q", name)
-}
-
-// PredictorNames lists the implementations the harness compares, in report
-// order.
-func PredictorNames() []string { return []string{"dfsm", "markov", "stride"} }
 
 // replayPredictor drives the evaluation split through a fresh hierarchy with
 // the predictor observing every demand access. Each access advances time by
@@ -131,16 +73,16 @@ func PredictorNames() []string { return []string{"dfsm", "markov", "stride"} }
 // further cycle — the same per-check unit the paper's overhead model uses,
 // kept deliberately simple so the cycle column measures relative predictor
 // cost, not a calibrated machine.
-func replayPredictor(eval []ref.Ref, obs observeFn) (memsim.Stats, uint64, uint64) {
+func replayPredictor(eval []ref.Ref, pred predictor.Predictor) (memsim.Stats, uint64, uint64) {
 	h := memsim.New(workload.CacheConfig())
 	var now, comparisons uint64
 	for _, r := range eval {
 		stall := h.Access(now, r.PC, r.Addr, false)
 		now += 1 + stall
-		if obs == nil {
+		if pred == nil {
 			continue
 		}
-		pf, cmp := obs(r)
+		pf, cmp := pred.Observe(r)
 		comparisons += uint64(cmp)
 		now += uint64(cmp)
 		for _, a := range pf {
@@ -196,7 +138,8 @@ func PredictorComparison(params []workload.Params, refs int) ([]PredictorResult,
 		return nil, err
 	}
 	acfg := AnalysisConfig()
-	out := make([]PredictorResult, 0, len(insts)*len(PredictorNames()))
+	names := predictor.Names()
+	out := make([]PredictorResult, 0, len(insts)*len(names))
 	for _, ni := range insts {
 		trace, err := captureInstanceTrace(ni.inst, refs)
 		if err != nil {
@@ -207,12 +150,12 @@ func PredictorComparison(params []workload.Params, refs int) ([]PredictorResult,
 		streams := analyzeTraceRefs(train, acfg)
 
 		base, baseCycles, _ := replayPredictor(eval, nil)
-		for _, name := range PredictorNames() {
-			obs, err := buildPredictor(name, streams)
+		for _, name := range names {
+			pred, err := predictor.New(name, streams, PredictorHeadLen)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", ni.name, name, err)
 			}
-			st, cycles, comparisons := replayPredictor(eval, obs)
+			st, cycles, comparisons := replayPredictor(eval, pred)
 			r := PredictorResult{
 				Workload:       ni.name,
 				Predictor:      name,

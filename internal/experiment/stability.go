@@ -77,11 +77,7 @@ func collectStreams(p workload.Params, refs int) ([][]ref.Ref, error) {
 	infos := hotds.Analyze(col.grammar.Snapshot(), AnalysisConfig())
 	streams := make([][]ref.Ref, len(infos))
 	for i, info := range infos {
-		rs := make([]ref.Ref, len(info.Word))
-		for j, sym := range info.Word {
-			rs[j] = col.interner.Ref(ref.Symbol(sym))
-		}
-		streams[i] = rs
+		streams[i] = col.interner.Stream(info.Word, info.Heat).Refs
 	}
 	return streams, nil
 }

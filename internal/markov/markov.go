@@ -23,14 +23,6 @@ import (
 	"hotprefetch/internal/ref"
 )
 
-// Stream is one hot data stream used for training: an address sequence and
-// its heat (total bytes touched, used as the transition weight so hot
-// streams dominate candidate ranking).
-type Stream struct {
-	Refs []ref.Ref
-	Heat uint64
-}
-
 // Config controls table order and candidate ranking.
 type Config struct {
 	// Order is the maximum context length: 1 uses only the last address,
@@ -89,10 +81,12 @@ type Predictor struct {
 	have int
 }
 
-// New trains a predictor on streams. An empty (or nil) stream set is valid
-// and yields a pass-through predictor that predicts nothing — every
-// observation costs one failed probe, mirroring the deoptimized DFSM.
-func New(streams []Stream, cfg Config) (*Predictor, error) {
+// New trains a predictor on streams, each stream's heat weighting its
+// transitions so hot streams dominate candidate ranking. An empty (or nil)
+// stream set is valid and yields a pass-through predictor that predicts
+// nothing — every observation costs one failed probe, mirroring the
+// deoptimized DFSM.
+func New(streams []ref.Stream, cfg Config) (*Predictor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err

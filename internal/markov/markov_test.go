@@ -61,7 +61,7 @@ func TestUntrainedIsPassThrough(t *testing.T) {
 }
 
 func TestOrder1Prediction(t *testing.T) {
-	p, err := New([]Stream{{Refs: seq(10, 20, 30), Heat: 5}}, Config{Order: 1})
+	p, err := New([]ref.Stream{{Refs: seq(10, 20, 30), Heat: 5}}, Config{Order: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestOrder1Prediction(t *testing.T) {
 func TestOrder2ProbeAndFallback(t *testing.T) {
 	// Two streams share the pair (20,30) but diverge after it; the order-2
 	// context disambiguates what a bare order-1 probe on 30 cannot.
-	p, err := New([]Stream{
+	p, err := New([]ref.Stream{
 		{Refs: seq(10, 30, 40), Heat: 8},
 		{Refs: seq(20, 30, 50), Heat: 8},
 	}, Config{Fanout: 1, MinProb: 0.6})
@@ -119,9 +119,9 @@ func TestOrder2ProbeAndFallback(t *testing.T) {
 func TestHeatWeightedRanking(t *testing.T) {
 	// Successor 200 carries 9x the heat of 100: fanout 1 keeps only it,
 	// and with MinProb 0.2 the cold successor is filtered even at fanout 2.
-	hot := Stream{Refs: seq(1, 200), Heat: 9}
-	cold := Stream{Refs: seq(1, 100), Heat: 1}
-	p, err := New([]Stream{cold, hot}, Config{Order: 1, Fanout: 2, MinProb: 0.2})
+	hot := ref.Stream{Refs: seq(1, 200), Heat: 9}
+	cold := ref.Stream{Refs: seq(1, 100), Heat: 1}
+	p, err := New([]ref.Stream{cold, hot}, Config{Order: 1, Fanout: 2, MinProb: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestHeatWeightedRanking(t *testing.T) {
 	}
 
 	// Equal heats tie-break by ascending address, deterministically.
-	p2, err := New([]Stream{
+	p2, err := New([]ref.Stream{
 		{Refs: seq(1, 300), Heat: 4},
 		{Refs: seq(1, 100), Heat: 4},
 	}, Config{Order: 1, Fanout: 2, MinProb: 0.1})
@@ -145,7 +145,7 @@ func TestHeatWeightedRanking(t *testing.T) {
 }
 
 func TestSelfTransitionsSkipped(t *testing.T) {
-	p, err := New([]Stream{{Refs: seq(5, 5, 5), Heat: 3}}, Config{})
+	p, err := New([]ref.Stream{{Refs: seq(5, 5, 5), Heat: 3}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSelfTransitionsSkipped(t *testing.T) {
 }
 
 func TestZeroHeatCountsAsOne(t *testing.T) {
-	p, err := New([]Stream{{Refs: seq(10, 20)}}, Config{Order: 1})
+	p, err := New([]ref.Stream{{Refs: seq(10, 20)}}, Config{Order: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestZeroHeatCountsAsOne(t *testing.T) {
 }
 
 func TestResetRestoresStartState(t *testing.T) {
-	p, err := New([]Stream{{Refs: seq(10, 20, 30), Heat: 2}}, Config{})
+	p, err := New([]ref.Stream{{Refs: seq(10, 20, 30), Heat: 2}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestResetRestoresStartState(t *testing.T) {
 }
 
 func TestDeterministicAcrossInstances(t *testing.T) {
-	streams := []Stream{
+	streams := []ref.Stream{
 		{Refs: seq(1, 2, 3, 4, 5), Heat: 7},
 		{Refs: seq(9, 2, 8, 4, 1), Heat: 3},
 	}
@@ -208,7 +208,7 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 }
 
 func TestObserveAllocFree(t *testing.T) {
-	p, err := New([]Stream{{Refs: seq(1, 2, 3, 4), Heat: 2}}, Config{})
+	p, err := New([]ref.Stream{{Refs: seq(1, 2, 3, 4), Heat: 2}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,7 +345,7 @@ func (o *Optimizer) Match(pc int, addr machine.Word) ([]machine.Word, uint64) {
 	cost := o.cfg.Costs.MatchBase
 	if o.headPCs == nil || o.headPCs[pc] {
 		var comparisons int
-		prefetch, comparisons = o.matcher.Step(ref.Ref{PC: pc, Addr: addr})
+		prefetch, comparisons = o.matcher.Observe(ref.Ref{PC: pc, Addr: addr})
 		cost += o.cfg.Costs.MatchPerCmp * uint64(comparisons)
 		if prefetch != nil {
 			o.current.PrefixMatches++
@@ -409,15 +409,11 @@ func (o *Optimizer) endAwakePhase() uint64 {
 			len(streams), o.grammar.Size())
 
 		if o.cfg.Mode.injects() && len(streams) > 0 {
-			split := make([]dfsm.Stream, 0, len(streams))
-			for _, s := range streams {
-				refs := make([]ref.Ref, len(s.Word))
-				for i, sym := range s.Word {
-					refs[i] = o.interner.Ref(ref.Symbol(sym))
-				}
-				split = append(split, dfsm.Split(refs, s.Heat, o.cfg.HeadLen))
+			hot := make([]ref.Stream, len(streams))
+			for i, s := range streams {
+				hot[i] = o.interner.Stream(s.Word, s.Heat)
 			}
-			d := dfsm.Build(split, o.cfg.HeadLen)
+			d := dfsm.New(hot, o.cfg.HeadLen)
 			o.current.DFSMStates = d.NumStates()
 			o.current.DFSMTransitions = d.NumTransitions()
 
@@ -434,7 +430,7 @@ func (o *Optimizer) endAwakePhase() uint64 {
 				for pc := range pcs {
 					all[pc] = true
 				}
-				for _, s := range split {
+				for _, s := range hot {
 					for _, r := range s.Refs {
 						all[r.PC] = true
 					}

@@ -127,6 +127,16 @@ func (in *Interner) Ref(s Symbol) Ref {
 	return in.refs[s]
 }
 
+// Stream resolves a word of interned symbols — a hot stream as the
+// analysis reports it — into a Stream of concrete references.
+func (in *Interner) Stream(word []uint64, heat uint64) Stream {
+	refs := make([]Ref, len(word))
+	for i, sym := range word {
+		refs[i] = in.refs[sym]
+	}
+	return Stream{Refs: refs, Heat: heat}
+}
+
 // Len reports the number of distinct references interned so far.
 func (in *Interner) Len() int { return len(in.refs) }
 
@@ -138,7 +148,12 @@ func (in *Interner) Reset() {
 
 // Stream is a hot data stream: a sequence of references that frequently
 // repeats in the same order, together with its regularity magnitude
-// (heat = length × frequency, §2.3).
+// (heat = length × frequency, §2.3). It is the one stream type every layer
+// shares — profile extraction, banking, snapshots and every predictor.
+//
+// Refs is read-only once a stream is produced: predictors and matchers
+// built over a stream keep slices of Refs instead of copying them, so a
+// caller that wants to edit a stream must copy Refs first.
 type Stream struct {
 	Refs []Ref
 	Heat uint64
@@ -146,3 +161,12 @@ type Stream struct {
 
 // Len returns the number of references in the stream.
 func (s Stream) Len() int { return len(s.Refs) }
+
+// Coverage returns the fraction of a trace of traceLen references this
+// stream accounts for.
+func (s Stream) Coverage(traceLen uint64) float64 {
+	if traceLen == 0 {
+		return 0
+	}
+	return float64(s.Heat) / float64(traceLen)
+}

@@ -26,7 +26,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	full := valid(&Profile{
 		Generation: 3,
 		CreatedAt:  1754700000000000000,
-		Streams: []Stream{
+		Streams: []ref.Stream{
 			{Refs: []ref.Ref{{PC: 10, Addr: 4096}, {PC: 18, Addr: 4128}}, Heat: 64},
 			{Refs: []ref.Ref{{PC: 7, Addr: 1 << 33}}, Heat: 2},
 		},
@@ -34,10 +34,10 @@ func FuzzSnapshotRestore(f *testing.F) {
 	})
 	f.Add(full)
 	f.Add(valid(&Profile{Generation: 1}))
-	f.Add(full[:len(full)/2])               // truncated mid-section
-	f.Add(full[:headerLen])                 // header only
-	f.Add([]byte("HDSSNP"))                 // short header
-	f.Add([]byte("HDSTRC\x01\x00\x02"))     // tracefile magic, wrong format
+	f.Add(full[:len(full)/2])           // truncated mid-section
+	f.Add(full[:headerLen])             // header only
+	f.Add([]byte("HDSSNP"))             // short header
+	f.Add([]byte("HDSTRC\x01\x00\x02")) // tracefile magic, wrong format
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)

@@ -96,13 +96,6 @@ func IsFormatError(err error) bool {
 // amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Stream is one banked hot data stream: its reference word and its heat
-// (length × frequency), exactly as the profile's BankedStreams reports it.
-type Stream struct {
-	Refs []ref.Ref
-	Heat uint64
-}
-
 // Baseline is the supervisor accuracy baseline captured at snapshot time:
 // the matcher's cumulative issued/hit prefetch counters. A warm-started
 // supervisor surfaces it as the provisional accuracy until its first live
@@ -134,8 +127,9 @@ type Profile struct {
 	// CreatedAt is the encoding wall time in Unix nanoseconds.
 	CreatedAt int64
 
-	// Streams are the banked hot streams, hottest first.
-	Streams []Stream
+	// Streams are the banked hot streams, hottest first, exactly as the
+	// profile's BankedStreams reports them.
+	Streams []ref.Stream
 
 	// Baseline is the supervisor accuracy baseline (zero when none was
 	// attached at snapshot time).
@@ -356,7 +350,7 @@ func parseMeta(payload []byte) (gen uint64, createdAt int64, err error) {
 }
 
 // parseStreams decodes the streams section payload.
-func parseStreams(payload []byte) ([]Stream, error) {
+func parseStreams(payload []byte) ([]ref.Stream, error) {
 	buf := bytes.NewReader(payload)
 	count, err := binary.ReadUvarint(buf)
 	if err != nil {
@@ -372,7 +366,7 @@ func parseStreams(payload []byte) ([]Stream, error) {
 	if count > uint64(buf.Len()) {
 		return nil, fmt.Errorf("%w: %d streams declared in %d payload bytes", ErrCorrupt, count, buf.Len())
 	}
-	streams := make([]Stream, 0, count)
+	streams := make([]ref.Stream, 0, count)
 	for i := uint64(0); i < count; i++ {
 		refCount, err := binary.ReadUvarint(buf)
 		if err != nil {
@@ -403,7 +397,7 @@ func parseStreams(payload []byte) ([]Stream, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: stream %d heat: %v", ErrCorrupt, i, err)
 		}
-		streams = append(streams, Stream{Refs: refs, Heat: heat})
+		streams = append(streams, ref.Stream{Refs: refs, Heat: heat})
 	}
 	if buf.Len() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in streams section", ErrCorrupt, buf.Len())

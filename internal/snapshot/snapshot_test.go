@@ -19,7 +19,7 @@ func sample() *Profile {
 	return &Profile{
 		Generation: 7,
 		CreatedAt:  1754700000000000000,
-		Streams: []Stream{
+		Streams: []ref.Stream{
 			{Refs: []ref.Ref{{PC: 100, Addr: 4096}, {PC: 108, Addr: 4128}, {PC: 92, Addr: 64}}, Heat: 900},
 			{Refs: []ref.Ref{{PC: 1 << 30, Addr: 1 << 40}, {PC: 4, Addr: 8}}, Heat: 512},
 			{Refs: []ref.Ref{{PC: 0, Addr: 0}}, Heat: 3},
@@ -276,11 +276,11 @@ func TestBaselineAccuracy(t *testing.T) {
 }
 
 func TestWriteBounds(t *testing.T) {
-	p := &Profile{Streams: []Stream{{Refs: nil, Heat: 1}}}
+	p := &Profile{Streams: []ref.Stream{{Refs: nil, Heat: 1}}}
 	if err := Write(io.Discard, p); err == nil || !strings.Contains(err.Error(), "refs") {
 		t.Fatalf("empty-stream encode: %v", err)
 	}
-	p = &Profile{Streams: []Stream{{Refs: make([]ref.Ref, maxStreamRefs+1), Heat: 1}}}
+	p = &Profile{Streams: []ref.Stream{{Refs: make([]ref.Ref, maxStreamRefs+1), Heat: 1}}}
 	if err := Write(io.Discard, p); err == nil {
 		t.Fatal("oversized-stream encode succeeded")
 	}

@@ -19,15 +19,10 @@ package stride
 
 import (
 	"fmt"
+	"slices"
 
 	"hotprefetch/internal/ref"
 )
-
-// Stream is one hot data stream used to seed the table; see New.
-type Stream struct {
-	Refs []ref.Ref
-	Heat uint64
-}
 
 // Config sizes the table and shapes issue behavior.
 type Config struct {
@@ -115,8 +110,10 @@ type Predictor struct {
 	buf     []uint64
 
 	// seeds retains the training streams so Reset can restore the exact
-	// post-New table state.
-	seeds []Stream
+	// post-New table state. It is New's own copy of the slice, so a caller
+	// reusing its stream slice cannot change what Reset replays; the
+	// streams' Refs are shared and read-only (see ref.Stream).
+	seeds []ref.Stream
 }
 
 // New builds a predictor and seeds its table by replaying the hot streams'
@@ -126,7 +123,7 @@ type Predictor struct {
 // observation — matching the other predictors' deoptimized behavior rather
 // than free-running stride detection, so swapping in an empty set disables
 // prefetching across every predictor uniformly.
-func New(streams []Stream, cfg Config) (*Predictor, error) {
+func New(streams []ref.Stream, cfg Config) (*Predictor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -140,7 +137,7 @@ func New(streams []Stream, cfg Config) (*Predictor, error) {
 		return p, nil
 	}
 	p.trained = true
-	p.seeds = streams
+	p.seeds = slices.Clone(streams)
 	p.seed()
 	return p, nil
 }

@@ -64,7 +64,7 @@ func TestUntrainedIsPassThrough(t *testing.T) {
 // table contents.
 func train(t *testing.T, cfg Config) *Predictor {
 	t.Helper()
-	p, err := New([]Stream{{Refs: seq(0xff00, 0xff10), Heat: 1}}, cfg)
+	p, err := New([]ref.Stream{{Refs: seq(0xff00, 0xff10), Heat: 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestComparisonsTrackOccupancy(t *testing.T) {
 }
 
 func TestResetRestoresPostTrainState(t *testing.T) {
-	p, err := New([]Stream{{Refs: seq(0x00, 0x10, 0x20, 0x30), Heat: 2}}, cfg4())
+	p, err := New([]ref.Stream{{Refs: seq(0x00, 0x10, 0x20, 0x30), Heat: 2}}, cfg4())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestResetRestoresPostTrainState(t *testing.T) {
 func TestSeededStreamIssuesImmediately(t *testing.T) {
 	// Seeding replays the hot stream: the very first post-training touch
 	// that extends it should issue without re-warming confidence.
-	p, err := New([]Stream{{Refs: seq(0x00, 0x10, 0x20, 0x30), Heat: 2}}, cfg4())
+	p, err := New([]ref.Stream{{Refs: seq(0x00, 0x10, 0x20, 0x30), Heat: 2}}, cfg4())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSeededStreamIssuesImmediately(t *testing.T) {
 }
 
 func TestObserveAllocFree(t *testing.T) {
-	p, err := New([]Stream{{Refs: seq(0x00, 0x10, 0x20, 0x30), Heat: 2}}, cfg4())
+	p, err := New([]ref.Stream{{Refs: seq(0x00, 0x10, 0x20, 0x30), Heat: 2}}, cfg4())
 	if err != nil {
 		t.Fatal(err)
 	}

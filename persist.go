@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hotprefetch/internal/obs"
-	"hotprefetch/internal/ref"
 	"hotprefetch/internal/snapshot"
 )
 
@@ -48,14 +47,7 @@ func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
 	p := &snapshot.Profile{
 		Generation: generation,
 		CreatedAt:  time.Now().UnixNano(),
-		Streams:    make([]snapshot.Stream, len(streams)),
-	}
-	for i, st := range streams {
-		refs := make([]ref.Ref, len(st.Refs))
-		for j, r := range st.Refs {
-			refs[j] = ref.Ref{PC: r.PC, Addr: r.Addr}
-		}
-		p.Streams[i] = snapshot.Stream{Refs: refs, Heat: st.Heat}
+		Streams:    streams,
 	}
 	if m := sp.matcher.Load(); m != nil {
 		if issued, hits := m.AccuracyCounters(); issued > 0 {
@@ -93,14 +85,9 @@ func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 		sp.obs.Emit(obs.KindSnapshotLoadFailed, -1, 0)
 		return RestoreInfo{}, err
 	}
-	streams := make([]Stream, len(p.Streams))
+	streams := p.Streams
 	totalRefs := 0
-	for i, st := range p.Streams {
-		refs := make([]Ref, len(st.Refs))
-		for j, r := range st.Refs {
-			refs[j] = Ref{PC: r.PC, Addr: r.Addr}
-		}
-		streams[i] = Stream{Refs: refs, Heat: st.Heat}
+	for _, st := range streams {
 		totalRefs += len(st.Refs)
 	}
 	sp.restoredMu.Lock()

@@ -236,33 +236,6 @@ func (c PrepassConfig) Validate() error {
 	return nil
 }
 
-// ParsePrepassConfig converts a flag value to a PrepassConfig: "auto" (or
-// the empty string), "off", "on", or "on:window:minRun:cacheSize" (three
-// non-negative integers, zero meaning the default).
-func ParsePrepassConfig(s string) (PrepassConfig, error) {
-	switch s {
-	case "", "auto":
-		return PrepassConfig{Mode: PrepassAuto}, nil
-	case "off":
-		return PrepassConfig{Mode: PrepassOff}, nil
-	case "on":
-		return PrepassConfig{Mode: PrepassOn}, nil
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) != 4 || parts[0] != "on" {
-		return PrepassConfig{}, fmt.Errorf("hotprefetch: bad prepass config %q (want auto, off, on, or on:window:minRun:cacheSize)", s)
-	}
-	vals := make([]int, 3)
-	for i, p := range parts[1:] {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 {
-			return PrepassConfig{}, fmt.Errorf("hotprefetch: bad prepass parameter %q in %q", p, s)
-		}
-		vals[i] = v
-	}
-	return PrepassConfig{Mode: PrepassOn, Window: vals[0], MinRun: vals[1], CacheSize: vals[2]}, nil
-}
-
 // ErrClosed is returned by ProfileShard.Add and AddAll after the profile has
 // been closed. Previously a blocked Add would spin forever against stopped
 // consumers; now it fails fast.

@@ -1,14 +1,6 @@
 package hotprefetch
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"hotprefetch/internal/markov"
-	"hotprefetch/internal/ref"
-	"hotprefetch/internal/stride"
-)
+import "hotprefetch/internal/predictor"
 
 // Predictor is one point in the prefetch-predictor design space: it consumes
 // the reference stream one observation at a time and returns the addresses
@@ -29,120 +21,31 @@ import (
 // not the predictor's job: ConcurrentMatcher keeps the one ledger (see
 // ConcurrentMatcher.EnableAccuracyTracking), so every implementation is
 // measured by the same books.
-type Predictor interface {
-	Observe(r Ref) (prefetch []uint64, comparisons int)
-	Reset()
-}
+type Predictor = predictor.Predictor
 
 // PredictorFactory builds a trained predictor over a hot-stream set.
 // headLen is the stream head length in references (see NewMatcher);
 // implementations that have no prefix/suffix split are free to ignore it.
 // An empty or nil stream set must yield a pass-through predictor, not an
 // error.
-type PredictorFactory func(streams []Stream, headLen int) (Predictor, error)
+type PredictorFactory = predictor.Factory
 
-var (
-	predictorMu  sync.RWMutex
-	predictorReg = make(map[string]PredictorFactory)
-)
-
-// RegisterPredictor adds a named predictor implementation to the registry.
-// Registering a name twice panics: the registry is process-global and a
-// silent override would change every matcher later built under the name.
-// Tests registering throwaway predictors should use distinct names.
-func RegisterPredictor(name string, f PredictorFactory) {
-	if name == "" || f == nil {
-		panic("hotprefetch: RegisterPredictor needs a name and a factory")
-	}
-	predictorMu.Lock()
-	defer predictorMu.Unlock()
-	if _, dup := predictorReg[name]; dup {
-		panic(fmt.Sprintf("hotprefetch: predictor %q already registered", name))
-	}
-	predictorReg[name] = f
-}
+// RegisterPredictor adds a named predictor implementation to the registry
+// internal/predictor keeps — the same one the offline head-to-head
+// (cmd/figures -ablation predictors) iterates. Registering a name twice
+// panics: the registry is process-global and a silent override would change
+// every matcher later built under the name. Tests registering throwaway
+// predictors should use distinct names.
+func RegisterPredictor(name string, f PredictorFactory) { predictor.Register(name, f) }
 
 // NewPredictor builds a trained instance of the named predictor.
 func NewPredictor(name string, streams []Stream, headLen int) (Predictor, error) {
-	predictorMu.RLock()
-	f := predictorReg[name]
-	predictorMu.RUnlock()
-	if f == nil {
-		return nil, fmt.Errorf("hotprefetch: unknown predictor %q (registered: %v)",
-			name, PredictorNames())
-	}
-	return f(streams, headLen)
+	return predictor.New(name, streams, headLen)
 }
 
 // PredictorNames returns the registered predictor names, sorted.
-func PredictorNames() []string {
-	predictorMu.RLock()
-	defer predictorMu.RUnlock()
-	names := make([]string, 0, len(predictorReg))
-	for n := range predictorReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func PredictorNames() []string { return predictor.Names() }
 
 // DefaultPredictor is the registry name of the paper's DFSM prefix matcher,
 // the predictor NewConcurrentMatcher installs.
-const DefaultPredictor = "dfsm"
-
-func init() {
-	RegisterPredictor(DefaultPredictor, func(streams []Stream, headLen int) (Predictor, error) {
-		return NewMatcher(streams, headLen)
-	})
-	RegisterPredictor("markov", func(streams []Stream, headLen int) (Predictor, error) {
-		p, err := markov.New(toMarkovStreams(streams), markov.Config{})
-		if err != nil {
-			return nil, err
-		}
-		return &corePredictor{observe: p.Observe, reset: p.Reset}, nil
-	})
-	RegisterPredictor("stride", func(streams []Stream, headLen int) (Predictor, error) {
-		p, err := stride.New(toStrideStreams(streams), stride.Config{})
-		if err != nil {
-			return nil, err
-		}
-		return &corePredictor{observe: p.Observe, reset: p.Reset}, nil
-	})
-}
-
-func toMarkovStreams(streams []Stream) []markov.Stream {
-	out := make([]markov.Stream, len(streams))
-	for i, s := range streams {
-		out[i] = markov.Stream{Refs: toRefs(s.Refs), Heat: s.Heat}
-	}
-	return out
-}
-
-func toStrideStreams(streams []Stream) []stride.Stream {
-	out := make([]stride.Stream, len(streams))
-	for i, s := range streams {
-		out[i] = stride.Stream{Refs: toRefs(s.Refs), Heat: s.Heat}
-	}
-	return out
-}
-
-func toRefs(rs []Ref) []ref.Ref {
-	out := make([]ref.Ref, len(rs))
-	for i, r := range rs {
-		out[i] = ref.Ref{PC: r.PC, Addr: r.Addr}
-	}
-	return out
-}
-
-// corePredictor adapts an internal predictor core (markov, stride), which
-// observes internal ref.Ref values, to the Predictor interface.
-type corePredictor struct {
-	observe func(ref.Ref) ([]uint64, int)
-	reset   func()
-}
-
-func (c *corePredictor) Observe(r Ref) (prefetch []uint64, comparisons int) {
-	return c.observe(ref.Ref{PC: r.PC, Addr: r.Addr})
-}
-
-func (c *corePredictor) Reset() { c.reset() }
+const DefaultPredictor = predictor.Default

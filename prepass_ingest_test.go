@@ -310,42 +310,6 @@ func TestPrepassAutoResolution(t *testing.T) {
 	}
 }
 
-func TestParsePrepassConfig(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    PrepassConfig
-		wantErr string
-	}{
-		{in: "", want: PrepassConfig{Mode: PrepassAuto}},
-		{in: "auto", want: PrepassConfig{Mode: PrepassAuto}},
-		{in: "off", want: PrepassConfig{Mode: PrepassOff}},
-		{in: "on", want: PrepassConfig{Mode: PrepassOn}},
-		{in: "on:16:4:2048", want: PrepassConfig{Mode: PrepassOn, Window: 16, MinRun: 4, CacheSize: 2048}},
-		{in: "on:0:0:0", want: PrepassConfig{Mode: PrepassOn}},
-		{in: "on:16", wantErr: "bad prepass config"},
-		{in: "off:1:2:3", wantErr: "bad prepass config"},
-		{in: "on:16:-4:2048", wantErr: "bad prepass parameter"},
-		{in: "on:a:b:c", wantErr: "bad prepass parameter"},
-		{in: "bogus", wantErr: "bad prepass config"},
-	}
-	for _, c := range cases {
-		got, err := ParsePrepassConfig(c.in)
-		if c.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("ParsePrepassConfig(%q) err = %v, want containing %q", c.in, err, c.wantErr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParsePrepassConfig(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParsePrepassConfig(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestPrepassConfigValidate(t *testing.T) {
 	good := []PrepassConfig{
 		{},

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hotprefetch/internal/ref"
 	"hotprefetch/internal/tracefile"
 )
 
@@ -429,15 +428,12 @@ func (svc *Service) Stats() ServiceStats {
 	return st
 }
 
-// decodeBufs is one publish's resident decoding state, pooled across
-// requests so sustained ingest allocates no per-chunk buffers.
-type decodeBufs struct {
-	raw   []ref.Ref
-	batch []Ref
-}
-
+// decodePool holds one publish's resident decode buffer, pooled across
+// requests so sustained ingest allocates no per-chunk buffers. The decoder
+// fills it and PublishBatch reads it in place.
 var decodePool = sync.Pool{New: func() any {
-	return &decodeBufs{raw: make([]ref.Ref, publishChunk), batch: make([]Ref, publishChunk)}
+	buf := make([]Ref, publishChunk)
+	return &buf
 }}
 
 // Handler returns the service's HTTP API:
@@ -511,8 +507,9 @@ func (svc *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), httpDecodeStatus(err))
 		return
 	}
-	bufs := decodePool.Get().(*decodeBufs)
-	defer decodePool.Put(bufs)
+	bufp := decodePool.Get().(*[]Ref)
+	defer decodePool.Put(bufp)
+	buf := *bufp
 	// published counts refs admitted into the tenant's profile on every exit
 	// path, success or failure: a request that dies mid-body (oversized,
 	// truncated, tenant evicted) has still pushed its earlier chunks, and the
@@ -524,12 +521,9 @@ func (svc *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		svc.publishedRefs.Add(accepted)
 	}()
 	for {
-		n, derr := dec.Next(bufs.raw)
-		for i := 0; i < n; i++ {
-			bufs.batch[i] = Ref{PC: bufs.raw[i].PC, Addr: bufs.raw[i].Addr}
-		}
+		n, derr := dec.Next(buf)
 		if n > 0 {
-			if perr := t.sp.PublishBatch(stream, bufs.batch[:n]); perr != nil {
+			if perr := t.sp.PublishBatch(stream, buf[:n]); perr != nil {
 				// The tenant was evicted (or the service closed) mid-publish;
 				// nothing else returns an error from the profile's batch path.
 				http.Error(w, fmt.Sprintf("tenant %q evicted during publish after %d refs: %v",
@@ -552,8 +546,8 @@ func (svc *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	svc.publishes.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(ingestResult{
-		Tenant:     key,
-		Accepted:   accepted,
+		Tenant:   key,
+		Accepted: accepted,
 		// The deferred accounting hasn't run yet; fold this publish in so the
 		// client sees a cumulative count that includes it.
 		TenantRefs: t.published.Load() + accepted,

@@ -15,7 +15,6 @@ import (
 	"hotprefetch/internal/burst"
 	"hotprefetch/internal/fault"
 	"hotprefetch/internal/obs"
-	"hotprefetch/internal/procid"
 	"hotprefetch/internal/ring"
 	"hotprefetch/internal/snapshot"
 )
@@ -328,10 +327,10 @@ type ProfileShard struct {
 	// because the profile-wide RefQuota was exhausted.
 	quotaShed atomic.Uint64
 
-	// prodLock serializes Auto-placed producers on this shard (AddAuto and
-	// AddBatchAuto): the SPSC ring and the producer-local Sample/burst
-	// state admit one producer at a time, and P-indexed placement cannot
-	// guarantee two goroutines never pick the same shard.
+	// prodLock serializes PublishBatch producers on this shard: the SPSC
+	// ring and the producer-local Sample/burst state admit one producer at
+	// a time, and stream-hashed placement cannot guarantee two goroutines
+	// never pick the same shard.
 	prodLock atomic.Bool
 
 	mu       sync.Mutex // guards retained
@@ -1125,10 +1124,10 @@ func (sp *ShardedProfile) AddBatch(i int, refs []Ref) error {
 	return sp.shards[i].AddBatch(refs)
 }
 
-// lockProducer claims the shard's Auto-producer slot, spinning with
-// scheduler yields; unlockProducer releases it. Uncontended in the steady
-// state — each P's producers route to their own shard — so the common cost
-// is one uncontended CAS.
+// lockProducer claims the shard's producer slot, spinning with scheduler
+// yields; unlockProducer releases it. Uncontended while each stream's
+// publishes arrive one at a time, so the common cost is one uncontended
+// CAS.
 func (s *ProfileShard) lockProducer() {
 	for !s.prodLock.CompareAndSwap(false, true) {
 		runtime.Gosched()
@@ -1136,37 +1135,6 @@ func (s *ProfileShard) lockProducer() {
 }
 
 func (s *ProfileShard) unlockProducer() { s.prodLock.Store(false) }
-
-// AddAuto appends one reference to the shard indexed by the caller's P
-// (GOMAXPROCS slot, modulo the shard count) — shard-per-P placement that
-// needs no per-producer handle plumbing and keeps same-P producers on the
-// same cache-warm shard. Because P indices are placement hints, not
-// ownership, concurrent AddAuto callers that land on the same shard are
-// serialized by a per-shard producer lock; do not mix Auto calls with
-// direct Shard(i) producers on the same profile.
-//
-// A goroutine that migrates between Ps mid-trace splits its reference
-// sequence across shards, which weakens per-shard stream detection (see
-// the ShardedProfile contract); prefer AddBatchAuto, which keeps each
-// batch whole on one shard, when tracing with Auto placement.
-func (sp *ShardedProfile) AddAuto(r Ref) error {
-	s := sp.shards[procid.Get()%len(sp.shards)]
-	s.lockProducer()
-	err := s.Add(r)
-	s.unlockProducer()
-	return err
-}
-
-// AddBatchAuto appends a run of references to the shard indexed by the
-// caller's P; see AddAuto for the placement contract. The whole batch lands
-// on one shard, so intra-batch regularity is never split.
-func (sp *ShardedProfile) AddBatchAuto(refs []Ref) error {
-	s := sp.shards[procid.Get()%len(sp.shards)]
-	s.lockProducer()
-	err := s.AddBatch(refs)
-	s.unlockProducer()
-	return err
-}
 
 // mix64 is the splitmix64 finalizer, used to spread stream identifiers over
 // shards without clustering on sequential ids.
@@ -1186,7 +1154,7 @@ func mix64(x uint64) uint64 {
 // the ShardedProfile contract); distinct streams spread over shards.
 //
 // Do not mix PublishBatch with direct Shard(i) producers on the same
-// profile — like AddAuto, it shares the per-shard producer lock, which
+// profile: it serializes producers through a per-shard producer lock, which
 // direct shard producers bypass.
 func (sp *ShardedProfile) PublishBatch(stream uint64, refs []Ref) error {
 	s := sp.shards[mix64(stream)%uint64(len(sp.shards))]

@@ -86,12 +86,6 @@ type SupervisorConfig struct {
 	// means 1. Ignored when the profile has no grammar budget.
 	MinFreshCycles uint64
 
-	// MinFreshRefs is the fallback readiness signal when the profile has
-	// no grammar budget (so cycles never bank): (re)optimize once this many
-	// references have been consumed since the last transition. Zero means
-	// 4096.
-	MinFreshRefs uint64
-
 	// ProvisionalWindows is the bad-window threshold while a warm-started
 	// (snapshot-restored) optimization is provisional: the restored profile
 	// earned its trust in a previous run, so it gets fewer strikes than a
@@ -107,14 +101,6 @@ type SupervisorConfig struct {
 	// waiting out accuracy windows would just issue useless prefetches.
 	// Zero means 0.25; negative disables the check.
 	DriftOverlapFloor float64
-
-	// ForgetOnDeoptimize, when true, clears the shards' retained stream
-	// sets at deoptimization, so re-optimization sees only streams banked
-	// after the phase change — the paper's full cycle-end deallocation.
-	// When false (the default) stale retained streams persist; they are
-	// harmless to accuracy (their heads stop matching, so they issue no
-	// prefetches) but keep matcher states alive.
-	ForgetOnDeoptimize bool
 
 	// Fault, when non-nil, lets the injector force accuracy windows stale
 	// (fault.Injector.MatcherStale), driving the deoptimization path on
@@ -141,9 +127,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	}
 	if c.MinFreshCycles == 0 {
 		c.MinFreshCycles = 1
-	}
-	if c.MinFreshRefs == 0 {
-		c.MinFreshRefs = 4096
 	}
 	if c.ProvisionalWindows == 0 {
 		c.ProvisionalWindows = 2
@@ -521,13 +504,6 @@ func (s *Supervisor) deoptimize() {
 		s.pollErrors.Add(1)
 		return
 	}
-	if s.cfg.ForgetOnDeoptimize {
-		for _, sh := range s.sp.shards {
-			sh.mu.Lock()
-			sh.retained = nil
-			sh.mu.Unlock()
-		}
-	}
 	st := s.sp.Stats()
 	s.resetsBase, s.consumedBase = st.Resets, st.Consumed
 	s.badRun.Store(0)
@@ -538,8 +514,13 @@ func (s *Supervisor) deoptimize() {
 	s.sp.obs.Emit(obs.KindPhaseHibernating, -1, uint64(s.cfg.BadWindows))
 }
 
+// minFreshRefs is the readiness signal when the profile has no grammar
+// budget (so cycles never bank): (re)optimize once this many references
+// have been consumed since the last transition.
+const minFreshRefs = 4096
+
 // tryOptimize retrains once enough fresh evidence has banked since the last
-// transition: MinFreshCycles grammar-budget cycles, or MinFreshRefs
+// transition: MinFreshCycles grammar-budget cycles, or minFreshRefs
 // consumed references when the profile has no budget (cycles never bank).
 //
 // With a budget, training reads only the banked cycle streams
@@ -557,7 +538,7 @@ func (s *Supervisor) tryOptimize() error {
 		}
 		streams = s.sp.BankedStreams(s.cfg.Analysis.MaxStreams)
 	} else {
-		if st.Consumed-s.consumedBase < s.cfg.MinFreshRefs {
+		if st.Consumed-s.consumedBase < minFreshRefs {
 			return nil
 		}
 		var err error
