@@ -577,23 +577,23 @@ func (d *DFSM) spanOf(pc int) [2]int32 {
 		}
 		return [2]int32{}
 	}
-	return d.spanSearch(pc)
+	return spanSearch(d.pcKeys, d.pcSpan, pc)
 }
 
-// spanSearch is the sparse-pc fallback.
-func (d *DFSM) spanSearch(pc int) [2]int32 {
-	// Binary search over the sorted instrumented pcs.
-	lo, hi := 0, len(d.pcKeys)
+// spanSearch is the sparse-pc fallback: a binary search over the sorted
+// instrumented pcs keys, whose arm ranges are spans.
+func spanSearch(keys []int, spans [][2]int32, pc int) [2]int32 {
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if d.pcKeys[mid] < pc {
+		if keys[mid] < pc {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(d.pcKeys) && d.pcKeys[lo] == pc {
-		return d.pcSpan[lo]
+	if lo < len(keys) && keys[lo] == pc {
+		return spans[lo]
 	}
 	return [2]int32{}
 }
@@ -672,27 +672,39 @@ func (d *DFSM) String() string {
 
 // Matcher drives a DFSM over a stream of observed data references at the
 // injected check sites. It is the runtime counterpart of the generated code
-// in paper Figure 7. The compiled tables are cached in the matcher itself so
-// Observe touches one object, not the DFSM behind it.
+// in paper Figure 7. It keeps only what Observe reads — the compiled tables
+// and each state's prefetch list — plus the machine's two counts, so an
+// installed matcher does not hold the DFSM's transition relation, split
+// streams or build arenas alive.
 type Matcher struct {
-	d       *DFSM
-	cur     int32 // current state ID
-	pcMin   int
-	pcDense [][2]int32
-	arms    []addrArm
-	chains  []stateEntry
-	states  []*State
+	cur      int32 // current state ID
+	pcMin    int
+	pcDense  [][2]int32
+	pcKeys   []int // sorted instrumented pcs: the sparse-pc index and PCs
+	pcSpan   [][2]int32
+	arms     []addrArm
+	chains   []stateEntry
+	prefetch [][]uint64 // per state ID: the addresses issued on entry
+
+	states, transitions int
 }
 
 // NewMatcher returns a matcher positioned at the start state.
 func NewMatcher(d *DFSM) *Matcher {
+	prefetch := make([][]uint64, len(d.States))
+	for id, st := range d.States {
+		prefetch[id] = st.Prefetches
+	}
 	return &Matcher{
-		d:       d,
-		pcMin:   d.pcMin,
-		pcDense: d.pcDense,
-		arms:    d.arms,
-		chains:  d.chains,
-		states:  d.States,
+		pcMin:       d.pcMin,
+		pcDense:     d.pcDense,
+		pcKeys:      d.pcKeys,
+		pcSpan:      d.pcSpan,
+		arms:        d.arms,
+		chains:      d.chains,
+		prefetch:    prefetch,
+		states:      d.NumStates(),
+		transitions: d.NumTransitions(),
 	}
 }
 
@@ -702,14 +714,15 @@ func (m *Matcher) Reset() { m.cur = 0 }
 // NumStates returns the number of DFSM states, including the start state.
 // The paper observes close to headLen×n+1 states for n streams rather than
 // the exponential worst case (§3.1).
-func (m *Matcher) NumStates() int { return m.d.NumStates() }
+func (m *Matcher) NumStates() int { return m.states }
 
 // NumTransitions returns the number of explicit DFSM transitions.
-func (m *Matcher) NumTransitions() int { return m.d.NumTransitions() }
+func (m *Matcher) NumTransitions() int { return m.transitions }
 
 // PCs returns the sorted instruction addresses at which detection code must
-// be injected: every pc appearing in any stream's head.
-func (m *Matcher) PCs() []int { return m.d.PCs() }
+// be injected: every pc appearing in any stream's head. Every head reference
+// labels a transition, so these are exactly the pcs of the compiled tables.
+func (m *Matcher) PCs() []int { return append([]int{}, m.pcKeys...) }
 
 // Observe consumes one data reference observed at an instrumented pc. It
 // returns the addresses to prefetch (non-nil exactly when a stream head
@@ -728,7 +741,7 @@ func (m *Matcher) Observe(r ref.Ref) (prefetch []uint64, comparisons int) {
 			span = m.pcDense[i]
 		}
 	} else {
-		span = m.d.spanSearch(r.PC)
+		span = spanSearch(m.pcKeys, m.pcSpan, r.PC)
 	}
 	if span[0] == span[1] {
 		// Un-instrumented pc: no arms; the single failed address comparison.
@@ -762,7 +775,7 @@ func (m *Matcher) stepArms(addr uint64, span [2]int32) (prefetch []uint64, compa
 		}
 		m.cur = next
 		if prev != m.cur {
-			if p := m.states[m.cur].Prefetches; len(p) > 0 {
+			if p := m.prefetch[m.cur]; len(p) > 0 {
 				return p, comparisons
 			}
 		}

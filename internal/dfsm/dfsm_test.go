@@ -2,6 +2,7 @@ package dfsm
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,8 +10,8 @@ import (
 	"hotprefetch/internal/ref"
 )
 
-// state returns the matcher's current state.
-func (m *Matcher) state() *State { return m.d.States[m.cur] }
+// stateOf returns m's current state in d, the machine m was built from.
+func stateOf(d *DFSM, m *Matcher) *State { return d.States[m.cur] }
 
 // refOf maps a letter to a distinct data reference, mirroring the paper's
 // examples where each symbol is one (pc, addr) pair.
@@ -76,34 +77,34 @@ func TestPaperFigure8DFSM(t *testing.T) {
 	// Walk the machine through v's head and check element sets.
 	m := NewMatcher(d)
 	m.Observe(refOf('a'))
-	assertElements(t, m.state(), []Element{{0, 1}})
+	assertElements(t, stateOf(d, m), []Element{{0, 1}})
 	m.Observe(refOf('b'))
-	assertElements(t, m.state(), []Element{{0, 2}, {1, 1}})
+	assertElements(t, stateOf(d, m), []Element{{0, 2}, {1, 1}})
 	pf, _ := m.Observe(refOf('a'))
-	assertElements(t, m.state(), []Element{{0, 1}, {0, 3}})
+	assertElements(t, stateOf(d, m), []Element{{0, 1}, {0, 3}})
 	if len(pf) != 4 {
 		t.Errorf("completing v.head must prefetch its 4 tail addresses, got %v", pf)
 	}
 
 	// From {[v,1],[v,3]}, b leads back to {[v,2],[w,1]}.
 	m.Observe(refOf('b'))
-	assertElements(t, m.state(), []Element{{0, 2}, {1, 1}})
+	assertElements(t, stateOf(d, m), []Element{{0, 2}, {1, 1}})
 
 	// Walk w's head: b b g.
 	m.Reset()
 	m.Observe(refOf('b'))
-	assertElements(t, m.state(), []Element{{1, 1}})
+	assertElements(t, stateOf(d, m), []Element{{1, 1}})
 	m.Observe(refOf('b'))
-	assertElements(t, m.state(), []Element{{1, 1}, {1, 2}})
+	assertElements(t, stateOf(d, m), []Element{{1, 1}, {1, 2}})
 	pf, _ = m.Observe(refOf('g'))
-	assertElements(t, m.state(), []Element{{1, 3}})
+	assertElements(t, stateOf(d, m), []Element{{1, 3}})
 	if len(pf) != 3 {
 		t.Errorf("completing w.head must prefetch h,i,j, got %v", pf)
 	}
 
 	// An unrelated reference resets to the start state.
 	m.Observe(refOf('z'))
-	if m.state().ID != 0 {
+	if stateOf(d, m).ID != 0 {
 		t.Error("unmatched reference must reset to the start state")
 	}
 }
@@ -173,6 +174,34 @@ func TestPCsCoversHeads(t *testing.T) {
 	}
 }
 
+// TestMatcherKeepsMachineShape: the matcher copies its counts and pcs from
+// the machine at construction instead of holding it, so they must equal
+// the machine's for dense and sparse pc layouts and the empty pass-through
+// machine alike, and a sparse-pc matcher steps on its own index.
+func TestMatcherKeepsMachineShape(t *testing.T) {
+	sparse := []ref.Ref{{PC: 1, Addr: 8}, {PC: 1 << 30, Addr: 16}, {PC: 5, Addr: 24}}
+	for name, streams := range map[string][]Stream{
+		"dense":  {Split(refsOf("abacadae"), 100, 2), Split(refsOf("bbghij"), 90, 2)},
+		"sparse": {Split(sparse, 10, 2)},
+		"empty":  nil,
+	} {
+		d := Build(streams, 2)
+		m := NewMatcher(d)
+		if m.NumStates() != d.NumStates() || m.NumTransitions() != d.NumTransitions() {
+			t.Errorf("%s: matcher reports %d states, %d transitions; machine has %d, %d",
+				name, m.NumStates(), m.NumTransitions(), d.NumStates(), d.NumTransitions())
+		}
+		if got, want := m.PCs(), d.PCs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: matcher PCs %v, machine PCs %v", name, got, want)
+		}
+	}
+	m := NewMatcher(Build([]Stream{Split(sparse, 10, 2)}, 2))
+	m.Observe(sparse[0])
+	if pf, _ := m.Observe(sparse[1]); len(pf) != 1 || pf[0] != 24 {
+		t.Fatalf("sparse-pc head completion prefetched %v, want [24]", pf)
+	}
+}
+
 func TestSamePCDifferentAddr(t *testing.T) {
 	// Two streams whose heads share a pc but differ in address (the common
 	// case: one load instruction walking different objects).
@@ -183,7 +212,7 @@ func TestSamePCDifferentAddr(t *testing.T) {
 	m := NewMatcher(d)
 	m.Observe(ref.Ref{PC: 1, Addr: 100})
 	m.Observe(ref.Ref{PC: 2, Addr: 200})
-	if len(m.state().Prefetches) == 0 {
+	if len(stateOf(d, m).Prefetches) == 0 {
 		t.Error("v's head should have completed")
 	}
 	m.Reset()
@@ -194,7 +223,7 @@ func TestSamePCDifferentAddr(t *testing.T) {
 	}
 	// Same pc, unknown address: reset.
 	m.Observe(ref.Ref{PC: 1, Addr: 999})
-	if m.state().ID != 0 {
+	if stateOf(d, m).ID != 0 {
 		t.Error("unknown address at a known pc must reset")
 	}
 }
@@ -274,10 +303,10 @@ func TestPropertyDFSMMatchesSubsetConstruction(t *testing.T) {
 				return false
 			}
 			// Element sets must agree.
-			if len(m.state().Elements) != len(rm.cur) {
+			if len(stateOf(d, m).Elements) != len(rm.cur) {
 				return false
 			}
-			for _, e := range m.state().Elements {
+			for _, e := range stateOf(d, m).Elements {
 				if !rm.cur[e] {
 					return false
 				}
@@ -310,7 +339,7 @@ func TestPropertyFireMatchesWindow(t *testing.T) {
 		m := NewMatcher(d)
 
 		var window []ref.Ref
-		prevID := m.state().ID
+		prevID := stateOf(d, m).ID
 		for step := 0; step < 300; step++ {
 			a := alphabet[r.Intn(len(alphabet))]
 			window = append(window, a)
@@ -334,8 +363,8 @@ func TestPropertyFireMatchesWindow(t *testing.T) {
 					}
 				}
 			}
-			stateChanged := m.state().ID != prevID
-			prevID = m.state().ID
+			stateChanged := stateOf(d, m).ID != prevID
+			prevID = stateOf(d, m).ID
 			if (len(pf) > 0) != (windowMatches && stateChanged) {
 				return false
 			}

@@ -64,7 +64,6 @@ func TestTracerPhaseCycleSequence(t *testing.T) {
 		MinWindowObservations: 1,
 		HeadLen:               2,
 		Analysis:              analysis,
-		MinFreshCycles:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +234,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		BadWindows:            1,
 		MinWindowObservations: 1,
 		Analysis:              analysis,
-		MinFreshCycles:        1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,14 +32,14 @@ type RestoreInfo struct {
 	BaselineAccuracy float64
 }
 
-// WriteSnapshot encodes the profile's durable state — the banked hot-stream
-// set (restored streams included, so checkpoints survive generations of
-// restarts) and the attached matcher's accuracy baseline — to w in the
-// internal/snapshot format under the given generation counter.
+// WriteSnapshot encodes the profile's durable state — BankedStreams, the
+// base set plus everything banked since (so checkpoints survive
+// generations of restarts) — and the attached matcher's accuracy baseline
+// to w in the internal/snapshot format under the given generation counter.
 //
 // Like BankedStreams, the encode is safe while producers and consumers are
-// running: it reads each shard's retained set under its lock and never
-// touches the live grammars, so periodic checkpointing does not stall
+// running: it reads the base and each shard's bank under their locks and
+// never touches the live grammars, so periodic checkpointing does not stall
 // ingestion. Cycles whose background analysis has not landed are simply not
 // in the snapshot; the next checkpoint picks them up.
 func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
@@ -62,10 +62,11 @@ func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
 	return nil
 }
 
-// RestoreSnapshot loads a snapshot into the profile as its warm-start
-// stream set: the restored streams merge into BankedStreams (so the next
-// optimization — or checkpoint — sees them alongside anything live cycles
-// bank), and an attached matcher is pre-compiled over them immediately.
+// RestoreSnapshot loads a snapshot into the profile as its base set, the
+// warm-start evidence: BankedStreams serves it merged with whatever the
+// shards bank afterwards (so a checkpoint sees both), a Supervisor attached
+// next optimizes from it, and an attached matcher is pre-compiled over it
+// immediately.
 //
 // Every load failure — bad magic, version skew, checksum mismatch,
 // truncation, implausible counts — returns the loader's typed error
@@ -77,7 +78,8 @@ func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
 // The restored set is provisional: a Supervisor attached after the restore
 // optimizes from it immediately but demotes to cold profiling if the live
 // workload disagrees (see SupervisorConfig.ProvisionalWindows and
-// DriftOverlapFloor), clearing the restored set.
+// DriftOverlapFloor), clearing the base set. Its first live retrain
+// replaces the base with the retrain's own training set.
 func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 	p, err := snapshot.Read(r)
 	if err != nil {
@@ -90,11 +92,11 @@ func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 	for _, st := range streams {
 		totalRefs += len(st.Refs)
 	}
-	sp.restoredMu.Lock()
-	sp.restored = streams
+	sp.baseMu.Lock()
+	sp.base, sp.baseRestored = streams, true
 	sp.restoredGen = p.Generation
 	sp.restoredBaseline = p.Baseline
-	sp.restoredMu.Unlock()
+	sp.baseMu.Unlock()
 	sp.snapRestores.Add(1)
 	sp.obs.Emit(obs.KindSnapshotRestored, -1, uint64(len(streams)))
 	if m := sp.matcher.Load(); m != nil && len(streams) > 0 {
@@ -120,26 +122,26 @@ func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 // pre-compiles with.
 const defaultHeadLen = 2
 
-// restoredStreams returns a copy of the warm-start stream set, nil when
-// cold.
-func (sp *ShardedProfile) restoredStreams() []Stream {
-	sp.restoredMu.Lock()
-	defer sp.restoredMu.Unlock()
-	if len(sp.restored) == 0 {
-		return nil
+// restored returns the base set and the accuracy baseline RestoreSnapshot
+// loaded, or nil when the profile is cold: a base that a supervised retrain
+// installed is no warm start. The base is replaced, never modified in place,
+// so the caller may keep it.
+func (sp *ShardedProfile) restored() ([]Stream, snapshot.Baseline) {
+	sp.baseMu.Lock()
+	defer sp.baseMu.Unlock()
+	if !sp.baseRestored {
+		return nil, snapshot.Baseline{}
 	}
-	out := make([]Stream, len(sp.restored))
-	copy(out, sp.restored)
-	return out
+	return sp.base, sp.restoredBaseline
 }
 
-// clearRestored drops the warm-start stream set (supervisor demotion), and
+// clearRestored drops the restored base set (supervisor demotion), and
 // counts the rejection. value is the bad-window run that triggered it (0
 // for drift detection).
 func (sp *ShardedProfile) clearRestored(value uint64) {
-	sp.restoredMu.Lock()
-	sp.restored = nil
-	sp.restoredMu.Unlock()
+	sp.baseMu.Lock()
+	sp.base, sp.baseRestored = nil, false
+	sp.baseMu.Unlock()
 	sp.snapStaleRejected.Add(1)
 	sp.obs.Emit(obs.KindSnapshotStaleRejected, -1, value)
 }

@@ -46,7 +46,13 @@ func (c *equivCollector) Match(pc int, addr machine.Word) ([]machine.Word, uint6
 // references.
 func captureWorkloadTrace(t *testing.T, p workload.Params, n int) []Ref {
 	t.Helper()
-	inst := workload.Build(p)
+	return captureInstanceTrace(t, workload.Build(p), n)
+}
+
+// captureInstanceTrace runs a built program and returns its first n data
+// references.
+func captureInstanceTrace(t *testing.T, inst *workload.Instance, n int) []Ref {
+	t.Helper()
 	m := inst.NewMachine(workload.CacheConfig(), true)
 	col := &equivCollector{refs: make([]Ref, 0, n), budget: n, m: m}
 	m.RT = col

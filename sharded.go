@@ -71,14 +71,23 @@ type ShardedProfile struct {
 	matcher     atomic.Pointer[ConcurrentMatcher]
 	supervisor  atomic.Pointer[Supervisor]
 
-	// Warm-start state (see persist.go): restored holds the stream set
-	// loaded by RestoreSnapshot until a supervisor demotes it as stale;
-	// restoredGen and restoredBaseline carry the snapshot's generation and
-	// accuracy counters for checkpointing and provisional trust.
-	restoredMu       sync.Mutex
-	restored         []Stream
+	// The base set (see persist.go) is the evidence BankedStreams serves
+	// beneath the shard banks. RestoreSnapshot fills it with a warm-start
+	// set (baseRestored) until a supervisor demotes it as stale; a
+	// supervised retrain replaces it with its training set and empties the
+	// banks it read (rebase). restoredGen and restoredBaseline carry the
+	// last restored snapshot's generation and accuracy counters for
+	// checkpointing and provisional trust. Lock order: baseMu before any
+	// shard's mu.
+	baseMu           sync.Mutex
+	base             []Stream
+	baseRestored     bool
 	restoredGen      uint64
 	restoredBaseline snapshot.Baseline
+
+	// banked counts the cycle analyses whose streams have landed in a shard
+	// bank, hot or not: the supervisor's readiness signal.
+	banked atomic.Uint64
 
 	// Snapshot lifecycle counters, mirrored into Stats and WriteMetrics.
 	snapWrites        atomic.Uint64
@@ -333,8 +342,15 @@ type ProfileShard struct {
 	// never pick the same shard.
 	prodLock atomic.Bool
 
-	mu       sync.Mutex // guards retained
-	retained []Stream   // hot streams extracted at grammar resets
+	// retained is the shard's bank: the hot streams its grammar cycles
+	// extracted since the last rebase (since the profile began, for an
+	// unsupervised profile). While a retrain reads the bank (reading), the
+	// cycles that bank meanwhile also merge into late, which is all the
+	// bank keeps if that retrain publishes.
+	mu       sync.Mutex // guards retained, reading and late
+	retained []Stream
+	reading  bool
+	late     []Stream
 
 	stop chan struct{}
 	done chan struct{}
@@ -559,15 +575,19 @@ func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 	s.recycle(job.p)
 }
 
-// bank merges one completed cycle's hot streams into the retained set.
+// bank merges one completed cycle's hot streams into the shard's bank, then
+// counts the cycle as banked — also when it found nothing hot.
 func (s *ProfileShard) bank(streams []Stream) {
-	if len(streams) == 0 {
-		return
+	if len(streams) > 0 {
+		s.mu.Lock()
+		s.retained = mergeStreams([][]Stream{s.retained, streams}, s.cycleCfg.MaxStreams)
+		if s.reading {
+			s.late = mergeStreams([][]Stream{s.late, streams}, s.cycleCfg.MaxStreams)
+		}
+		s.mu.Unlock()
+		s.sp.obs.Emit(obs.KindCycleBanked, s.idx, uint64(len(streams)))
 	}
-	s.mu.Lock()
-	s.retained = mergeStreams([][]Stream{s.retained, streams}, s.cycleCfg.MaxStreams)
-	s.mu.Unlock()
-	s.sp.obs.Emit(obs.KindCycleBanked, s.idx, uint64(len(streams)))
+	s.sp.banked.Add(1)
 }
 
 // noteAnalysis records one completed cycle analysis: the counter feeding
@@ -840,13 +860,12 @@ func (s *ProfileShard) tryPushBatch(refs []Ref) int {
 	return s.q.PushBatch(refs)
 }
 
-// retainedStreams returns a copy of the streams banked by grammar cycles.
+// retainedStreams returns the shard's bank. A bank is replaced, never
+// modified in place, so the caller may read it without the lock.
 func (s *ProfileShard) retainedStreams() []Stream {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Stream, len(s.retained))
-	copy(out, s.retained)
-	return out
+	return s.retained
 }
 
 // burstGate is a shard's producer-side bursty-sampling state: the paper's
@@ -1245,10 +1264,12 @@ func (sp *ShardedProfile) Close() {
 }
 
 // HotStreamsErr flushes all shards, extracts each shard's hot data streams
-// in parallel, and merges them — together with any streams retained by
-// grammar budget cycles — deduplicating identical streams with their heats
-// summed (frequency adds across shards and cycles, and heat = length ×
-// frequency), re-ranked hottest first and capped at cfg.MaxStreams.
+// in parallel, and merges them — together with the streams the shard banks
+// hold (every grammar budget cycle's, unless a supervised retrain has
+// rebased the profile since; the base set is not included) — deduplicating
+// identical streams with their heats summed (frequency adds across shards
+// and cycles, and heat = length × frequency), re-ranked hottest first and
+// capped at cfg.MaxStreams.
 //
 // cfg's coverage threshold applies per shard (each shard knows only its own
 // trace length), so with N > 1 a stream must be hot within at least one
@@ -1298,39 +1319,85 @@ func (sp *ShardedProfile) HotStreams(cfg AnalysisConfig) []Stream {
 	return out
 }
 
-// BankedStreams merges only the streams banked by grammar-budget cycles,
-// capped at maxStreams (<= 0 for the analysis default), without touching the
-// live grammars. Unlike HotStreams and HotStreamsErr — whose live-grammar
-// analysis requires producer quiescence — BankedStreams reads each shard's
-// retained set under its lock and is safe while producers and consumers are
-// running; the Supervisor retrains from it on live traffic. Cycles whose
-// background analysis has not landed yet are simply not visible; callers
-// needing a complete cut use HotStreamsErr at quiescence instead.
-// A snapshot-restored stream set (RestoreSnapshot) participates in the
-// merge like one more shard's banked cycles — sorted and duplicate-free, so
-// a restore followed by a snapshot of an otherwise idle profile round-trips
-// the stream set bit-identically. Live evidence for the same stream sums
-// its heat with the restored copy.
+// BankedStreams merges the base set with the streams every shard banked
+// since, capped at maxStreams (<= 0 for the analysis default), without
+// touching the live grammars. The base set is what RestoreSnapshot loaded
+// or, once a Supervisor has (re)optimized, the set its published matcher
+// trained on; an unsupervised, unrestored profile has none, so there
+// BankedStreams is every grammar-budget cycle's streams. Unlike HotStreams
+// and HotStreamsErr — whose live-grammar analysis requires producer
+// quiescence — BankedStreams reads the base and each shard's bank under
+// their locks and is safe while producers and consumers are running; it is
+// what /hotstreams and WriteSnapshot serve. Cycles whose background analysis
+// has not landed yet are simply not visible; callers needing a complete cut
+// use HotStreamsErr at quiescence instead.
+// The base set participates in the merge like one more shard's bank —
+// sorted and duplicate-free, so a restore followed by a snapshot of an
+// otherwise idle profile round-trips the stream set bit-identically. Banked
+// evidence for the same stream sums its heat with the base copy.
 func (sp *ShardedProfile) BankedStreams(maxStreams int) []Stream {
 	perShard := make([][]Stream, 0, len(sp.shards)+1)
-	if rs := sp.restoredStreams(); len(rs) > 0 {
-		perShard = append(perShard, rs)
+	// Hold the base lock across the banks so a concurrent rebase is seen
+	// whole: never its new base together with the banks it empties.
+	sp.baseMu.Lock()
+	if len(sp.base) > 0 {
+		perShard = append(perShard, sp.base)
 	}
 	for _, s := range sp.shards {
 		perShard = append(perShard, s.retainedStreams())
 	}
+	sp.baseMu.Unlock()
 	return mergeStreams(perShard, maxStreams)
 }
 
-// liveBankedStreams is BankedStreams without the warm-start set: only
-// streams banked by this run's grammar cycles. The supervisor's drift check
-// compares it against the restored set.
-func (sp *ShardedProfile) liveBankedStreams(maxStreams int) []Stream {
+// bankedSinceBase merges the shard banks alone: the streams banked since
+// the base set was installed. The supervisor's drift check compares it
+// against a restored base.
+func (sp *ShardedProfile) bankedSinceBase(maxStreams int) []Stream {
 	perShard := make([][]Stream, len(sp.shards))
 	for i, s := range sp.shards {
 		perShard[i] = s.retainedStreams()
 	}
 	return mergeStreams(perShard, maxStreams)
+}
+
+// rebase runs one retrain on the streams banked since the base set was
+// installed. publish receives their merge, capped at maxStreams; when it
+// returns nil, the merge becomes the base set and each shard bank keeps
+// only the cycles that banked while publish ran — the next retrain's
+// evidence. A failed publish leaves the base and the banks as they were,
+// and an empty merge is not published at all. rebase returns the merge.
+//
+// Only a Supervisor rebases, one retrain at a time; a profile nobody
+// supervises keeps every cycle in its banks.
+func (sp *ShardedProfile) rebase(maxStreams int, publish func([]Stream) error) ([]Stream, error) {
+	perShard := make([][]Stream, len(sp.shards))
+	for i, s := range sp.shards {
+		s.mu.Lock()
+		perShard[i] = s.retained
+		s.reading, s.late = true, nil
+		s.mu.Unlock()
+	}
+	streams := mergeStreams(perShard, maxStreams)
+	var err error
+	if len(streams) > 0 {
+		err = publish(streams)
+	}
+	published := len(streams) > 0 && err == nil
+	sp.baseMu.Lock()
+	for _, s := range sp.shards {
+		s.mu.Lock()
+		if published {
+			s.retained = s.late
+		}
+		s.reading, s.late = false, nil
+		s.mu.Unlock()
+	}
+	if published {
+		sp.base, sp.baseRestored = streams, false
+	}
+	sp.baseMu.Unlock()
+	return streams, err
 }
 
 // streamKey appends a collision-safe binary key for st to buf: the reference

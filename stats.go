@@ -45,7 +45,8 @@ type ShardStats struct {
 	PrepassMinted uint64 `json:"prepass_minted"`
 
 	// Resets counts grammar budget cycles (MaxGrammarSymbols); Retained is
-	// the number of hot streams currently banked by those cycles.
+	// the number of hot streams those cycles banked in this shard since the
+	// profile's base set was last installed (see BankedStreams).
 	Resets   uint64 `json:"resets"`
 	Retained int    `json:"retained"`
 
@@ -181,7 +182,8 @@ type Stats struct {
 
 	// Snapshot lifecycle counters (see WriteSnapshot / RestoreSnapshot):
 	// RestoredStreams is the size of the warm-start stream set currently
-	// merged into BankedStreams (0 when cold or demoted);
+	// merged into BankedStreams as the base set (0 when cold, demoted, or
+	// replaced by a supervised retrain's training set);
 	// SnapshotGeneration is the generation of the last restored snapshot.
 	// SnapshotWrites counts successful encodes, SnapshotRestores successful
 	// loads, SnapshotLoadFailures loads rejected by the format validator,
@@ -284,10 +286,12 @@ func (sp *ShardedProfile) Stats() Stats {
 			st.MaxCycleStall = ss.MaxCycleStall
 		}
 	}
-	sp.restoredMu.Lock()
-	st.RestoredStreams = len(sp.restored)
+	sp.baseMu.Lock()
+	if sp.baseRestored {
+		st.RestoredStreams = len(sp.base)
+	}
 	st.SnapshotGeneration = sp.restoredGen
-	sp.restoredMu.Unlock()
+	sp.baseMu.Unlock()
 	st.SnapshotWrites = sp.snapWrites.Load()
 	st.SnapshotRestores = sp.snapRestores.Load()
 	st.SnapshotLoadFailures = sp.snapLoadFailures.Load()

@@ -30,7 +30,7 @@ const (
 
 	// StateHibernating: the supervisor deoptimized — a pass-through matcher
 	// is installed (no prefetches, near-zero detection cost) while the
-	// profile re-accumulates fresh cycles; once enough are banked the
+	// profile re-accumulates fresh cycles; once one has banked the
 	// supervisor re-optimizes and returns to StateOptimized.
 	StateHibernating
 )
@@ -80,12 +80,6 @@ type SupervisorConfig struct {
 	// zero value means DefaultAnalysisConfig.
 	Analysis AnalysisConfig
 
-	// MinFreshCycles is how many grammar-budget cycles must bank after a
-	// deoptimization (or startup) before the supervisor (re)optimizes, so
-	// a retrain never runs on the evidence that just went stale. Zero
-	// means 1. Ignored when the profile has no grammar budget.
-	MinFreshCycles uint64
-
 	// ProvisionalWindows is the bad-window threshold while a warm-started
 	// (snapshot-restored) optimization is provisional: the restored profile
 	// earned its trust in a previous run, so it gets fewer strikes than a
@@ -124,9 +118,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	}
 	if c.Analysis == (AnalysisConfig{}) {
 		c.Analysis = DefaultAnalysisConfig()
-	}
-	if c.MinFreshCycles == 0 {
-		c.MinFreshCycles = 1
 	}
 	if c.ProvisionalWindows == 0 {
 		c.ProvisionalWindows = 2
@@ -223,8 +214,10 @@ type Supervisor struct {
 	lastHits     uint64
 	lastObserved uint64
 
-	// Readiness baselines captured at startup and every deoptimization.
-	resetsBase   uint64
+	// Readiness baselines captured at startup and every deoptimization or
+	// demotion: banked cycles, and consumed references for a profile
+	// without a grammar budget.
+	bankedBase   uint64
 	consumedBase uint64
 
 	// Warm-start provisional trust (pollMu except the atomic flag):
@@ -266,21 +259,20 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 		done: make(chan struct{}),
 	}
 	cm.EnableAccuracyTracking(0)
-	if restored := sp.restoredStreams(); len(restored) > 0 {
+	if restored, base := sp.restored(); len(restored) > 0 {
 		// Warm start: a snapshot was restored into the profile, so optimize
 		// from it immediately — no profiling period — but provisionally. The
 		// restored profile earned its trust in a previous run; judgeWindow
 		// gives it only ProvisionalWindows strikes and checkDrift compares it
 		// against the first live banked cycle. Either demotion clears the
-		// restored set and falls back to cold profiling.
+		// restored set and falls back to cold profiling. A base set that a
+		// previous supervisor's retrain left behind is no warm start: that
+		// supervisor already judged it, so this one starts cold.
 		if err := cm.Swap(restored, cfg.HeadLen); err != nil {
 			return nil, err
 		}
 		s.provisional.Store(true)
 		s.restored = restored
-		sp.restoredMu.Lock()
-		base := sp.restoredBaseline
-		sp.restoredMu.Unlock()
 		if base.Valid {
 			// Start the reported accuracy at the previous run's measured
 			// ratio until the first conclusive live window replaces it.
@@ -295,9 +287,7 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 		s.state.Store(int32(StateProfiling))
 		sp.obs.Emit(obs.KindPhaseProfiling, -1, 0)
 	}
-	st := sp.Stats()
-	s.resetsBase = st.Resets
-	s.consumedBase = st.Consumed
+	s.markTransition()
 	s.lastObserved = cm.Observations()
 	s.lastIssued, s.lastHits = cm.AccuracyCounters()
 	sp.AttachMatcher(cm)
@@ -460,8 +450,7 @@ func (s *Supervisor) demoteProvisional(value uint64) {
 	s.restored = nil
 	s.driftChecked = true
 	s.sp.clearRestored(value)
-	st := s.sp.Stats()
-	s.resetsBase, s.consumedBase = st.Resets, st.Consumed
+	s.markTransition()
 	s.badRun.Store(0)
 	s.accBits.Store(0)
 	s.state.Store(int32(StateProfiling))
@@ -477,11 +466,10 @@ func (s *Supervisor) checkDrift() {
 	if s.driftChecked || s.cfg.DriftOverlapFloor < 0 {
 		return
 	}
-	st := s.sp.Stats()
-	if st.Resets == s.resetsBase {
+	if s.sp.banked.Load() == s.bankedBase {
 		return
 	}
-	live := s.sp.liveBankedStreams(0)
+	live := s.sp.bankedSinceBase(0)
 	if len(live) == 0 {
 		// The cycle banked nothing hot; wait for real evidence.
 		return
@@ -504,8 +492,7 @@ func (s *Supervisor) deoptimize() {
 		s.pollErrors.Add(1)
 		return
 	}
-	st := s.sp.Stats()
-	s.resetsBase, s.consumedBase = st.Resets, st.Consumed
+	s.markTransition()
 	s.badRun.Store(0)
 	s.accBits.Store(0)
 	s.deopts.Add(1)
@@ -514,45 +501,63 @@ func (s *Supervisor) deoptimize() {
 	s.sp.obs.Emit(obs.KindPhaseHibernating, -1, uint64(s.cfg.BadWindows))
 }
 
+// markTransition restarts the readiness count at startup, a deoptimization
+// or a demotion: the next optimization waits for fresh evidence from here.
+func (s *Supervisor) markTransition() {
+	s.bankedBase = s.sp.banked.Load()
+	s.consumedBase = s.sp.Stats().Consumed
+}
+
+// minFreshCycles is how many grammar-budget cycles must have landed in the
+// shard banks since startup or the last deoptimization before the
+// supervisor (re)optimizes. A cycle counts once its analysis has banked, not
+// when it starts: a Poll in between would find nothing new to train on.
+const minFreshCycles = 1
+
 // minFreshRefs is the readiness signal when the profile has no grammar
 // budget (so cycles never bank): (re)optimize once this many references
 // have been consumed since the last transition.
 const minFreshRefs = 4096
 
-// tryOptimize retrains once enough fresh evidence has banked since the last
-// transition: MinFreshCycles grammar-budget cycles, or minFreshRefs
-// consumed references when the profile has no budget (cycles never bank).
+// tryOptimize retrains once fresh evidence has banked since the last
+// transition: minFreshCycles banked cycles, or minFreshRefs consumed
+// references when the profile has no budget (cycles never bank).
 //
-// With a budget, training reads only the banked cycle streams
-// (BankedStreams) — safe while producers are running, which is what lets
-// the background loop retrain under live traffic. Without a budget it must
-// analyze the live grammars (HotStreamsErr), which requires the quiescence
-// the manual-Poll mode gives the caller control over; Supervise therefore
-// rejects Interval > 0 on a budget-less profile.
+// With a budget, a retrain trains only on the streams banked since the
+// previous successful optimization (ShardedProfile.rebase): the evidence
+// the matcher it replaces never saw, so a retrain never runs on the
+// evidence that just went stale. Its training set then becomes the
+// profile's base set, and the banks restart from the cycles that landed
+// while the machine was building. That read is safe while producers are
+// running, which is what lets the background loop retrain under live
+// traffic. Without a budget it must analyze the live grammars
+// (HotStreamsErr), which requires the quiescence the manual-Poll mode gives
+// the caller control over; Supervise therefore rejects Interval > 0 on a
+// budget-less profile.
 func (s *Supervisor) tryOptimize() error {
-	st := s.sp.Stats()
-	var streams []Stream
+	var (
+		streams []Stream
+		err     error
+	)
 	if s.sp.cfg.MaxGrammarSymbols > 0 {
-		if st.Resets-s.resetsBase < s.cfg.MinFreshCycles {
+		if s.sp.banked.Load()-s.bankedBase < minFreshCycles {
 			return nil
 		}
-		streams = s.sp.BankedStreams(s.cfg.Analysis.MaxStreams)
+		streams, err = s.sp.rebase(s.cfg.Analysis.MaxStreams, s.safeSwap)
 	} else {
-		if st.Consumed-s.consumedBase < minFreshRefs {
+		if s.sp.Stats().Consumed-s.consumedBase < minFreshRefs {
 			return nil
 		}
-		var err error
-		streams, err = s.sp.HotStreamsErr(s.cfg.Analysis)
-		if err != nil {
-			return err
+		if streams, err = s.sp.HotStreamsErr(s.cfg.Analysis); err == nil && len(streams) > 0 {
+			err = s.safeSwap(streams)
 		}
+	}
+	if err != nil {
+		return err
 	}
 	if len(streams) == 0 {
 		// Evidence banked but nothing hot yet; keep profiling.
 		return nil
-	}
-	if err := s.safeSwap(streams); err != nil {
-		return err
 	}
 	wasProfiling := s.State() == StateProfiling
 	// Start the accuracy bookkeeping from this instant so the optimization

@@ -1,9 +1,11 @@
 package hotprefetch
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,7 +80,6 @@ func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
 		MinWindowObservations: 64,
 		HeadLen:               2,
 		Analysis:              analysis,
-		MinFreshCycles:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +397,6 @@ func TestSupervisorABChaosPanicDemotes(t *testing.T) {
 		MinWindowObservations: 64,
 		HeadLen:               2,
 		Analysis:              analysis,
-		MinFreshCycles:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -463,5 +463,485 @@ func TestSupervisorABChaosPanicDemotes(t *testing.T) {
 	if snap.Deoptimizations != 0 || snap.Reoptimizations != 0 {
 		t.Fatalf("deopts=%d reopts=%d, want 0, 0 (the failed build never optimized)",
 			snap.Deoptimizations, snap.Reoptimizations)
+	}
+}
+
+// feedUntilReset pushes phaseTrace(phase, ...) through shard 0 one
+// repetition at a time until a grammar cycle starts, so the live grammar
+// keeps less than one repetition of the phase afterwards. With pipelined
+// analysis the cycle may not have banked yet.
+func feedUntilReset(t *testing.T, sp *ShardedProfile, phase int) {
+	t.Helper()
+	const reps = 1000
+	trace := phaseTrace(phase, reps)
+	rep := len(trace) / reps
+	base := sp.Stats().Resets
+	for lo := 0; lo < len(trace); lo += rep {
+		if err := sp.Shard(0).AddAll(trace[lo : lo+rep]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if sp.Stats().Resets > base {
+			return
+		}
+	}
+	t.Fatalf("no grammar cycle started past %d after %d repetitions", base, reps)
+}
+
+// prefetchesOn counts the prefetch addresses cm issues over trace.
+func prefetchesOn(cm *ConcurrentMatcher, trace []Ref) int {
+	n := 0
+	for _, r := range trace {
+		pf, _ := cm.Observe(r)
+		n += len(pf)
+	}
+	return n
+}
+
+// phasesIn reports which phaseTrace phases the streams' references come
+// from (cold references excluded).
+func phasesIn(streams []Stream) map[int]bool {
+	in := map[int]bool{}
+	for _, st := range streams {
+		for _, r := range st.Refs {
+			if r.PC < 90000 {
+				in[r.PC/1000] = true
+			}
+		}
+	}
+	return in
+}
+
+// TestSupervisorRetrainForgetsStalePhase: phase A optimizes, phase B traffic
+// deoptimizes that matcher, and one more phase B cycle retrains it. The
+// retrain reads only what banked since the phase A optimization, so the new
+// matcher knows phase B alone and never prefetches on a phase A head.
+func TestSupervisorRetrainForgetsStalePhase(t *testing.T) {
+	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		CycleAnalysis:     analysis,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	cm, err := NewConcurrentMatcher(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := Supervise(sp, cm, SupervisorConfig{
+		AccuracyFloor:         0.5,
+		BadWindows:            2,
+		MinWindowObservations: 64,
+		Analysis:              analysis,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+
+	phaseA, phaseB := phaseTrace(1, 40), phaseTrace(2, 40)
+	feedUntilReset(t, sp, 1)
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if sup.State() != StateOptimized || prefetchesOn(cm, phaseA) == 0 {
+		t.Fatalf("phase A did not optimize: state %v", sup.State())
+	}
+	if err := sup.Poll(); err != nil { // a good phase A window
+		t.Fatal(err)
+	}
+	for poll := 0; poll < 2; poll++ {
+		observeAll(cm, phaseB)
+		if err := sup.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sup.State(); got != StateHibernating {
+		t.Fatalf("state after two phase B windows = %v, want %v", got, StateHibernating)
+	}
+	feedUntilReset(t, sp, 2)
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sup.State(); got != StateOptimized {
+		t.Fatalf("state after a phase B cycle = %v, want %v", got, StateOptimized)
+	}
+	if n := prefetchesOn(cm, phaseA); n != 0 {
+		t.Fatalf("retrained matcher issued %d prefetches on phase A, want 0 (it relearned the stale phase)", n)
+	}
+	if prefetchesOn(cm, phaseB) == 0 {
+		t.Fatal("retrained matcher issued no prefetch on phase B")
+	}
+	// The profile serves the retrain's training set as its base: phase B,
+	// and nothing banked since.
+	if in := phasesIn(sp.BankedStreams(0)); !in[2] || in[1] {
+		t.Fatalf("BankedStreams after the retrain covers phases %v, want phase 2 alone", in)
+	}
+}
+
+// TestSupervisorReadinessCountsBankedCycles: readiness counts cycles whose
+// analysis has landed in the bank, not cycles that have started. With the
+// analysis of the first cycle after a deoptimization held back, a Poll
+// after that cycle's reset but before its bank lands has no new evidence
+// and must stay hibernating; the Poll after it lands must optimize.
+func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
+	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
+	var hold, stale atomic.Bool
+	release := make(chan struct{})
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		AnalysisWorkers:   1,
+		CycleAnalysis:     analysis,
+		Fault: &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
+			if hold.Load() {
+				<-release
+			}
+			return fault.Outcome{}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	defer func() {
+		if hold.Load() {
+			close(release)
+		}
+	}()
+	cm, err := NewConcurrentMatcher(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := Supervise(sp, cm, SupervisorConfig{
+		BadWindows:            1,
+		MinWindowObservations: 64,
+		Analysis:              analysis,
+		Fault:                 &fault.Hooks{MatcherStaleFn: stale.Load},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+
+	feedUntilReset(t, sp, 1)
+	if err := sp.drainAnalyses(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sup.State(); got != StateOptimized {
+		t.Fatalf("state after the first banked cycle = %v, want %v", got, StateOptimized)
+	}
+	// A cycle banks while the matcher is installed, so the banks hold
+	// evidence when it is torn down: readiness alone must hold the retrain.
+	feedUntilReset(t, sp, 1)
+	if err := sp.drainAnalyses(); err != nil {
+		t.Fatal(err)
+	}
+	stale.Store(true)
+	observeAll(cm, phaseTrace(1, 40))
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	stale.Store(false)
+	if got := sup.State(); got != StateHibernating {
+		t.Fatalf("state after a stale window = %v, want %v", got, StateHibernating)
+	}
+
+	hold.Store(true)
+	feedUntilReset(t, sp, 2)
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sup.State(); got != StateHibernating {
+		t.Fatalf("state with the new cycle started but not banked = %v, want %v", got, StateHibernating)
+	}
+	hold.Store(false)
+	close(release)
+	if err := sp.drainAnalyses(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sup.State(); got != StateOptimized {
+		t.Fatalf("state once the cycle banked = %v, want %v", got, StateOptimized)
+	}
+	if n := prefetchesOn(cm, phaseTrace(2, 40)); n == 0 {
+		t.Fatal("re-optimized matcher issued no prefetch on the banked phase")
+	}
+}
+
+// lateBank, when set, runs inside the next trained build of test-late-bank,
+// once; lateBuilds records the stream set of every trained build while
+// lateRecord is set.
+var (
+	lateMu     sync.Mutex
+	lateBank   func()
+	lateRecord bool
+	lateBuilds [][]Stream
+)
+
+func init() {
+	// test-late-bank is the DFSM with a hook inside its build: the shape of
+	// a grammar cycle banking while the supervisor's retrain is compiling.
+	RegisterPredictor("test-late-bank",
+		func(streams []Stream, headLen int) (Predictor, error) {
+			if len(streams) > 0 {
+				lateMu.Lock()
+				hook := lateBank
+				lateBank = nil
+				if lateRecord {
+					lateBuilds = append(lateBuilds, streams)
+				}
+				lateMu.Unlock()
+				if hook != nil {
+					hook()
+				}
+			}
+			return NewPredictor(DefaultPredictor, streams, headLen)
+		})
+}
+
+// TestSupervisorRetrainKeepsCycleBankedDuringBuild: a publish clears from
+// the banks only the cycles its retrain read. A cycle that banks while the
+// machine is building stays banked, is served by BankedStreams next to the
+// new base, and is part of the next retrain's evidence.
+func TestSupervisorRetrainKeepsCycleBankedDuringBuild(t *testing.T) {
+	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		CycleAnalysis:     analysis,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	cm, err := NewConcurrentPredictor("test-late-bank", nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale atomic.Bool
+	sup, err := Supervise(sp, cm, SupervisorConfig{
+		BadWindows:            1,
+		MinWindowObservations: 64,
+		Analysis:              analysis,
+		Fault:                 &fault.Hooks{MatcherStaleFn: stale.Load},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	lateMu.Lock()
+	lateRecord, lateBuilds = true, nil
+	lateBank = func() { feedUntilReset(t, sp, 2) }
+	lateMu.Unlock()
+	defer func() {
+		lateMu.Lock()
+		lateRecord, lateBuilds, lateBank = false, nil, nil
+		lateMu.Unlock()
+	}()
+
+	feedUntilReset(t, sp, 1)
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sup.State(); got != StateOptimized {
+		t.Fatalf("state after the first banked cycle = %v, want %v", got, StateOptimized)
+	}
+	if in := phasesIn(sp.bankedSinceBase(0)); !in[2] || in[1] {
+		t.Fatalf("banks after the publish cover phases %v, want the phase 2 cycle that banked during the build", in)
+	}
+	if in := phasesIn(sp.BankedStreams(0)); !in[1] || !in[2] {
+		t.Fatalf("BankedStreams covers phases %v, want the phase 1 base and the phase 2 bank", in)
+	}
+
+	stale.Store(true)
+	observeAll(cm, phaseTrace(1, 40))
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	stale.Store(false)
+	if got := sup.State(); got != StateHibernating {
+		t.Fatalf("state after a stale window = %v, want %v", got, StateHibernating)
+	}
+	feedUntilReset(t, sp, 3)
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sup.State(); got != StateOptimized {
+		t.Fatalf("state after a fresh cycle = %v, want %v", got, StateOptimized)
+	}
+	lateMu.Lock()
+	builds := lateBuilds
+	lateMu.Unlock()
+	if len(builds) != 2 {
+		t.Fatalf("%d trained builds, want 2", len(builds))
+	}
+	if in := phasesIn(builds[0]); !in[1] || in[2] {
+		t.Fatalf("first retrain trained on phases %v, want phase 1 alone", in)
+	}
+	if in := phasesIn(builds[1]); !in[2] || !in[3] || in[1] {
+		t.Fatalf("second retrain trained on phases %v, want phases 2 and 3", in)
+	}
+}
+
+// TestSuperviseLeftoverBaseIsColdStart: a base set that a previous
+// supervisor's retrain installed is no warm start. The next supervisor
+// starts cold — profiling, not provisional — and the profile still serves
+// that base until its own first retrain; tearing that optimization down
+// later is a deoptimization, never a stale-snapshot rejection.
+func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
+	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		CycleAnalysis:     analysis,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	cfg := SupervisorConfig{BadWindows: 1, MinWindowObservations: 64, Analysis: analysis}
+	cm1, err := NewConcurrentMatcher(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup1, err := Supervise(sp, cm1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedUntilReset(t, sp, 1)
+	if err := sup1.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if sup1.State() != StateOptimized {
+		t.Fatalf("first supervisor state = %v, want %v", sup1.State(), StateOptimized)
+	}
+	sup1.Close()
+
+	var stale atomic.Bool
+	cfg.Fault = &fault.Hooks{MatcherStaleFn: stale.Load}
+	cm2, err := NewConcurrentMatcher(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup2, err := Supervise(sp, cm2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup2.Close()
+	if snap := sup2.Snapshot(); snap.State != "profiling" || snap.Provisional {
+		t.Fatalf("supervisor over a leftover base: %+v, want a cold, non-provisional start", snap)
+	}
+	if in := phasesIn(sp.BankedStreams(0)); !in[1] {
+		t.Fatalf("BankedStreams covers phases %v, want the leftover phase 1 base", in)
+	}
+	feedUntilReset(t, sp, 2)
+	if err := sup2.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	stale.Store(true)
+	observeAll(cm2, phaseTrace(2, 40))
+	if err := sup2.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	snap, st := sup2.Snapshot(), sp.Stats()
+	if snap.State != "hibernating" || snap.Deoptimizations != 1 {
+		t.Fatalf("after a stale window: %+v, want one deoptimization", snap)
+	}
+	if st.SnapshotStaleRejected != 0 || st.RestoredStreams != 0 {
+		t.Fatalf("stale rejected %d, restored %d; want 0, 0 (nothing was restored)",
+			st.SnapshotStaleRejected, st.RestoredStreams)
+	}
+}
+
+// TestRebaseSeenWholeByConcurrentReaders races BankedStreams and snapshot
+// readers against twenty retrains, for the race detector. A retrain moves
+// its evidence from the shard banks to the base set in one step, so once a
+// cycle has banked hot streams no reader may find BankedStreams empty.
+func TestRebaseSeenWholeByConcurrentReaders(t *testing.T) {
+	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		AnalysisWorkers:   1,
+		CycleAnalysis:     analysis,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	cm, err := NewConcurrentMatcher(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every window is stale, so each round optimizes and then deoptimizes.
+	sup, err := Supervise(sp, cm, SupervisorConfig{
+		BadWindows:            1,
+		MinWindowObservations: 1,
+		Analysis:              analysis,
+		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	feedUntilReset(t, sp, 1)
+	if err := sp.drainAnalyses(); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		stop  atomic.Bool
+		empty atomic.Int64
+		wg    sync.WaitGroup
+	)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			for !stop.Load() {
+				if len(sp.BankedStreams(0)) == 0 {
+					empty.Add(1)
+				}
+				buf.Reset()
+				if err := sp.WriteSnapshot(&buf, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	const rounds = 20
+	for round := 0; round < rounds; round++ {
+		if err := sup.Poll(); err != nil { // optimize on what banked
+			t.Fatal(err)
+		}
+		observeAll(cm, phaseTrace(1+round%3, 4))
+		if err := sup.Poll(); err != nil { // a stale window deoptimizes
+			t.Fatal(err)
+		}
+		feedUntilReset(t, sp, 1+(round+1)%3)
+		if err := sp.drainAnalyses(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := empty.Load(); n != 0 {
+		t.Fatalf("BankedStreams read empty %d times while retrains moved the evidence", n)
+	}
+	if snap := sup.Snapshot(); snap.Reoptimizations != rounds-1 {
+		t.Fatalf("%d re-optimizations over %d rounds, want %d", snap.Reoptimizations, rounds, rounds-1)
 	}
 }
