@@ -149,8 +149,8 @@ func (c *ConcurrentMatcher) SetObserver(o *obs.Observer) {
 // NewConcurrentMatcher builds the prefix-matching DFSM for streams (see
 // NewMatcher) and wraps it for concurrent use. An empty (or nil) stream set
 // is valid and yields a pass-through machine that matches nothing — the
-// deoptimized state of the paper's runtime, where detection code costs one
-// failed comparison and no prefetch ever fires.
+// deoptimized state of the paper's runtime, where no detection code runs:
+// every observation costs 0 comparisons and no prefetch ever fires.
 func NewConcurrentMatcher(streams []Stream, headLen int) (*ConcurrentMatcher, error) {
 	return NewConcurrentPredictor(DefaultPredictor, streams, headLen)
 }

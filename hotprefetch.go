@@ -304,11 +304,13 @@ func (p *Profile) toStreams(infos []hotds.StreamInfo) []Stream {
 }
 
 // Matcher tracks the matching prefixes of a set of hot data streams with a
-// single DFSM (paper §3.1, Figures 7-9). Feed it the data references
-// observed at the streams' head pcs; when a stream's head completes, Observe
-// returns the remaining stream addresses to prefetch, with the number of
-// comparisons the generated detection code would have executed — the
-// matching overhead the paper charges against prefetching gains.
+// single DFSM (paper §3.1, Figures 7-9). Feed it data references; when a
+// stream's head completes, Observe returns the remaining stream addresses
+// to prefetch, with the number of comparisons the generated detection code
+// would have executed — the matching overhead the paper charges against
+// prefetching gains. Detection code exists only at the streams' head pcs
+// (PCs), so a reference at any other pc costs 0 comparisons; it only
+// resets the match.
 type Matcher = dfsm.Matcher
 
 // NewMatcher builds the combined prefix-matching DFSM for the given streams.

@@ -724,16 +724,19 @@ func (m *Matcher) NumTransitions() int { return m.transitions }
 // labels a transition, so these are exactly the pcs of the compiled tables.
 func (m *Matcher) PCs() []int { return append([]int{}, m.pcKeys...) }
 
-// Observe consumes one data reference observed at an instrumented pc. It
-// returns the addresses to prefetch (non-nil exactly when a stream head
-// completes) and the number of comparisons the injected check chain
-// executed, which the caller charges as detection overhead.
+// Observe consumes one data reference. It returns the addresses to prefetch
+// (non-nil exactly when a stream head completes) and the number of
+// comparisons the injected check chain executed, which the caller charges
+// as detection overhead.
 //
 // The comparison count follows the structure of the generated code in paper
 // Figure 7: an outer if-chain over the addresses checked at this pc, then an
 // inner if-chain over source states, with the restart transition as the
-// arm's else branch. Observe performs no allocations and no map lookups;
-// the returned prefetch slice aliases the machine's state table.
+// arm's else branch. A pc outside PCs has no injected code, so it costs 0
+// comparisons; the reference still resets the match to the start state,
+// since the head it interrupts no longer runs contiguously. Observe
+// performs no allocations and no map lookups; the returned prefetch slice
+// aliases the machine's state table.
 func (m *Matcher) Observe(r ref.Ref) (prefetch []uint64, comparisons int) {
 	var span [2]int32
 	if m.pcDense != nil {
@@ -744,9 +747,9 @@ func (m *Matcher) Observe(r ref.Ref) (prefetch []uint64, comparisons int) {
 		span = spanSearch(m.pcKeys, m.pcSpan, r.PC)
 	}
 	if span[0] == span[1] {
-		// Un-instrumented pc: no arms; the single failed address comparison.
+		// Un-instrumented pc: no detection code runs here.
 		m.cur = 0
-		return nil, 1
+		return nil, 0
 	}
 	return m.stepArms(r.Addr, span)
 }

@@ -79,7 +79,7 @@ func Motivation(params []workload.Params, profileRefs int) ([]MotivationResult, 
 		m := inst.NewMachine(cache, false)
 		obs := &shareObserver{blocks: map[uint64]bool{}, h: m.Cache}
 		for _, s := range streams {
-			for _, r := range s {
+			for _, r := range s.Refs {
 				obs.blocks[m.Cache.Block(r.Addr)] = true
 			}
 		}

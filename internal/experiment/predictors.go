@@ -46,7 +46,7 @@ type PredictorResult struct {
 }
 
 // analyzeTraceRefs compresses a reference sequence and extracts its hot
-// streams with full references (analyzeTrace keeps only pc sequences).
+// streams with full references (analyzeTrace projects them to pcs).
 func analyzeTraceRefs(trace []ref.Ref, cfg hotds.Config) []ref.Stream {
 	g := sequitur.New()
 	in := ref.NewInterner()
@@ -66,31 +66,6 @@ func analyzeTraceRefs(trace []ref.Ref, cfg hotds.Config) []ref.Stream {
 // PredictorHeadLen is the stream-head length the harness trains the DFSM
 // with (the paper's best setting, §4.3).
 const PredictorHeadLen = 2
-
-// replayPredictor drives the evaluation split through a fresh hierarchy with
-// the predictor observing every demand access. Each access advances time by
-// one issue cycle plus its stall; each detection comparison is charged one
-// further cycle — the same per-check unit the paper's overhead model uses,
-// kept deliberately simple so the cycle column measures relative predictor
-// cost, not a calibrated machine.
-func replayPredictor(eval []ref.Ref, pred predictor.Predictor) (memsim.Stats, uint64, uint64) {
-	h := memsim.New(workload.CacheConfig())
-	var now, comparisons uint64
-	for _, r := range eval {
-		stall := h.Access(now, r.PC, r.Addr, false)
-		now += 1 + stall
-		if pred == nil {
-			continue
-		}
-		pf, cmp := pred.Observe(r)
-		comparisons += uint64(cmp)
-		now += uint64(cmp)
-		for _, a := range pf {
-			h.Prefetch(now, a)
-		}
-	}
-	return h.Stats(), now, comparisons
-}
 
 // namedInstance pairs a built workload with its report name.
 type namedInstance struct {
@@ -141,7 +116,7 @@ func PredictorComparison(params []workload.Params, refs int) ([]PredictorResult,
 	names := predictor.Names()
 	out := make([]PredictorResult, 0, len(insts)*len(names))
 	for _, ni := range insts {
-		trace, err := captureInstanceTrace(ni.inst, refs)
+		trace, err := ni.inst.Capture(refs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ni.name, err)
 		}
@@ -149,13 +124,17 @@ func PredictorComparison(params []workload.Params, refs int) ([]PredictorResult,
 		train, eval := trace[:cut], trace[cut:]
 		streams := analyzeTraceRefs(train, acfg)
 
-		base, baseCycles, _ := replayPredictor(eval, nil)
+		base := memsim.New(workload.CacheConfig())
+		baseCycles, _ := memsim.Replay(base, 0, eval, nil)
+		baseMisses := base.Stats().L1Misses
 		for _, name := range names {
 			pred, err := predictor.New(name, streams, PredictorHeadLen)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", ni.name, name, err)
 			}
-			st, cycles, comparisons := replayPredictor(eval, pred)
+			h := memsim.New(workload.CacheConfig())
+			cycles, comparisons := memsim.Replay(h, 0, eval, pred)
+			st := h.Stats()
 			r := PredictorResult{
 				Workload:       ni.name,
 				Predictor:      name,
@@ -171,8 +150,8 @@ func PredictorComparison(params []workload.Params, refs int) ([]PredictorResult,
 			if r.Issued > 0 {
 				r.Accuracy = float64(r.Useful) / float64(r.Issued)
 			}
-			if base.L1Misses > 0 && base.L1Misses >= st.L1Misses {
-				r.Coverage = float64(base.L1Misses-st.L1Misses) / float64(base.L1Misses)
+			if baseMisses > 0 && baseMisses >= st.L1Misses {
+				r.Coverage = float64(baseMisses-st.L1Misses) / float64(baseMisses)
 			}
 			if r.Useful > 0 {
 				r.Timeliness = 1 - float64(r.Late)/float64(r.Useful)

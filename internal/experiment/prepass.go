@@ -108,7 +108,7 @@ func PrepassComparison(params []workload.Params, refs int, pcfg sequitur.Prepass
 	acfg := AnalysisConfig()
 	out := make([]PrepassResult, 0, len(params))
 	for _, p := range params {
-		trace, err := CaptureTrace(p, refs)
+		trace, err := workload.Build(p).Capture(refs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}

@@ -17,9 +17,7 @@ import (
 
 	"hotprefetch/internal/burst"
 	"hotprefetch/internal/hotds"
-	"hotprefetch/internal/machine"
 	"hotprefetch/internal/ref"
-	"hotprefetch/internal/sequitur"
 	"hotprefetch/internal/workload"
 )
 
@@ -46,80 +44,23 @@ type SamplingResult struct {
 	Precision  float64
 }
 
-// rawCollector captures the first `budget` raw data references of a run.
-type rawCollector struct {
-	refs   []ref.Ref
-	budget int
-	m      *machine.Machine
-}
-
-func (c *rawCollector) Check(pc int) (machine.Version, uint64) {
-	return machine.VersionInstrumented, 0
-}
-
-func (c *rawCollector) TraceRef(pc int, addr machine.Word, isWrite bool) uint64 {
-	c.refs = append(c.refs, ref.Ref{PC: pc, Addr: addr})
-	c.budget--
-	if c.budget <= 0 {
-		c.m.Yield()
-	}
-	return 0
-}
-
-func (c *rawCollector) Match(pc int, addr machine.Word) ([]machine.Word, uint64) {
-	return nil, 0
-}
-
-// CaptureTrace runs the benchmark and returns its first `refs` data
-// references. The root package's differential predictor tests replay these
-// traces, so capture is exported rather than duplicated there.
-func CaptureTrace(p workload.Params, refs int) ([]ref.Ref, error) {
-	return captureInstanceTrace(workload.Build(p), refs)
-}
-
-// captureInstanceTrace is CaptureTrace over an already-built workload
-// instance (the extended workloads are built by name, not Params).
-func captureInstanceTrace(inst *workload.Instance, refs int) ([]ref.Ref, error) {
-	m := inst.NewMachine(workload.CacheConfig(), true)
-	col := &rawCollector{refs: make([]ref.Ref, 0, refs), budget: refs, m: m}
-	m.RT = col
-	m.Start()
-	for col.budget > 0 {
-		st, err := m.Run(0)
-		if err != nil {
-			return nil, err
-		}
-		if st == machine.Halted {
-			break
-		}
-	}
-	return col.refs, nil
-}
-
 // pcStream is one detected hot stream reduced to its instruction sequence.
 type pcStream struct {
 	pcs  []int
 	heat uint64
 }
 
-// analyzeTrace compresses a reference sequence and extracts its hot
-// streams as pc sequences.
+// analyzeTrace extracts a trace's hot streams (analyzeTraceRefs) reduced
+// to their pc sequences.
 func analyzeTrace(trace []ref.Ref, cfg hotds.Config) []pcStream {
-	g := sequitur.New()
-	in := ref.NewInterner()
-	vals := make([]uint64, len(trace))
-	for i, r := range trace {
-		vals[i] = uint64(in.Intern(r))
-	}
-	g.AppendRun(vals)
-	infos := hotds.Analyze(g.Snapshot(), cfg)
-	out := make([]pcStream, len(infos))
-	for i, info := range infos {
-		pcs := make([]int, len(info.Word))
-		for j, sym := range info.Word {
-			pcs[j] = in.Ref(ref.Symbol(sym)).PC
+	streams := analyzeTraceRefs(trace, cfg)
+	out := make([]pcStream, len(streams))
+	for i, s := range streams {
+		pcs := make([]int, len(s.Refs))
+		for j, r := range s.Refs {
+			pcs[j] = r.PC
 		}
-		out[i] = pcStream{pcs: pcs, heat: info.Heat}
+		out[i] = pcStream{pcs: pcs, heat: s.Heat}
 	}
 	return out
 }
@@ -197,7 +138,7 @@ func SamplingComparison(params []workload.Params, refs int, bcfg burst.Config) (
 	acfg := AnalysisConfig()
 	out := make([]SamplingResult, 0, len(params))
 	for _, p := range params {
-		trace, err := CaptureTrace(p, refs)
+		trace, err := workload.Build(p).Capture(refs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"hotprefetch/internal/hotds"
-	"hotprefetch/internal/machine"
 	"hotprefetch/internal/ref"
-	"hotprefetch/internal/sequitur"
 	"hotprefetch/internal/workload"
 )
 
@@ -27,59 +24,14 @@ type StabilityResult struct {
 	Concrete float64 // Jaccard similarity of the full (pc, addr) stream identities
 }
 
-// collector traces the first `budget` data references of a run.
-type collector struct {
-	grammar  *sequitur.Grammar
-	interner *ref.Interner
-	budget   int
-	m        *machine.Machine
-}
-
-func (c *collector) Check(pc int) (machine.Version, uint64) {
-	return machine.VersionInstrumented, 0
-}
-
-func (c *collector) TraceRef(pc int, addr machine.Word, isWrite bool) uint64 {
-	c.grammar.Append(uint64(c.interner.Intern(ref.Ref{PC: pc, Addr: addr})))
-	c.budget--
-	if c.budget <= 0 {
-		c.m.Yield()
+// collectStreams profiles the first refs references of the benchmark and
+// returns its hot data streams.
+func collectStreams(p workload.Params, refs int) ([]ref.Stream, error) {
+	trace, err := workload.Build(p).Capture(refs)
+	if err != nil {
+		return nil, err
 	}
-	return 0
-}
-
-func (c *collector) Match(pc int, addr machine.Word) ([]machine.Word, uint64) {
-	return nil, 0
-}
-
-// collectStreams profiles `refs` references of the benchmark and returns
-// its hot data streams.
-func collectStreams(p workload.Params, refs int) ([][]ref.Ref, error) {
-	inst := workload.Build(p)
-	m := inst.NewMachine(workload.CacheConfig(), true)
-	col := &collector{
-		grammar:  sequitur.New(),
-		interner: ref.NewInterner(),
-		budget:   refs,
-		m:        m,
-	}
-	m.RT = col
-	m.Start()
-	for col.budget > 0 {
-		st, err := m.Run(0)
-		if err != nil {
-			return nil, err
-		}
-		if st == machine.Halted {
-			break
-		}
-	}
-	infos := hotds.Analyze(col.grammar.Snapshot(), AnalysisConfig())
-	streams := make([][]ref.Ref, len(infos))
-	for i, info := range infos {
-		streams[i] = col.interner.Stream(info.Word, info.Heat).Refs
-	}
-	return streams, nil
+	return analyzeTraceRefs(trace, AnalysisConfig()), nil
 }
 
 // pcSignature canonicalizes a stream to its instruction sequence.
@@ -133,13 +85,13 @@ func ProfileStability(params []workload.Params, refs int) ([]StabilityResult, er
 
 // signatureSets extracts each stream's pc signature and its full concrete
 // identity (pcs and addresses).
-func signatureSets(streams [][]ref.Ref) (sigs, full map[string]bool) {
+func signatureSets(streams []ref.Stream) (sigs, full map[string]bool) {
 	sigs = map[string]bool{}
 	full = map[string]bool{}
 	for _, s := range streams {
-		sigs[pcSignature(s)] = true
+		sigs[pcSignature(s.Refs)] = true
 		var b strings.Builder
-		for _, r := range s {
+		for _, r := range s.Refs {
 			fmt.Fprintf(&b, "%d:%d,", r.PC, r.Addr)
 		}
 		full[b.String()] = true

@@ -84,7 +84,7 @@ type Predictor struct {
 // New trains a predictor on streams, each stream's heat weighting its
 // transitions so hot streams dominate candidate ranking. An empty (or nil)
 // stream set is valid and yields a pass-through predictor that predicts
-// nothing — every observation costs one failed probe, mirroring the
+// nothing and probes nothing — every observation costs 0, mirroring the
 // deoptimized DFSM.
 func New(streams []ref.Stream, cfg Config) (*Predictor, error) {
 	cfg = cfg.withDefaults()
@@ -182,9 +182,13 @@ func rank(m map[uint64]uint64, cfg Config) []uint64 {
 
 // Observe consumes one data reference and returns the addresses to prefetch
 // plus the number of table probes performed (the detection-cost analogue of
-// the DFSM's comparison count, always >= 1). The returned slice aliases the
-// trained tables and must not be mutated.
+// the DFSM's comparison count): at least one once trained, 0 while the
+// tables are empty (see Trained). The returned slice aliases the trained
+// tables and must not be mutated.
 func (p *Predictor) Observe(r ref.Ref) (prefetch []uint64, comparisons int) {
+	if !p.Trained() {
+		return nil, 0
+	}
 	a := r.Addr
 	last, have := p.last, p.have
 	p.last, p.have = a, 1

@@ -54,8 +54,8 @@ func TestUntrainedIsPassThrough(t *testing.T) {
 		if pf != nil {
 			t.Fatalf("ref %d: untrained predictor prefetched %v", i, pf)
 		}
-		if cmp < 1 {
-			t.Fatalf("ref %d: comparisons %d < 1", i, cmp)
+		if cmp != 0 {
+			t.Fatalf("ref %d: comparisons %d, want 0 (no tables to probe)", i, cmp)
 		}
 	}
 }

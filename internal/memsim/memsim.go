@@ -12,6 +12,8 @@
 // paper's evaluation measures — is a function of exactly these mechanisms.
 package memsim
 
+import "hotprefetch/internal/ref"
+
 // Config describes the cache hierarchy geometry and latencies. All sizes are
 // in bytes and must be powers of two; latencies are in cycles and are charged
 // in addition to the instruction's base cost.
@@ -362,6 +364,38 @@ func (h *Hierarchy) Contains(level int, addr uint64) bool {
 	default:
 		panic("memsim: Contains level must be 1 or 2")
 	}
+}
+
+// Detector is the detection code a replay runs after each demand access:
+// Observe returns the addresses to prefetch and the comparisons the code
+// executed. Every registered predictor and the root package's
+// ConcurrentMatcher satisfy it.
+type Detector interface {
+	Observe(r ref.Ref) (prefetch []uint64, comparisons int)
+}
+
+// Replay plays refs through h as loads from cycle now, running d after each
+// access, and returns the cycle it ends at and the comparisons d charged.
+// It is the one charge model of every trace replay: an access costs one
+// issue cycle plus its stall, then each comparison d reports costs one
+// cycle, and d's prefetches issue at the cycle after that charge. A
+// reference costs the comparisons its detection code executes, so where d
+// runs no detection code (it reports 0) the reference costs only its
+// access. A nil d is the no-prefetch run.
+func Replay(h *Hierarchy, now uint64, refs []ref.Ref, d Detector) (end, comparisons uint64) {
+	for _, r := range refs {
+		now += 1 + h.Access(now, r.PC, r.Addr, false)
+		if d == nil {
+			continue
+		}
+		pf, c := d.Observe(r)
+		now += uint64(c)
+		comparisons += uint64(c)
+		for _, a := range pf {
+			h.Prefetch(now, a)
+		}
+	}
+	return now, comparisons
 }
 
 // Reset clears all cache contents, in-flight fills, and statistics.

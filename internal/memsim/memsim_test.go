@@ -3,6 +3,8 @@ package memsim
 import (
 	"testing"
 	"testing/quick"
+
+	"hotprefetch/internal/ref"
 )
 
 // smallConfig is a tiny hierarchy that makes eviction behaviour easy to
@@ -396,5 +398,82 @@ func TestMaxInflightZeroIsUnlimited(t *testing.T) {
 	}
 	if st := h.Stats(); st.PrefetchDrops != 0 {
 		t.Errorf("unlimited config dropped %d prefetches", st.PrefetchDrops)
+	}
+}
+
+// scripted is a stub Detector: each reference costs its pc in comparisons
+// and prefetches the addresses listed under its address.
+type scripted map[uint64][]uint64
+
+func (s scripted) Observe(r ref.Ref) ([]uint64, int) { return s[r.Addr], r.PC }
+
+// replayTrace is a small trace that misses, hits and evicts on smallConfig.
+func replayTrace() []ref.Ref {
+	var trace []ref.Ref
+	for i := 0; i < 200; i++ {
+		trace = append(trace, ref.Ref{PC: i % 4, Addr: uint64(i*37%23) * 32})
+	}
+	return trace
+}
+
+func TestReplayChargesAccessStallAndComparisons(t *testing.T) {
+	h := New(smallConfig())
+	trace := replayTrace()
+	end, cmp := Replay(h, 0, trace, scripted{})
+	var want uint64
+	for _, r := range trace {
+		want += uint64(r.PC)
+	}
+	if cmp != want {
+		t.Fatalf("comparisons = %d, want %d (the sum the detector reported)", cmp, want)
+	}
+	st := h.Stats()
+	if end != st.Accesses()+st.StallCycles+cmp {
+		t.Fatalf("end cycle %d, want accesses %d + stalls %d + comparisons %d",
+			end, st.Accesses(), st.StallCycles, cmp)
+	}
+}
+
+func TestReplayPrefetchIssuesAfterCharge(t *testing.T) {
+	// The first reference misses to memory (cycle 0 → 101), its detection
+	// code charges 5 comparisons (→ 106), and the prefetch of the second
+	// block issues at cycle 106. The second reference arrives at 106 too,
+	// so it waits out the whole fill: had the prefetch issued before the
+	// charge, it would wait 5 cycles less.
+	h := New(smallConfig())
+	a, b := uint64(0x1000), uint64(0x2000)
+	end, cmp := Replay(h, 0, []ref.Ref{{PC: 5, Addr: a}, {PC: 0, Addr: b}}, scripted{a: {b}})
+	st := h.Stats()
+	if cmp != 5 || st.Prefetches != 1 || st.LatePrefetches != 1 {
+		t.Fatalf("comparisons %d, prefetches %d, late %d; want 5, 1, 1", cmp, st.Prefetches, st.LatePrefetches)
+	}
+	if st.LateStallCycles != 100 {
+		t.Fatalf("late stall = %d cycles, want 100 (prefetch issued at the cycle after the charge)", st.LateStallCycles)
+	}
+	if end != 101+5+1+100 {
+		t.Fatalf("end cycle = %d, want %d", end, 101+5+1+100)
+	}
+}
+
+// free is a detector with no detection code anywhere.
+type free struct{}
+
+func (free) Observe(ref.Ref) ([]uint64, int) { return nil, 0 }
+
+func TestReplayFreeDetectorIsNoPrefetchRun(t *testing.T) {
+	trace := replayTrace()
+	hn, hf := New(smallConfig()), New(smallConfig())
+	endN, _ := Replay(hn, 0, trace, nil)
+	endF, cmp := Replay(hf, 0, trace, free{})
+	if endF != endN || cmp != 0 || hf.Stats() != hn.Stats() {
+		t.Fatalf("free detector: end %d, comparisons %d, stats %+v; nil detector: end %d, stats %+v",
+			endF, cmp, hf.Stats(), endN, hn.Stats())
+	}
+	// Replaying in two steps from the first step's end cycle is the same
+	// replay as one pass.
+	hs := New(smallConfig())
+	mid, _ := Replay(hs, 0, trace[:77], nil)
+	if end, _ := Replay(hs, mid, trace[77:], nil); end != endN || hs.Stats() != hn.Stats() {
+		t.Fatalf("stepped replay ends at %d with %+v, want %d with %+v", end, hs.Stats(), endN, hn.Stats())
 	}
 }

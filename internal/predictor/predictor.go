@@ -23,15 +23,18 @@ import (
 
 // Predictor is one point in the prefetch-predictor design space: it
 // consumes the reference stream one observation at a time and returns the
-// addresses worth prefetching plus the detection cost the observation paid
-// (always >= 1). See the root package's Predictor for the full contract.
+// addresses worth prefetching plus the detection cost the observation paid:
+// the comparisons its detection code executed, 0 where it has none (an
+// un-instrumented pc, an untrained predictor). See the root package's
+// Predictor for the full contract.
 type Predictor interface {
 	Observe(r ref.Ref) (prefetch []uint64, comparisons int)
 	Reset()
 }
 
 // Factory builds a trained predictor over a hot-stream set. An empty or nil
-// stream set must yield a pass-through predictor, not an error.
+// stream set must yield a pass-through predictor (no prefetch, 0
+// comparisons), not an error.
 type Factory func(streams []ref.Stream, headLen int) (Predictor, error)
 
 // Default is the registry name of the paper's DFSM prefix matcher.

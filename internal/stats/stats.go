@@ -265,6 +265,7 @@ func RenderPredictors(results []experiment.PredictorResult) string {
 	w.Flush()
 	b.WriteString("(accuracy = useful/issued; coverage = baseline L1 misses eliminated;\n")
 	b.WriteString(" timeliness = useful fills complete before the demand touch; cycles\n")
-	b.WriteString(" charge 1 per detection comparison on top of the memory stalls)\n")
+	b.WriteString(" charge 1 per comparison the detection code executes on top of the\n")
+	b.WriteString(" memory stalls, 0 where no detection code runs)\n")
 	return b.String()
 }

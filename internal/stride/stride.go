@@ -119,10 +119,10 @@ type Predictor struct {
 // New builds a predictor and seeds its table by replaying the hot streams'
 // references (in the given order, so callers control which streams win table
 // slots when they exceed capacity). An empty (or nil) stream set yields a
-// pass-through predictor that never prefetches and costs one comparison per
+// pass-through predictor that never prefetches and costs 0 comparisons per
 // observation — matching the other predictors' deoptimized behavior rather
 // than free-running stride detection, so swapping in an empty set disables
-// prefetching across every predictor uniformly.
+// prefetching, and its cost, across every predictor uniformly.
 func New(streams []ref.Stream, cfg Config) (*Predictor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -151,12 +151,13 @@ func (p *Predictor) seed() {
 }
 
 // Observe consumes one data reference and returns the addresses to prefetch
-// plus the number of table-entry comparisons the lookup performed (>= 1).
-// The returned slice is the predictor's reused buffer: valid only until the
+// plus the number of table-entry comparisons the lookup performed: at least
+// one once trained, 0 for a pass-through predictor (see Trained). The
+// returned slice is the predictor's reused buffer: valid only until the
 // next Observe.
 func (p *Predictor) Observe(r ref.Ref) (prefetch []uint64, comparisons int) {
 	if !p.trained {
-		return nil, 1
+		return nil, 0
 	}
 	e, cmp := p.update(r.Addr)
 	if e == nil || e.dir == 0 || e.conf < p.cfg.Threshold {

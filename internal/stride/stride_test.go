@@ -50,8 +50,8 @@ func TestUntrainedIsPassThrough(t *testing.T) {
 	}
 	for i := uint64(0); i < 8; i++ {
 		pf, cmp := p.Observe(ref.Ref{Addr: i * 0x10})
-		if pf != nil || cmp != 1 {
-			t.Fatalf("untrained Observe = (%v,%d), want (nil,1)", pf, cmp)
+		if pf != nil || cmp != 0 {
+			t.Fatalf("untrained Observe = (%v,%d), want (nil,0)", pf, cmp)
 		}
 	}
 	if p.Live() != 0 {

@@ -42,6 +42,7 @@ import (
 	"hotprefetch/internal/heap"
 	"hotprefetch/internal/machine"
 	"hotprefetch/internal/memsim"
+	"hotprefetch/internal/ref"
 	"hotprefetch/internal/vulcan"
 )
 
@@ -137,6 +138,46 @@ func (in *Instance) NewMachine(cache memsim.Config, instrument bool) *machine.Ma
 	copy(m.Mem, in.image)
 	return m
 }
+
+// Capture runs a fresh instrumented machine over the benchmark and returns
+// its first n data references, fewer if the program halts first. Every
+// machine built from the instance starts from the same heap, so two calls
+// return identical traces.
+func (in *Instance) Capture(n int) ([]ref.Ref, error) {
+	m := in.NewMachine(CacheConfig(), true)
+	c := &capture{refs: make([]ref.Ref, 0, max(n, 0)), n: n, m: m}
+	m.RT = c
+	m.Start()
+	for len(c.refs) < n {
+		st, err := m.Run(0)
+		if err != nil {
+			return nil, err
+		}
+		if st == machine.Halted {
+			break
+		}
+	}
+	return c.refs, nil
+}
+
+// capture is the machine.Runtime behind Capture: it records every traced
+// reference and yields the machine once n are recorded.
+type capture struct {
+	refs []ref.Ref
+	n    int
+	m    *machine.Machine
+}
+
+func (c *capture) Check(int) (machine.Version, uint64) { return machine.VersionInstrumented, 0 }
+
+func (c *capture) TraceRef(pc int, addr machine.Word, _ bool) uint64 {
+	if c.refs = append(c.refs, ref.Ref{PC: pc, Addr: addr}); len(c.refs) >= c.n {
+		c.m.Yield()
+	}
+	return 0
+}
+
+func (c *capture) Match(int, machine.Word) ([]machine.Word, uint64) { return nil, 0 }
 
 // TotalLaps returns the number of laps the benchmark executes.
 func (in *Instance) TotalLaps() int {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"hotprefetch/internal/burst"
@@ -224,5 +225,32 @@ func TestCatalogDesignRules(t *testing.T) {
 		if p.ChainLen <= 10 || p.ChainLen > l2Blocks/4 {
 			t.Errorf("%s: ChainLen %d outside the workable stream range", p.Name, p.ChainLen)
 		}
+	}
+}
+
+func TestCaptureIsExactAndRepeatable(t *testing.T) {
+	inst := Build(tiny())
+	a, err := inst.Capture(500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != 500 {
+		t.Fatalf("Capture(500) returned %d references", len(a))
+	}
+	b, err := inst.Capture(500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two captures of one instance differ")
+	}
+	// A budget past the program's end returns the whole run, which starts
+	// with the shorter capture.
+	all, err := inst.Capture(100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) <= len(a) || len(all) == 100_000 || !reflect.DeepEqual(all[:len(a)], a) {
+		t.Fatalf("full capture of %d references does not extend the 500-reference one", len(all))
 	}
 }

@@ -14,11 +14,12 @@ const liveStep = 2048
 // liveReplay plays trace through the live loop of a default daemon tenant —
 // one shard, Block ingestion, a 4096-symbol grammar budget, one analysis
 // worker, the prepass on — under a zero-config manual-Poll Supervisor. Each
-// reference first runs through the simulated memory hierarchy and the
-// supervised matcher: one cycle plus the stall per access, one cycle per
-// detection comparison, and the matcher's prefetches issued. Every liveStep
-// references are then ingested, flushed and analyzed to the bank before the
-// supervisor polls. It returns the simulated cycles and the matcher's swaps.
+// step of liveStep references first replays through the simulated memory
+// hierarchy with the supervised matcher as its detection code
+// (memsim.Replay: a reference pays for the comparisons the matcher
+// executes, none while it is pass-through). The step is then ingested,
+// flushed and analyzed to the bank before the supervisor polls. It returns
+// the simulated cycles and the matcher's swaps.
 func liveReplay(t *testing.T, trace []Ref) (cycles, swaps uint64) {
 	t.Helper()
 	sp, err := NewShardedProfileConfig(ShardedConfig{
@@ -46,14 +47,7 @@ func liveReplay(t *testing.T, trace []Ref) (cycles, swaps uint64) {
 	var now uint64
 	for lo := 0; lo < len(trace); lo += liveStep {
 		step := trace[lo:min(lo+liveStep, len(trace))]
-		for _, r := range step {
-			now += 1 + mem.Access(now, r.PC, r.Addr, false)
-			pf, c := cm.Observe(r)
-			now += uint64(c)
-			for _, a := range pf {
-				mem.Prefetch(now, a)
-			}
-		}
+		now, _ = memsim.Replay(mem, now, step, cm)
 		if err := sp.Shard(0).AddBatch(step); err != nil {
 			t.Fatal(err)
 		}
@@ -70,17 +64,6 @@ func liveReplay(t *testing.T, trace []Ref) (cycles, swaps uint64) {
 	return now, cm.Swaps()
 }
 
-// noPrefetchCycles replays trace through the memory hierarchy alone: the
-// program's cycles with no prefetching and no detection code.
-func noPrefetchCycles(trace []Ref) uint64 {
-	mem := memsim.New(workload.CacheConfig())
-	var now uint64
-	for _, r := range trace {
-		now += 1 + mem.Access(now, r.PC, r.Addr, false)
-	}
-	return now
-}
-
 // TestLiveLoopNoGainNeverMuchWorse replays Olden-style health, where
 // prefetching has nothing to gain, through the live supervised loop. Each
 // retrain reads only the evidence banked since the previous optimization,
@@ -93,11 +76,14 @@ func TestLiveLoopNoGainNeverMuchWorse(t *testing.T) {
 	for _, seed := range []int64{1, 977} {
 		p := workload.DefaultHealth()
 		p.Seed = seed
-		trace := captureInstanceTrace(t, workload.BuildHealth(p), refs)
+		trace, err := workload.BuildHealth(p).Capture(refs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(trace) < refs {
 			t.Fatalf("seed %d: health halted after %d of %d references", seed, len(trace), refs)
 		}
-		base := noPrefetchCycles(trace)
+		base, _ := memsim.Replay(memsim.New(workload.CacheConfig()), 0, trace, nil)
 		cycles, swaps := liveReplay(t, trace)
 		ratio := float64(cycles) / float64(base)
 		t.Logf("seed %d: cycles ratio %.4f, %d swaps", seed, ratio, swaps)

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"hotprefetch/internal/machine"
 	"hotprefetch/internal/memsim"
 	"hotprefetch/internal/workload"
 )
@@ -16,58 +15,6 @@ import (
 // BankedStreams, and the same prefetching outcome when its warm-started
 // matcher drives the memory simulator over the same trace. Proven across
 // the full workload catalog, not a synthetic trace.
-
-// equivCollector captures the first `budget` raw data references of a
-// workload run as root-package Refs.
-type equivCollector struct {
-	refs   []Ref
-	budget int
-	m      *machine.Machine
-}
-
-func (c *equivCollector) Check(pc int) (machine.Version, uint64) {
-	return machine.VersionInstrumented, 0
-}
-
-func (c *equivCollector) TraceRef(pc int, addr machine.Word, isWrite bool) uint64 {
-	c.refs = append(c.refs, Ref{PC: pc, Addr: uint64(addr)})
-	c.budget--
-	if c.budget <= 0 {
-		c.m.Yield()
-	}
-	return 0
-}
-
-func (c *equivCollector) Match(pc int, addr machine.Word) ([]machine.Word, uint64) {
-	return nil, 0
-}
-
-// captureWorkloadTrace runs the benchmark and returns its first n data
-// references.
-func captureWorkloadTrace(t *testing.T, p workload.Params, n int) []Ref {
-	t.Helper()
-	return captureInstanceTrace(t, workload.Build(p), n)
-}
-
-// captureInstanceTrace runs a built program and returns its first n data
-// references.
-func captureInstanceTrace(t *testing.T, inst *workload.Instance, n int) []Ref {
-	t.Helper()
-	m := inst.NewMachine(workload.CacheConfig(), true)
-	col := &equivCollector{refs: make([]Ref, 0, n), budget: n, m: m}
-	m.RT = col
-	m.Start()
-	for col.budget > 0 {
-		st, err := m.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st == machine.Halted {
-			break
-		}
-	}
-	return col.refs
-}
 
 // equivProfileConfig is the profile both sides of the comparison use: a
 // grammar budget small enough that a 40k-reference trace banks several
@@ -80,29 +27,16 @@ func equivProfileConfig() ShardedConfig {
 	}
 }
 
-// prefetchSim replays the trace against the cache hierarchy with the
-// matcher's prefetches applied, as the instrumented program would.
-func prefetchSim(trace []Ref, cm *ConcurrentMatcher) memsim.Stats {
-	h := memsim.New(workload.CacheConfig())
-	var now uint64
-	for _, r := range trace {
-		now++
-		h.Access(now, r.PC, r.Addr, false)
-		pf, _ := cm.Observe(r)
-		for _, a := range pf {
-			h.Prefetch(now, a)
-		}
-	}
-	return h.Stats()
-}
-
 func TestSnapshotRestoreRebuildEquivalence(t *testing.T) {
 	const traceRefs = 40000
 	anyStreams := false
 	for _, p := range workload.Catalog() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			trace := captureWorkloadTrace(t, p, traceRefs)
+			trace, err := workload.Build(p).Capture(traceRefs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cold, err := NewShardedProfileConfig(equivProfileConfig())
 			if err != nil {
 				t.Fatal(err)
@@ -161,8 +95,10 @@ func TestSnapshotRestoreRebuildEquivalence(t *testing.T) {
 				t.Fatalf("warm supervisor state = %v, want %v", sup.State(), StateOptimized)
 			}
 
-			sc := prefetchSim(trace, cmCold)
-			sw := prefetchSim(trace, cmWarm)
+			hc, hw := memsim.New(workload.CacheConfig()), memsim.New(workload.CacheConfig())
+			memsim.Replay(hc, 0, trace, cmCold)
+			memsim.Replay(hw, 0, trace, cmWarm)
+			sc, sw := hc.Stats(), hw.Stats()
 			if sc.UsefulPrefetches == 0 {
 				t.Logf("%s: no useful prefetches at this budget (%d issued)", p.Name, sc.Prefetches)
 			}

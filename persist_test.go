@@ -234,6 +234,46 @@ func TestSupervisorWarmStartStaleDemotion(t *testing.T) {
 	}
 }
 
+// TestSupervisorQuietPollsCarryWindow: a supervisor polled faster than
+// MinWindowObservations still judges windows. A forced-stale warm start is
+// polled every 100 observations against a 256-observation floor: the quiet
+// polls carry their observations forward, so a window concludes at every
+// third poll and the second bad one demotes the warm start at poll 6. A
+// supervisor that dropped each quiet poll's observations would never judge
+// a window and would stay optimized.
+func TestSupervisorQuietPollsCarryWindow(t *testing.T) {
+	src := cycledProfile(t, 1)
+	defer src.Close()
+	sp, cm, sup := warmStart(t, src, SupervisorConfig{
+		AccuracyFloor:         0.5,
+		MinWindowObservations: 256,
+		ProvisionalWindows:    2,
+		DriftOverlapFloor:     -1, // isolate the accuracy path
+		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
+	})
+	defer sp.Close()
+	defer sup.Close()
+
+	trace := phaseTrace(1, 40)
+	for poll := 1; poll <= 6; poll++ {
+		lo := (poll - 1) * 100 % (len(trace) - 100)
+		observeAll(cm, trace[lo:lo+100])
+		if err := sup.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		want := StateOptimized
+		if poll == 6 {
+			want = StateProfiling
+		}
+		if got := sup.State(); got != want {
+			t.Fatalf("state after poll %d (%d observations) = %v, want %v", poll, 100*poll, got, want)
+		}
+	}
+	if st := sp.Stats(); st.SnapshotStaleRejected != 1 {
+		t.Fatalf("stale rejected = %d, want 1", st.SnapshotStaleRejected)
+	}
+}
+
 // TestSupervisorWarmStartDriftDemotion: a restored profile from workload
 // phase 1 against live phase-2 traffic is demoted by the overlap heuristic
 // as soon as the first live cycle banks — before any accuracy window can

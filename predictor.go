@@ -6,14 +6,19 @@ import "hotprefetch/internal/predictor"
 // the reference stream one observation at a time and returns the addresses
 // worth prefetching plus the detection cost the observation paid (the
 // DFSM's comparison count, a Markov table's probe count, a stride table's
-// CAM occupancy — always >= 1).
+// CAM occupancy).
+//
+// The charge rule: a reference costs the comparisons its detection code
+// executes, so a reference with no detection code costs 0 — the DFSM's
+// un-instrumented pcs, and every reference a pass-through predictor sees.
+// internal/memsim's Replay charges exactly this, one cycle per comparison.
 //
 // Training happens at construction (see NewPredictor): a predictor is built
 // over a hot-stream set and is immutable apart from its rolling match state,
 // which Reset returns to the start. Built over an empty stream set, every
-// implementation must behave as pass-through — no prefetch ever, one
-// comparison per observation — because that is the deoptimized state the
-// Supervisor swaps in (§5).
+// implementation must behave as pass-through — no prefetch ever, 0
+// comparisons per observation — because that is the deoptimized state the
+// Supervisor swaps in, and deoptimization removes the detection code (§5).
 //
 // Implementations follow Matcher's contracts: not safe for concurrent use
 // (wrap in ConcurrentMatcher), and returned prefetch slices alias internal

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"hotprefetch"
-	"hotprefetch/internal/experiment"
 	"hotprefetch/internal/predictortest"
 	"hotprefetch/internal/workload"
 )
@@ -70,13 +69,9 @@ func TestDFSMThroughInterfaceBitIdentical(t *testing.T) {
 	for _, p := range workload.Catalog() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			raw, err := experiment.CaptureTrace(p, 30000)
+			trace, err := workload.Build(p).Capture(30000)
 			if err != nil {
 				t.Fatal(err)
-			}
-			trace := make([]hotprefetch.Ref, len(raw))
-			for i, r := range raw {
-				trace[i] = hotprefetch.Ref{PC: r.PC, Addr: r.Addr}
 			}
 			cut := len(trace) * 60 / 100
 			prof := hotprefetch.NewProfile()

@@ -6,8 +6,9 @@ package hotprefetch_test
 // stream, and the trace replays through two independent instances — one
 // behind ConcurrentMatcher with its accuracy ledger on, one bare. The
 // invariants are the conformance suite's, checked on adversarial input:
-// no panic anywhere, at least one comparison per observation, bit-exact
-// agreement between the twin instances, and accuracy books that balance.
+// no panic anywhere, comparisons charged exactly where the predictor has
+// detection code (0 elsewhere), bit-exact agreement between the twin
+// instances, and accuracy books that balance.
 
 import (
 	"reflect"
@@ -69,12 +70,25 @@ func FuzzPredictorObserve(f *testing.F) {
 			t.Fatalf("%s: twin build failed: %v", name, err)
 		}
 		a.EnableAccuracyTracking(window)
+		// A reference has detection code when the DFSM instruments its pc,
+		// or when a Markov or stride table holds trained state.
+		heads := map[int]bool{}
+		for _, pc := range a.PCs() {
+			heads[pc] = true
+		}
+		table, isTable := b.(interface{ Trained() bool })
+		detects := func(r hotprefetch.Ref) bool {
+			if isTable {
+				return table.Trained()
+			}
+			return heads[r.PC]
+		}
 		var issuedSum uint64
 		for i, r := range refs {
 			pfA, cmpA := a.Observe(r)
 			pfB, cmpB := b.Observe(r)
-			if cmpA < 1 {
-				t.Fatalf("%s: comparisons = %d at ref %d, want >= 1", name, cmpA, i)
+			if want := detects(r); cmpA < 0 || (cmpA > 0) != want {
+				t.Fatalf("%s: comparisons = %d at ref %d (pc %d), detection code here: %v", name, cmpA, i, r.PC, want)
 			}
 			if cmpA != cmpB || !reflect.DeepEqual(pfA, pfB) {
 				t.Fatalf("%s: twins diverged at ref %d: (%v, %d) != (%v, %d)",

@@ -541,38 +541,47 @@ func (s *ProfileShard) recycle(p *Profile) {
 	}
 }
 
-// runAnalysis executes one background analysis job end to end: breaker
-// check, isolated analysis, retained-stream banking, profile recycling, and
-// failure accounting. It always completes the job (pending is decremented
-// on every path), which is the liveness contract drainAnalyses and Close
-// rely on.
+// runAnalysis executes one background analysis job end to end: the cycle's
+// analysis (analyzeCycle) under AnalysisTimeout, then profile recycling
+// unless the analysis was abandoned. It always completes the job (pending
+// is decremented on every path), which is the liveness contract
+// drainAnalyses and Close rely on.
 func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 	s := job.shard
 	// Last on every path: drainAnalyses readers must see the retained
 	// merge and the failure accounting.
 	defer s.pending.Add(-1)
-	if !s.brk.allow(time.Now()) {
-		// Breaker open: degrade to ingest-and-recycle without analysis.
-		s.analysesSkipped.Add(1)
-		sp.obs.Emit(obs.KindAnalysisSkipped, s.idx, 0)
+	if !s.analyzeCycle(job.p, time.Now(), sp.cfg.AnalysisTimeout) {
 		s.recycle(job.p)
-		return
 	}
-	start := time.Now()
-	streams, err, abandoned := s.analyzeIsolated(job.p, sp.cfg.AnalysisTimeout)
+}
+
+// analyzeCycle is the one cycle-end analysis path, inline and pooled: the
+// breaker check (an open breaker skips the analysis), the isolated analysis
+// of p with timeout when positive, then failure accounting or banking.
+// start is when the cycle's analysis began, for the breaker and the
+// latency histogram. It reports whether the analysis was abandoned at its
+// deadline, in which case a runaway goroutine still reads p and the caller
+// must not reuse it.
+func (s *ProfileShard) analyzeCycle(p *Profile, start time.Time, timeout time.Duration) (abandoned bool) {
+	if !s.brk.allow(start) {
+		// Breaker open: degrade to ingest without analysis; the caller
+		// still resets or recycles p.
+		s.analysesSkipped.Add(1)
+		s.sp.obs.Emit(obs.KindAnalysisSkipped, s.idx, 0)
+		return false
+	}
+	streams, err, abandoned := s.analyzeIsolated(p, timeout)
 	if err != nil {
 		s.analysesFailed.Add(1)
-		sp.obs.Emit(obs.KindAnalysisFailed, s.idx, 0)
+		s.sp.obs.Emit(obs.KindAnalysisFailed, s.idx, 0)
 		s.brk.failure(time.Now())
-		if !abandoned {
-			s.recycle(job.p)
-		}
-		return
+		return abandoned
 	}
 	s.brk.success()
-	sp.noteAnalysis(s, time.Since(start))
+	s.sp.noteAnalysis(s, time.Since(start))
 	s.bank(streams)
-	s.recycle(job.p)
+	return false
 }
 
 // bank merges one completed cycle's hot streams into the shard's bank, then
@@ -806,25 +815,11 @@ func (s *ProfileShard) cycle() {
 		return
 	}
 	// Inline: the consumer goroutine owns s.p throughout, so the analysis
-	// runs here under the same breaker and panic isolation as the pool
-	// (AnalysisTimeout does not apply — the grammar cannot be abandoned to
-	// a runaway goroutine when the consumer must reuse it).
+	// runs here on the pool's path (AnalysisTimeout does not apply — the
+	// grammar cannot be abandoned to a runaway goroutine when the consumer
+	// must reuse it).
 	s.resets.Add(1)
-	if s.brk.allow(start) {
-		streams, err := s.safeAnalyze(s.p)
-		if err != nil {
-			s.analysesFailed.Add(1)
-			s.sp.obs.Emit(obs.KindAnalysisFailed, s.idx, 0)
-			s.brk.failure(time.Now())
-		} else {
-			s.brk.success()
-			s.sp.noteAnalysis(s, time.Since(start))
-			s.bank(streams)
-		}
-	} else {
-		s.analysesSkipped.Add(1)
-		s.sp.obs.Emit(obs.KindAnalysisSkipped, s.idx, 0)
-	}
+	s.analyzeCycle(s.p, start, 0)
 	s.p.Reset()
 	s.noteCycleStall(time.Since(start))
 }

@@ -29,7 +29,7 @@ const (
 	StateOptimized
 
 	// StateHibernating: the supervisor deoptimized — a pass-through matcher
-	// is installed (no prefetches, near-zero detection cost) while the
+	// is installed (no prefetches, no detection cost) while the
 	// profile re-accumulates fresh cycles; once one has banked the
 	// supervisor re-optimizes and returns to StateOptimized.
 	StateHibernating
@@ -68,8 +68,11 @@ type SupervisorConfig struct {
 	BadWindows int
 
 	// MinWindowObservations is the number of matcher observations a window
-	// must contain to be judged at all; quieter windows are inconclusive
-	// and leave the bad-window count unchanged. Zero means 256.
+	// must contain to be judged at all. A poll that finds fewer leaves the
+	// bad-window count unchanged and keeps the window open: its
+	// observations carry into the next poll's window, so a supervisor
+	// polled faster than this still judges one window per this many
+	// observations. Zero means 256.
 	MinWindowObservations uint64
 
 	// HeadLen is the prefix length for matchers the supervisor builds.
@@ -378,19 +381,20 @@ func (s *Supervisor) Poll() error {
 }
 
 // judgeWindow evaluates the accuracy of the observations since the last
-// poll and deoptimizes after a run of bad windows.
+// concluded window and deoptimizes after a run of bad windows.
 func (s *Supervisor) judgeWindow() {
 	observed := s.cm.Observations()
+	if observed-s.lastObserved < s.cfg.MinWindowObservations {
+		// Too quiet to judge yet; neither a strike nor an acquittal. The
+		// window stays open, so the next poll judges these observations
+		// together with its own.
+		return
+	}
 	issued, hits := s.cm.AccuracyCounters()
-	dObs := observed - s.lastObserved
 	dIssued := issued - s.lastIssued
 	dHits := hits - s.lastHits
 	s.lastObserved, s.lastIssued, s.lastHits = observed, issued, hits
 
-	if dObs < s.cfg.MinWindowObservations {
-		// Too quiet to judge; neither a strike nor an acquittal.
-		return
-	}
 	var acc float64
 	if dIssued > 0 {
 		acc = float64(dHits) / float64(dIssued)
@@ -481,10 +485,10 @@ func (s *Supervisor) checkDrift() {
 }
 
 // deoptimize tears the optimization down: a pass-through matcher is
-// published (no streams, so detection degenerates to one failed comparison
-// and no prefetch ever fires) and the profile re-enters its evidence-
-// gathering phase. The paper's §5 de-optimization, triggered by measured
-// accuracy decay instead of an external call.
+// published (no streams, so no detection code runs: observations cost 0
+// comparisons and no prefetch ever fires) and the profile re-enters its
+// evidence-gathering phase. The paper's §5 de-optimization, triggered by
+// measured accuracy decay instead of an external call.
 func (s *Supervisor) deoptimize() {
 	if err := s.safeSwap(nil); err != nil {
 		// Building the empty machine cannot fail with a valid HeadLen;
