@@ -27,7 +27,7 @@ func BenchmarkAddBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
 			sp, err := NewShardedProfileConfig(ShardedConfig{
 				Shards:  1,
-				Prepass: PrepassConfig{Mode: PrepassOn},
+				Prepass: PrepassOn,
 			})
 			if err != nil {
 				b.Fatal(err)

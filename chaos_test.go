@@ -436,7 +436,7 @@ func TestConcurrentSwapsSerialized(t *testing.T) {
 				if (g+k)%2 == 0 {
 					set = streams
 				}
-				if err := cm.Swap(set, 2); err != nil {
+				if err := cm.Swap(set); err != nil {
 					t.Errorf("Swap: %v", err)
 					return
 				}

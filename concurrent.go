@@ -50,6 +50,10 @@ type ConcurrentMatcher struct {
 	// each published retrain. AttachMatcher sets it so swaps land in the
 	// same trace as the grammar cycles that triggered them.
 	obs atomic.Pointer[obs.Observer]
+
+	// headLen is the prefix length every instance this matcher publishes is
+	// built with: the one given at construction, which every Swap keeps.
+	headLen int
 }
 
 // predEntry is one published predictor: the implementation, its registry
@@ -164,7 +168,7 @@ func NewConcurrentPredictor(name string, streams []Stream, headLen int) (*Concur
 	if err != nil {
 		return nil, err
 	}
-	c := &ConcurrentMatcher{}
+	c := &ConcurrentMatcher{headLen: headLen}
 	c.cur.Store(&predEntry{name: name, p: p, streams: len(streams)})
 	return c, nil
 }
@@ -188,22 +192,23 @@ func (c *ConcurrentMatcher) Observe(r Ref) (prefetch []uint64, comparisons int) 
 }
 
 // Swap retrains the matcher on a new stream set: it builds a fresh instance
-// of the published predictor implementation — without holding the step
-// lock, so Observe proceeds against the old instance throughout the build —
-// and publishes it positioned at its start state. Swapping in an empty
-// stream set installs the pass-through instance (deoptimization). On error
-// the current predictor is left in place. Concurrent swaps are serialized by
-// a build mutex, so each retrain's build and publication are atomic with
-// respect to other retrains and the swap count is exact.
+// of the published predictor implementation with the head length the
+// matcher was constructed with — without holding the step lock, so Observe
+// proceeds against the old instance throughout the build — and publishes it
+// positioned at its start state. Swapping in an empty stream set installs
+// the pass-through instance (deoptimization). On error the current
+// predictor is left in place. Concurrent swaps are serialized by a build
+// mutex, so each retrain's build and publication are atomic with respect to
+// other retrains and the swap count is exact.
 //
 // Publication retires the ledger's outstanding window (see AccuracyBooks):
 // the new instance is judged only on its own prefetches, while the
 // cumulative counters carry on.
-func (c *ConcurrentMatcher) Swap(streams []Stream, headLen int) error {
+func (c *ConcurrentMatcher) Swap(streams []Stream) error {
 	c.buildMu.Lock()
 	defer c.buildMu.Unlock()
 	name := c.cur.Load().name
-	p, err := NewPredictor(name, streams, headLen)
+	p, err := NewPredictor(name, streams, c.headLen)
 	if err != nil {
 		return err
 	}

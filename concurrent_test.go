@@ -78,7 +78,7 @@ func TestConcurrentMatcherSwapRetiresOutstanding(t *testing.T) {
 			issued, hits, outstanding, dropped)
 	}
 
-	if err := cm.Swap(nil, 2); err != nil {
+	if err := cm.Swap(nil); err != nil {
 		t.Fatal(err)
 	}
 	i2, h2, o2, d2 := cm.AccuracyBooks()

@@ -100,7 +100,6 @@ func supervised(windows [][]hotprefetch.Ref) {
 		// let the background loop pace itself.
 		AccuracyFloor: 0.25,
 		BadWindows:    2,
-		Analysis:      hotprefetch.AnalysisConfig{MinLen: 10, MaxLen: 60, MinUnique: 10, MinCoverage: 0.02},
 	})
 	if err != nil {
 		panic(err)

@@ -154,21 +154,15 @@ func NewProfile() *Profile {
 	}
 }
 
-// internal maps the public front-end knobs onto the sequitur package's
-// configuration (defaults are substituted there).
-func (c PrepassConfig) internal() sequitur.PrepassConfig {
-	return sequitur.PrepassConfig{Window: c.Window, MinRun: c.MinRun, CacheSize: c.CacheSize}
-}
-
 // NewPrepassProfile returns an empty profile whose AddBatch path runs the
 // two-level ingest front end (run collapsing + phrase-rule replay) ahead of
-// grammar compression. cfg.Mode is ignored — constructing the profile is the
-// decision. Snapshot expansion, and therefore every extracted hot stream, is
+// grammar compression, with the front end's default window, run and cache
+// sizes. Snapshot expansion, and therefore every extracted hot stream, is
 // identical to a profile built without the front end; the grammars themselves
-// are not bit-identical.
-func NewPrepassProfile(cfg PrepassConfig) *Profile {
+// are not bit-identical. See DESIGN.md §12.
+func NewPrepassProfile() *Profile {
 	p := NewProfile()
-	p.prepass = sequitur.NewPrepass(p.grammar, cfg.internal())
+	p.prepass = sequitur.NewPrepass(p.grammar, sequitur.PrepassConfig{})
 	return p
 }
 

@@ -81,14 +81,10 @@ const (
 	// from a snapshot (Value is the stream count restored).
 	// KindSnapshotLoadFailed marks a snapshot load rejected by the format
 	// validator — corruption, truncation, or version skew — and the profile
-	// degrading to cold profiling. KindSnapshotStaleRejected marks a
-	// restored profile demoted by the supervisor as stale: bad accuracy
-	// windows or workload drift (Value is the bad-window run or 0 for
-	// drift).
+	// degrading to cold profiling.
 	KindSnapshotWritten
 	KindSnapshotRestored
 	KindSnapshotLoadFailed
-	KindSnapshotStaleRejected
 
 	kindCount // sentinel; keep last
 )
@@ -133,8 +129,6 @@ func (k Kind) String() string {
 		return "snapshot_restored"
 	case KindSnapshotLoadFailed:
 		return "snapshot_load_failed"
-	case KindSnapshotStaleRejected:
-		return "snapshot_stale_rejected"
 	default:
 		return "unknown"
 	}

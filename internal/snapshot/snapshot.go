@@ -98,8 +98,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Baseline is the supervisor accuracy baseline captured at snapshot time:
 // the matcher's cumulative issued/hit prefetch counters. A warm-started
-// supervisor surfaces it as the provisional accuracy until its first live
-// window concludes. Valid distinguishes "no supervisor was attached" from
+// supervisor reports it as its accuracy until its first live window
+// concludes. Valid distinguishes "no supervisor was attached" from
 // an all-zero baseline.
 type Baseline struct {
 	Valid  bool

@@ -14,7 +14,7 @@ import (
 // so importers never need to reach into an internal package.
 
 // Observer is the observability hub a ShardedProfile emits phase events and
-// latency observations into; see ShardedConfig.Observer and
+// latency observations into; every profile builds its own, reached through
 // ShardedProfile.Observer.
 type Observer = obs.Observer
 
@@ -52,10 +52,9 @@ const (
 	EventBurstAwake       = obs.KindBurstAwake
 	EventBurstHibernate   = obs.KindBurstHibernate
 
-	EventSnapshotWritten       = obs.KindSnapshotWritten
-	EventSnapshotRestored      = obs.KindSnapshotRestored
-	EventSnapshotLoadFailed    = obs.KindSnapshotLoadFailed
-	EventSnapshotStaleRejected = obs.KindSnapshotStaleRejected
+	EventSnapshotWritten    = obs.KindSnapshotWritten
+	EventSnapshotRestored   = obs.KindSnapshotRestored
+	EventSnapshotLoadFailed = obs.KindSnapshotLoadFailed
 )
 
 // WriteMetrics writes the profile's metrics in Prometheus text exposition
@@ -88,7 +87,6 @@ func (sp *ShardedProfile) WriteMetrics(w io.Writer) {
 	obs.WriteCounter(w, "hotprefetch_snapshot_writes_total", "Durable snapshots encoded.", st.SnapshotWrites)
 	obs.WriteCounter(w, "hotprefetch_snapshot_restores_total", "Snapshots restored for warm start.", st.SnapshotRestores)
 	obs.WriteCounter(w, "hotprefetch_snapshot_load_failures_total", "Snapshot loads rejected by the format validator.", st.SnapshotLoadFailures)
-	obs.WriteCounter(w, "hotprefetch_snapshot_stale_rejected_total", "Restored snapshots demoted as stale by the supervisor.", st.SnapshotStaleRejected)
 	obs.WriteGauge(w, "hotprefetch_restored_streams", "Warm-start streams currently merged into the banked set.", float64(st.RestoredStreams))
 	obs.WriteCounter(w, "hotprefetch_matcher_observations_total", "References observed by the attached matcher.", st.MatcherObservations)
 	obs.WriteCounter(w, "hotprefetch_matcher_swaps_total", "Matcher retraining swaps published.", st.MatcherSwaps)
@@ -180,8 +178,6 @@ func (svc *Service) WriteMetrics(w io.Writer) {
 			func(st Stats, _ *Tenant) uint64 { return st.Collapsed }},
 		{"hotprefetch_tenant_snapshot_load_failures_total", "Snapshot loads into this tenant rejected by the format validator.",
 			func(st Stats, _ *Tenant) uint64 { return st.SnapshotLoadFailures }},
-		{"hotprefetch_tenant_snapshot_stale_rejected_total", "Restored snapshots demoted as stale by this tenant's supervisor.",
-			func(st Stats, _ *Tenant) uint64 { return st.SnapshotStaleRejected }},
 	}
 	stats := make([]Stats, len(tenants))
 	for i, t := range tenants {

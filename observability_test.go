@@ -62,8 +62,6 @@ func TestTracerPhaseCycleSequence(t *testing.T) {
 		AccuracyFloor:         0.5,
 		BadWindows:            1,
 		MinWindowObservations: 1,
-		HeadLen:               2,
-		Analysis:              analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +231,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	sup, err := Supervise(sp, cm, SupervisorConfig{
 		BadWindows:            1,
 		MinWindowObservations: 1,
-		Analysis:              analysis,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ type RestoreInfo struct {
 	// BaselineValid reports whether the snapshot carried supervisor
 	// accuracy counters; BaselineAccuracy is their hits/issued ratio — the
 	// accuracy the previous run achieved, which a warm-started supervisor
-	// uses as its provisional starting point.
+	// reports until its first conclusive live window.
 	BaselineValid    bool
 	BaselineAccuracy float64
 }
@@ -66,7 +66,7 @@ func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
 // warm-start evidence: BankedStreams serves it merged with whatever the
 // shards bank afterwards (so a checkpoint sees both), a Supervisor attached
 // next optimizes from it, and an attached matcher is pre-compiled over it
-// immediately.
+// immediately, with the head length it was built with.
 //
 // Every load failure — bad magic, version skew, checksum mismatch,
 // truncation, implausible counts — returns the loader's typed error
@@ -75,11 +75,11 @@ func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
 // it was: cold, profiling from zero. A corrupt snapshot can cost a warm
 // start, never correctness.
 //
-// The restored set is provisional: a Supervisor attached after the restore
-// optimizes from it immediately but demotes to cold profiling if the live
-// workload disagrees (see SupervisorConfig.ProvisionalWindows and
-// DriftOverlapFloor), clearing the base set. Its first live retrain
-// replaces the base with the retrain's own training set.
+// A Supervisor attached after the restore treats the restored set as an
+// ordinary optimization: BadWindows bad accuracy windows deoptimize it, and
+// its first live retrain trains only on the cycles banked since the restore
+// and replaces the base with that training set, so a stale snapshot is
+// never relearned.
 func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 	p, err := snapshot.Read(r)
 	if err != nil {
@@ -101,9 +101,8 @@ func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 	sp.obs.Emit(obs.KindSnapshotRestored, -1, uint64(len(streams)))
 	if m := sp.matcher.Load(); m != nil && len(streams) > 0 {
 		// Pre-compile the DFSM so prefetching starts before any supervisor
-		// tick. defaultHeadLen matches SupervisorConfig's zero-value HeadLen;
-		// a supervisor with a different HeadLen re-swaps at attach.
-		if err := m.Swap(streams, defaultHeadLen); err != nil {
+		// tick.
+		if err := m.Swap(streams); err != nil {
 			return RestoreInfo{}, err
 		}
 	}
@@ -117,11 +116,6 @@ func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 	}, nil
 }
 
-// defaultHeadLen is the paper's best detection prefix length (§4.3) — the
-// SupervisorConfig zero-value and the head length RestoreSnapshot
-// pre-compiles with.
-const defaultHeadLen = 2
-
 // restored returns the base set and the accuracy baseline RestoreSnapshot
 // loaded, or nil when the profile is cold: a base that a supervised retrain
 // installed is no warm start. The base is replaced, never modified in place,
@@ -133,43 +127,4 @@ func (sp *ShardedProfile) restored() ([]Stream, snapshot.Baseline) {
 		return nil, snapshot.Baseline{}
 	}
 	return sp.base, sp.restoredBaseline
-}
-
-// clearRestored drops the restored base set (supervisor demotion), and
-// counts the rejection. value is the bad-window run that triggered it (0
-// for drift detection).
-func (sp *ShardedProfile) clearRestored(value uint64) {
-	sp.baseMu.Lock()
-	sp.base, sp.baseRestored = nil, false
-	sp.baseMu.Unlock()
-	sp.snapStaleRejected.Add(1)
-	sp.obs.Emit(obs.KindSnapshotStaleRejected, -1, value)
-}
-
-// streamOverlap is the drift heuristic: |a ∩ b| / min(|a|, |b|) over exact
-// stream identity (same references in the same order). 1 means the smaller
-// set is contained in the larger; 0 means disjoint — the restored profile
-// describes a workload the live trace no longer runs.
-func streamOverlap(a, b []Stream) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	set := make(map[string]struct{}, len(a))
-	var key []byte
-	for _, st := range a {
-		key = streamKey(key[:0], st)
-		set[string(key)] = struct{}{}
-	}
-	inter := 0
-	for _, st := range b {
-		key = streamKey(key[:0], st)
-		if _, ok := set[string(key)]; ok {
-			inter++
-		}
-	}
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	return float64(inter) / float64(m)
 }

@@ -152,8 +152,8 @@ func warmStart(t *testing.T, src *ShardedProfile, cfg SupervisorConfig) (*Sharde
 }
 
 // TestSupervisorWarmStart: a supervisor over a restored profile reaches
-// Optimized immediately — no profiling period — provisionally, and one good
-// live accuracy window promotes it to fully trusted.
+// Optimized immediately — no profiling period — with a matcher trained on
+// the restored streams, and a healthy live window keeps it there.
 func TestSupervisorWarmStart(t *testing.T) {
 	src := cycledProfile(t, 1)
 	defer src.Close()
@@ -170,10 +170,6 @@ func TestSupervisorWarmStart(t *testing.T) {
 	if cm.NumStates() <= 1 {
 		t.Fatalf("warm-start matcher has %d states, want > 1", cm.NumStates())
 	}
-	ss := sup.Snapshot()
-	if !ss.Provisional {
-		t.Fatal("warm-start optimization not marked provisional")
-	}
 	// The restored baseline seeds the reported accuracy until a live window
 	// concludes (src never enabled tracking, so it may be zero; just check
 	// the supervised run judges real traffic next).
@@ -187,26 +183,19 @@ func TestSupervisorWarmStart(t *testing.T) {
 	if acc := sup.Accuracy(); acc < 0.5 {
 		t.Fatalf("warm window accuracy = %g, want >= 0.5", acc)
 	}
-	if ss = sup.Snapshot(); ss.Provisional {
-		t.Fatal("good window did not promote the provisional optimization")
-	}
-	if st := sp.Stats(); st.SnapshotStaleRejected != 0 {
-		t.Fatalf("healthy warm start counted %d stale rejections", st.SnapshotStaleRejected)
-	}
 }
 
-// TestSupervisorWarmStartStaleDemotion: a warm start whose accuracy windows
-// come in bad is demoted to cold profiling within ProvisionalWindows — the
-// restored set is dropped, the stale-rejection counter and event fire, and
-// the profile re-optimizes later from live evidence only.
-func TestSupervisorWarmStartStaleDemotion(t *testing.T) {
+// TestSupervisorWarmStartStaleDeoptimizes: a warm start whose accuracy
+// windows come in bad is deoptimized like any other optimization — after
+// BadWindows bad windows the supervisor hibernates behind a pass-through
+// matcher until live evidence banks.
+func TestSupervisorWarmStartStaleDeoptimizes(t *testing.T) {
 	src := cycledProfile(t, 1)
 	defer src.Close()
 	sp, cm, sup := warmStart(t, src, SupervisorConfig{
 		AccuracyFloor:         0.5,
+		BadWindows:            2,
 		MinWindowObservations: 64,
-		ProvisionalWindows:    2,
-		DriftOverlapFloor:     -1, // isolate the accuracy path
 		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
 	})
 	defer sp.Close()
@@ -219,18 +208,14 @@ func TestSupervisorWarmStartStaleDemotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sup.State(); got != StateProfiling {
-		t.Fatalf("state after %d forced-stale windows = %v, want %v", 2, got, StateProfiling)
+	if got := sup.State(); got != StateHibernating {
+		t.Fatalf("state after %d forced-stale windows = %v, want %v", 2, got, StateHibernating)
 	}
-	st := sp.Stats()
-	if st.SnapshotStaleRejected != 1 || st.RestoredStreams != 0 {
-		t.Fatalf("demotion stats: stale rejected %d, restored %d", st.SnapshotStaleRejected, st.RestoredStreams)
+	if got := sup.Snapshot().Deoptimizations; got != 1 {
+		t.Fatalf("Deoptimizations = %d, want 1", got)
 	}
-	if n := sp.Observer().Count(obs.KindSnapshotStaleRejected); n != 1 {
-		t.Fatalf("KindSnapshotStaleRejected count = %d, want 1", n)
-	}
-	if cm.NumStates() > 1 {
-		t.Fatalf("demoted matcher still has %d states", cm.NumStates())
+	if cm.NumStates() != 1 {
+		t.Fatalf("deoptimized matcher has %d states, want 1 (pass-through)", cm.NumStates())
 	}
 }
 
@@ -238,7 +223,7 @@ func TestSupervisorWarmStartStaleDemotion(t *testing.T) {
 // MinWindowObservations still judges windows. A forced-stale warm start is
 // polled every 100 observations against a 256-observation floor: the quiet
 // polls carry their observations forward, so a window concludes at every
-// third poll and the second bad one demotes the warm start at poll 6. A
+// third poll and the second bad one deoptimizes the warm start at poll 6. A
 // supervisor that dropped each quiet poll's observations would never judge
 // a window and would stay optimized.
 func TestSupervisorQuietPollsCarryWindow(t *testing.T) {
@@ -246,9 +231,8 @@ func TestSupervisorQuietPollsCarryWindow(t *testing.T) {
 	defer src.Close()
 	sp, cm, sup := warmStart(t, src, SupervisorConfig{
 		AccuracyFloor:         0.5,
+		BadWindows:            2,
 		MinWindowObservations: 256,
-		ProvisionalWindows:    2,
-		DriftOverlapFloor:     -1, // isolate the accuracy path
 		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
 	})
 	defer sp.Close()
@@ -263,28 +247,28 @@ func TestSupervisorQuietPollsCarryWindow(t *testing.T) {
 		}
 		want := StateOptimized
 		if poll == 6 {
-			want = StateProfiling
+			want = StateHibernating
 		}
 		if got := sup.State(); got != want {
 			t.Fatalf("state after poll %d (%d observations) = %v, want %v", poll, 100*poll, got, want)
 		}
 	}
-	if st := sp.Stats(); st.SnapshotStaleRejected != 1 {
-		t.Fatalf("stale rejected = %d, want 1", st.SnapshotStaleRejected)
+	if got := sup.Snapshot().Deoptimizations; got != 1 {
+		t.Fatalf("Deoptimizations = %d, want 1", got)
 	}
 }
 
-// TestSupervisorWarmStartDriftDemotion: a restored profile from workload
-// phase 1 against live phase-2 traffic is demoted by the overlap heuristic
-// as soon as the first live cycle banks — before any accuracy window can
-// accumulate (MinWindowObservations is set unreachably high).
-func TestSupervisorWarmStartDriftDemotion(t *testing.T) {
+// TestSupervisorWarmStartDriftForgotten: a restored phase-1 profile against
+// live phase-2 traffic is an optimization that stopped paying, so the
+// default three bad windows deoptimize it. The retrain after one phase-2
+// cycle reads only what banked since the restore: the new matcher never
+// prefetches on phase 1 and the snapshot leaves nothing in the profile.
+func TestSupervisorWarmStartDriftForgotten(t *testing.T) {
 	src := cycledProfile(t, 1)
 	defer src.Close()
-	sp, _, sup := warmStart(t, src, SupervisorConfig{
+	sp, cm, sup := warmStart(t, src, SupervisorConfig{
 		AccuracyFloor:         0.5,
-		MinWindowObservations: 1 << 40,
-		DriftOverlapFloor:     0.25,
+		MinWindowObservations: 64,
 	})
 	defer sp.Close()
 	defer sup.Close()
@@ -292,57 +276,64 @@ func TestSupervisorWarmStartDriftDemotion(t *testing.T) {
 	if got := sup.State(); got != StateOptimized {
 		t.Fatalf("warm-start state = %v, want %v", got, StateOptimized)
 	}
-	// Drive a drifted workload until a live cycle banks, then poll.
-	feedUntilCycle(t, sp, phaseTrace(2, 40), sp.Stats().Resets)
-	if err := sup.Poll(); err != nil {
-		t.Fatal(err)
+	phase1, phase2 := phaseTrace(1, 40), phaseTrace(2, 40)
+	for poll := 1; poll <= 3; poll++ {
+		observeAll(cm, phase2)
+		if err := sup.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		want := StateOptimized
+		if poll == 3 {
+			want = StateHibernating
+		}
+		if got := sup.State(); got != want {
+			t.Fatalf("state after drifted window %d = %v, want %v", poll, got, want)
+		}
 	}
-	if got := sup.State(); got != StateProfiling {
-		t.Fatalf("state after drifted cycle = %v, want %v", got, StateProfiling)
+	if got := sup.Snapshot().Deoptimizations; got != 1 {
+		t.Fatalf("Deoptimizations = %d, want 1", got)
 	}
-	st := sp.Stats()
-	if st.SnapshotStaleRejected != 1 || st.RestoredStreams != 0 {
-		t.Fatalf("drift stats: stale rejected %d, restored %d", st.SnapshotStaleRejected, st.RestoredStreams)
-	}
-}
 
-// TestSupervisorWarmStartDriftOverlapHolds: same-workload live cycles
-// overlap the restored set, so the drift check passes and the warm start
-// survives it.
-func TestSupervisorWarmStartDriftOverlapHolds(t *testing.T) {
-	src := cycledProfile(t, 1)
-	defer src.Close()
-	sp, _, sup := warmStart(t, src, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		MinWindowObservations: 1 << 40,
-		DriftOverlapFloor:     0.25,
-	})
-	defer sp.Close()
-	defer sup.Close()
-
-	feedUntilCycle(t, sp, phaseTrace(1, 40), sp.Stats().Resets)
+	feedUntilCycle(t, sp, phase2, sp.Stats().Resets)
 	if err := sup.Poll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := sup.State(); got != StateOptimized {
-		t.Fatalf("state after same-workload cycle = %v, want %v", got, StateOptimized)
+		t.Fatalf("state after a phase-2 cycle = %v, want %v", got, StateOptimized)
 	}
-	if st := sp.Stats(); st.SnapshotStaleRejected != 0 {
-		t.Fatalf("same-workload warm start counted %d stale rejections", st.SnapshotStaleRejected)
+	if n := prefetchesOn(cm, phase1); n != 0 {
+		t.Fatalf("retrained matcher issued %d prefetches on phase 1, want 0 (it relearned the snapshot)", n)
+	}
+	if in := phasesIn(sp.BankedStreams(0)); !in[2] || in[1] {
+		t.Fatalf("BankedStreams after the retrain covers phases %v, want phase 2 alone", in)
+	}
+	if st := sp.Stats(); st.RestoredStreams != 0 {
+		t.Fatalf("RestoredStreams = %d after the retrain, want 0", st.RestoredStreams)
 	}
 }
 
-func TestStreamOverlap(t *testing.T) {
-	a := []Stream{{Refs: []Ref{{PC: 1, Addr: 2}}, Heat: 10}, {Refs: []Ref{{PC: 3, Addr: 4}}, Heat: 5}}
-	b := []Stream{{Refs: []Ref{{PC: 1, Addr: 2}}, Heat: 99}}
-	if got := streamOverlap(a, b); got != 1 {
-		t.Fatalf("contained overlap = %g, want 1", got)
+// TestRestoreSnapshotKeepsHeadLen: RestoreSnapshot pre-compiles an attached
+// matcher with the head length the matcher was built with.
+func TestRestoreSnapshotKeepsHeadLen(t *testing.T) {
+	src := cycledProfile(t, 1)
+	defer src.Close()
+	var buf bytes.Buffer
+	if err := src.WriteSnapshot(&buf, 1); err != nil {
+		t.Fatal(err)
 	}
-	c := []Stream{{Refs: []Ref{{PC: 9, Addr: 9}}, Heat: 1}}
-	if got := streamOverlap(a, c); got != 0 {
-		t.Fatalf("disjoint overlap = %g, want 0", got)
+	sp := NewShardedProfile(1)
+	defer sp.Close()
+	cm, err := NewConcurrentMatcher(nil, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := streamOverlap(nil, a); got != 0 {
-		t.Fatalf("empty overlap = %g, want 0", got)
+	sp.AttachMatcher(cm)
+	if _, err := sp.RestoreSnapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
+	want, err := NewConcurrentMatcher(sp.BankedStreams(0), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameObservations(t, cm, want, phaseTrace(1, 40))
 }

@@ -9,7 +9,6 @@ import (
 
 	"hotprefetch/internal/burst"
 	"hotprefetch/internal/fault"
-	"hotprefetch/internal/obs"
 )
 
 // IngestPolicy selects how a ProfileShard behaves when its ring buffer is
@@ -196,46 +195,6 @@ func (m PrepassMode) String() string {
 	}
 }
 
-// PrepassConfig configures the two-level ingest front end that shards run
-// ahead of Sequitur: a run-length collapser for immediate repeats plus a
-// direct-mapped recent-phrase cache that replays already-minted rules.
-// Grammars produced with the front end enabled are NOT bit-identical to the
-// lossless path — the contract is equivalence after expansion: Snapshot
-// expansion (and therefore every banked hot stream) reproduces the input
-// exactly. See DESIGN.md §12.
-type PrepassConfig struct {
-	// Mode selects off, on, or context-resolved auto. See PrepassMode.
-	Mode PrepassMode
-
-	// Window is the phrase-cache window length in references (0 means 8,
-	// clamped to at least 2). It must stay below the analysis MinLen so a
-	// lone phrase rule is never itself reported as a stream.
-	Window int
-
-	// MinRun is the shortest immediate-repeat run the collapser takes over
-	// (0 means 4, clamped to at least 2).
-	MinRun int
-
-	// CacheSize is the phrase-cache slot count, rounded up to a power of
-	// two (0 means 1024).
-	CacheSize int
-}
-
-// Validate reports whether the prepass configuration is well-formed. Zero
-// fields are valid — they mean "use the default".
-func (c PrepassConfig) Validate() error {
-	switch c.Mode {
-	case PrepassAuto, PrepassOn, PrepassOff:
-	default:
-		return fmt.Errorf("hotprefetch: unknown prepass mode %d", int(c.Mode))
-	}
-	if c.Window < 0 || c.MinRun < 0 || c.CacheSize < 0 {
-		return fmt.Errorf("hotprefetch: negative prepass parameter (window %d, minRun %d, cacheSize %d)",
-			c.Window, c.MinRun, c.CacheSize)
-	}
-	return nil
-}
-
 // ErrClosed is returned by ProfileShard.Add and AddAll after the profile has
 // been closed. Previously a blocked Add would spin forever against stopped
 // consumers; now it fails fast.
@@ -354,11 +313,11 @@ type ShardedConfig struct {
 	// gets its own deterministic controller, advanced by its producer.
 	Burst BurstConfig
 
-	// Prepass configures the two-level ingest front end shard consumers run
-	// ahead of Sequitur; see PrepassConfig. The zero value (Mode
-	// PrepassAuto) resolves to Off for a plain ShardedProfile and to On
-	// inside the networked Service.
-	Prepass PrepassConfig
+	// Prepass selects whether shard consumers run the two-level ingest front
+	// end ahead of Sequitur; see PrepassMode and NewPrepassProfile. The zero
+	// value (PrepassAuto) resolves to Off for a plain ShardedProfile and to
+	// On inside the networked Service.
+	Prepass PrepassMode
 
 	// RefQuota, when positive, caps the total references this profile will
 	// admit across all shards over its lifetime — the per-tenant budget the
@@ -368,14 +327,6 @@ type ShardedConfig struct {
 	// counted in Stats.QuotaShed; like Drop shedding it is never an error.
 	// Zero means unlimited.
 	RefQuota uint64
-
-	// Observer, when non-nil, is the observability hub the profile emits
-	// phase events and latency observations into — supply one to subscribe
-	// Tracers before ingestion starts or to share a hub across components.
-	// Nil means the profile creates its own (observability is always on;
-	// emission is allocation-free and phase-granular, so there is nothing
-	// to turn off). Reach it via ShardedProfile.Observer.
-	Observer *obs.Observer
 }
 
 // withDefaults returns the configuration with zero fields replaced by their
@@ -448,8 +399,10 @@ func (c ShardedConfig) Validate() error {
 	if err := c.Burst.Validate(); err != nil {
 		return fmt.Errorf("Burst: %w", err)
 	}
-	if err := c.Prepass.Validate(); err != nil {
-		return fmt.Errorf("Prepass: %w", err)
+	switch c.Prepass {
+	case PrepassAuto, PrepassOn, PrepassOff:
+	default:
+		return fmt.Errorf("hotprefetch: unknown Prepass mode %d", int(c.Prepass))
 	}
 	if err := c.CycleAnalysis.Validate(); err != nil {
 		return fmt.Errorf("CycleAnalysis: %w", err)

@@ -60,7 +60,7 @@ func TestPredictorHotSwapRacesObserve(t *testing.T) {
 			const swaps = 50
 			var lastIssued, lastHits uint64
 			for i := 1; i <= swaps; i++ {
-				if err := cm.Swap(sets[i%2], 2); err != nil {
+				if err := cm.Swap(sets[i%2]); err != nil {
 					t.Error(err)
 					break
 				}

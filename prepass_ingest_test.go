@@ -45,7 +45,7 @@ func TestPrepassBankedStreamsEquivalence(t *testing.T) {
 			Shards:            1,
 			MaxGrammarSymbols: 4096,
 			CycleAnalysis:     cycleCfg,
-			Prepass:           PrepassConfig{Mode: mode},
+			Prepass:           mode,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestPrepassPeakUnderBudget(t *testing.T) {
 		Shards:            1,
 		MaxGrammarSymbols: budget,
 		CycleAnalysis:     AnalysisConfig{MinLen: 10, MaxLen: 100, MinUnique: 10, MinCoverage: 0.01, MaxStreams: 100},
-		Prepass:           PrepassConfig{Mode: PrepassOn},
+		Prepass:           PrepassOn,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestPrepassReconciliation(t *testing.T) {
 				Shards:  producers,
 				RingCap: 256,
 				Policy:  pol,
-				Prepass: PrepassConfig{Mode: PrepassOn},
+				Prepass: PrepassOn,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +247,7 @@ func TestPrepassBurstComposition(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:  1,
 		Burst:   BurstConfig{Enabled: true, NCheck: 190, NInstr: 10, NAwake: 5, NHibernate: 5},
-		Prepass: PrepassConfig{Mode: PrepassOn},
+		Prepass: PrepassOn,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestPrepassAutoResolution(t *testing.T) {
 	run := func(mode PrepassMode) Stats {
 		sp, err := NewShardedProfileConfig(ShardedConfig{
 			Shards:  1,
-			Prepass: PrepassConfig{Mode: mode},
+			Prepass: mode,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -311,28 +311,12 @@ func TestPrepassAutoResolution(t *testing.T) {
 }
 
 func TestPrepassConfigValidate(t *testing.T) {
-	good := []PrepassConfig{
-		{},
-		{Mode: PrepassOn},
-		{Mode: PrepassOff, Window: 8, MinRun: 4, CacheSize: 512},
-	}
-	for _, c := range good {
-		if err := c.Validate(); err != nil {
-			t.Errorf("Validate(%+v): %v", c, err)
+	for _, m := range []PrepassMode{PrepassAuto, PrepassOn, PrepassOff} {
+		if err := (ShardedConfig{Shards: 1, Prepass: m}).Validate(); err != nil {
+			t.Errorf("Validate(Prepass %v): %v", m, err)
 		}
 	}
-	bad := []PrepassConfig{
-		{Mode: PrepassMode(7)},
-		{Window: -1},
-		{MinRun: -2},
-		{CacheSize: -3},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) accepted invalid config", c)
-		}
-	}
-	if err := (ShardedConfig{Shards: 1, Prepass: PrepassConfig{Window: -1}}).Validate(); err == nil ||
+	if err := (ShardedConfig{Shards: 1, Prepass: PrepassMode(7)}).Validate(); err == nil ||
 		!strings.Contains(err.Error(), "Prepass") {
 		t.Errorf("ShardedConfig.Validate did not surface prepass error: %v", err)
 	}

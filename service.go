@@ -108,9 +108,9 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	// equivalence-after-expansion (BankedStreams from grammar cycles), which
 	// the two-level ingest front end preserves, and the networked path is
 	// exactly where the per-reference compression cost compounds. Tenants
-	// that need bit-identical grammars set Mode to PrepassOff explicitly.
-	if c.Tenant.Prepass.Mode == PrepassAuto {
-		c.Tenant.Prepass.Mode = PrepassOn
+	// that need bit-identical grammars set Prepass to PrepassOff explicitly.
+	if c.Tenant.Prepass == PrepassAuto {
+		c.Tenant.Prepass = PrepassOn
 	}
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = defaultMaxTenants

@@ -1,12 +1,13 @@
 package hotprefetch
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -73,12 +74,11 @@ type ShardedProfile struct {
 
 	// The base set (see persist.go) is the evidence BankedStreams serves
 	// beneath the shard banks. RestoreSnapshot fills it with a warm-start
-	// set (baseRestored) until a supervisor demotes it as stale; a
-	// supervised retrain replaces it with its training set and empties the
-	// banks it read (rebase). restoredGen and restoredBaseline carry the
-	// last restored snapshot's generation and accuracy counters for
-	// checkpointing and provisional trust. Lock order: baseMu before any
-	// shard's mu.
+	// set (baseRestored); a supervised retrain replaces it with its training
+	// set and empties the banks it read (rebase). restoredGen and
+	// restoredBaseline carry the last restored snapshot's generation and
+	// accuracy counters for checkpointing and the warm start's reported
+	// accuracy. Lock order: baseMu before any shard's mu.
 	baseMu           sync.Mutex
 	base             []Stream
 	baseRestored     bool
@@ -90,10 +90,9 @@ type ShardedProfile struct {
 	banked atomic.Uint64
 
 	// Snapshot lifecycle counters, mirrored into Stats and WriteMetrics.
-	snapWrites        atomic.Uint64
-	snapRestores      atomic.Uint64
-	snapLoadFailures  atomic.Uint64
-	snapStaleRejected atomic.Uint64
+	snapWrites       atomic.Uint64
+	snapRestores     atomic.Uint64
+	snapLoadFailures atomic.Uint64
 
 	// obs is the observability hub (never nil): phase events, latency
 	// histograms, and the Prometheus exporter's source. See Observer.
@@ -392,11 +391,7 @@ func NewShardedProfileConfig(cfg ShardedConfig) (*ShardedProfile, error) {
 // use it to exercise producer-side policies deterministically.
 func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 	cfg = cfg.withDefaults()
-	sp := &ShardedProfile{shards: make([]*ProfileShard, cfg.Shards), cfg: cfg}
-	sp.obs = cfg.Observer
-	if sp.obs == nil {
-		sp.obs = obs.New()
-	}
+	sp := &ShardedProfile{shards: make([]*ProfileShard, cfg.Shards), cfg: cfg, obs: obs.New()}
 	if cfg.AnalysisWorkers > 0 {
 		// Queue capacity of two jobs per shard: a shard can have at most one
 		// analysis in flight per spare it can draw, and the spare channel
@@ -414,7 +409,7 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			sampleN:    cfg.SampleInterval,
 			maxSymbols: cfg.MaxGrammarSymbols,
 			cycleCfg:   cfg.CycleAnalysis,
-			prepassOn:  cfg.Prepass.Mode == PrepassOn,
+			prepassOn:  cfg.Prepass == PrepassOn,
 			stop:       make(chan struct{}),
 			done:       make(chan struct{}),
 		}
@@ -455,8 +450,8 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 // contract that NumShards == 1 compresses bit-identically to a single
 // Profile; the networked Service resolves Auto to On before construction.
 func (sp *ShardedProfile) newProfile() *Profile {
-	if sp.cfg.Prepass.Mode == PrepassOn {
-		return NewPrepassProfile(sp.cfg.Prepass)
+	if sp.cfg.Prepass == PrepassOn {
+		return NewPrepassProfile()
 	}
 	return NewProfile()
 }
@@ -1345,17 +1340,6 @@ func (sp *ShardedProfile) BankedStreams(maxStreams int) []Stream {
 	return mergeStreams(perShard, maxStreams)
 }
 
-// bankedSinceBase merges the shard banks alone: the streams banked since
-// the base set was installed. The supervisor's drift check compares it
-// against a restored base.
-func (sp *ShardedProfile) bankedSinceBase(maxStreams int) []Stream {
-	perShard := make([][]Stream, len(sp.shards))
-	for i, s := range sp.shards {
-		perShard[i] = s.retainedStreams()
-	}
-	return mergeStreams(perShard, maxStreams)
-}
-
 // rebase runs one retrain on the streams banked since the base set was
 // installed. publish receives their merge, capped at maxStreams; when it
 // returns nil, the merge becomes the base set and each shard bank keeps
@@ -1411,81 +1395,29 @@ func streamKey(buf []byte, st Stream) []byte {
 // mergeStreams deduplicates identical streams across shards (summing heat)
 // and returns them hottest first, preserving shard-extraction order among
 // equal heats, capped at maxStreams (0 = no cap).
-//
-// hotds.Analyze already emits each shard's streams hottest-first, so when no
-// stream recurs across shards — the common case, since shards see disjoint
-// logical traces — no heat ever changes after emission and the inputs are k
-// sorted lists: a selection merge reproduces exactly the order a stable sort
-// of the concatenation would, without the O(n log n) sort, and stops as soon
-// as maxStreams streams are out. A duplicate (heats sum, possibly re-ranking
-// an earlier entry) or an unsorted input falls back to dedup + stable sort.
 func mergeStreams(perShard [][]Stream, maxStreams int) []Stream {
-	type slot struct {
-		idx  int
-		heat uint64
-	}
 	var (
 		out  []Stream
 		key  []byte
-		seen = map[string]*slot{}
+		seen = map[string]int{} // stream key -> index in out
 	)
-	sorted, dup := true, false
 	for _, streams := range perShard {
-		for i, st := range streams {
-			if i > 0 && st.Heat > streams[i-1].Heat {
-				sorted = false
-			}
+		for _, st := range streams {
 			key = streamKey(key[:0], st)
-			if sl, ok := seen[string(key)]; ok {
-				dup = true
-				sl.heat += st.Heat
-				out[sl.idx].Heat = sl.heat
+			if i, ok := seen[string(key)]; ok {
+				out[i].Heat += st.Heat
 				continue
 			}
-			seen[string(key)] = &slot{idx: len(out), heat: st.Heat}
+			seen[string(key)] = len(out)
 			out = append(out, st)
 		}
 	}
-	if sorted && !dup {
-		return kwayMergeSorted(perShard, maxStreams)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Heat > out[j].Heat })
+	slices.SortStableFunc(out, func(a, b Stream) int { return cmp.Compare(b.Heat, a.Heat) })
 	if maxStreams > 0 && len(out) > maxStreams {
+		// Clear the cut tail so the backing array the caller keeps does not
+		// pin the dropped streams' references.
+		clear(out[maxStreams:])
 		out = out[:maxStreams]
-	}
-	return out
-}
-
-// kwayMergeSorted merges hottest-first, duplicate-free lists by selection:
-// repeatedly take the hottest head, breaking ties toward the lowest list
-// index. Within a list heats are non-increasing, so among equal heats every
-// entry of list i is emitted before any entry of list j > i — the same order
-// a stable sort of the concatenation yields.
-func kwayMergeSorted(lists [][]Stream, maxStreams int) []Stream {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if maxStreams > 0 && total > maxStreams {
-		total = maxStreams
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Stream, 0, total)
-	pos := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if pos[i] >= len(l) {
-				continue
-			}
-			if best < 0 || l[pos[i]].Heat > lists[best][pos[best]].Heat {
-				best = i
-			}
-		}
-		out = append(out, lists[best][pos[best]])
-		pos[best]++
 	}
 	return out
 }

@@ -245,7 +245,7 @@ func TestMatcherHotSwapRacesObserve(t *testing.T) {
 	}
 	const swaps = 50
 	for i := 1; i <= swaps; i++ {
-		if err := cm.Swap(sets[i%2], 2); err != nil {
+		if err := cm.Swap(sets[i%2]); err != nil {
 			t.Error(err)
 			break
 		}
@@ -260,9 +260,10 @@ func TestMatcherHotSwapRacesObserve(t *testing.T) {
 	}
 }
 
-// TestMergeStreamsKWayFastPath drives mergeStreams through the sorted,
-// duplicate-free fast path and checks it reproduces exactly the stable-sort
-// order, including equal-heat tie-breaking by list then position.
+// TestMergeStreamsKWayFastPath drives mergeStreams over sorted,
+// duplicate-free lists — the common case, where no heat changes after
+// extraction — and checks the exact stable-sort order, including equal-heat
+// tie-breaking by list then position.
 func TestMergeStreamsKWayFastPath(t *testing.T) {
 	st := func(pc int, heat uint64) Stream {
 		return Stream{Refs: []Ref{{PC: pc, Addr: 1}}, Heat: heat}
@@ -286,5 +287,27 @@ func TestMergeStreamsKWayFastPath(t *testing.T) {
 	capped := mergeStreams(perShard, 3)
 	if len(capped) != 3 || capped[0].Refs[0].PC != 10 || capped[1].Refs[0].PC != 30 || capped[2].Refs[0].PC != 20 {
 		t.Errorf("cap 3 kept %v, want PCs 10, 30, 20", capped)
+	}
+}
+
+// TestMergeStreamsCapReleasesCutStreams: a capped merge keeps no cut stream
+// reachable through its backing array, so a bank holding the result does not
+// pin the dropped streams' references.
+func TestMergeStreamsCapReleasesCutStreams(t *testing.T) {
+	st := func(pc int, heat uint64) Stream {
+		return Stream{Refs: []Ref{{PC: pc, Addr: 1}}, Heat: heat}
+	}
+	perShard := [][]Stream{
+		{st(10, 90), st(11, 50), st(12, 40)},
+		{st(11, 50), st(20, 30)}, // st(11) duplicates shard 0's
+	}
+	got := mergeStreams(perShard, 2)
+	if len(got) != 2 || got[0].Refs[0].PC != 11 || got[1].Refs[0].PC != 10 {
+		t.Fatalf("cap 2 kept %v, want PCs 11 (heat 100) and 10", got)
+	}
+	for i, cut := range got[len(got):cap(got)] {
+		if cut.Refs != nil || cut.Heat != 0 {
+			t.Fatalf("backing array slot %d past len still holds %v", len(got)+i, cut)
+		}
 	}
 }

@@ -17,9 +17,10 @@ import (
 // any byte, any single bit flipped, version- or flags-skewed — must produce
 // a typed format error, count exactly one load failure, leave the profile
 // cold but fully usable, and leak no goroutines. Run under -race in CI's
-// chaos job. The stale and drifted warm-start demotions (the remaining rows
-// of the matrix) are TestSupervisorWarmStartStaleDemotion and
-// TestSupervisorWarmStartDriftDemotion in persist_test.go.
+// chaos job. The stale and drifted warm starts (the remaining rows of the
+// matrix) are TestSupervisorWarmStartStaleDeoptimizes and
+// TestSupervisorWarmStartDriftForgotten in persist_test.go: both deoptimize
+// through the ordinary bad-window path.
 
 // settleGoroutines polls until the goroutine count returns to base (small
 // slack for runtime background threads), failing if it never does — the

@@ -182,19 +182,17 @@ type Stats struct {
 
 	// Snapshot lifecycle counters (see WriteSnapshot / RestoreSnapshot):
 	// RestoredStreams is the size of the warm-start stream set currently
-	// merged into BankedStreams as the base set (0 when cold, demoted, or
-	// replaced by a supervised retrain's training set);
+	// merged into BankedStreams as the base set (0 when cold or once a
+	// supervised retrain has replaced it with its training set);
 	// SnapshotGeneration is the generation of the last restored snapshot.
 	// SnapshotWrites counts successful encodes, SnapshotRestores successful
-	// loads, SnapshotLoadFailures loads rejected by the format validator,
-	// and SnapshotStaleRejected restored profiles the supervisor demoted as
-	// stale (bad accuracy windows or workload drift).
-	RestoredStreams       int    `json:"restored_streams"`
-	SnapshotGeneration    uint64 `json:"snapshot_generation"`
-	SnapshotWrites        uint64 `json:"snapshot_writes"`
-	SnapshotRestores      uint64 `json:"snapshot_restores"`
-	SnapshotLoadFailures  uint64 `json:"snapshot_load_failures"`
-	SnapshotStaleRejected uint64 `json:"snapshot_stale_rejected"`
+	// loads, and SnapshotLoadFailures loads rejected by the format
+	// validator.
+	RestoredStreams      int    `json:"restored_streams"`
+	SnapshotGeneration   uint64 `json:"snapshot_generation"`
+	SnapshotWrites       uint64 `json:"snapshot_writes"`
+	SnapshotRestores     uint64 `json:"snapshot_restores"`
+	SnapshotLoadFailures uint64 `json:"snapshot_load_failures"`
 
 	// Supervisor is the supervision snapshot when a Supervisor is attached
 	// (see Supervise): phase-cycle state, last accuracy window, and the
@@ -295,7 +293,6 @@ func (sp *ShardedProfile) Stats() Stats {
 	st.SnapshotWrites = sp.snapWrites.Load()
 	st.SnapshotRestores = sp.snapRestores.Load()
 	st.SnapshotLoadFailures = sp.snapLoadFailures.Load()
-	st.SnapshotStaleRejected = sp.snapStaleRejected.Load()
 	if m := sp.matcher.Load(); m != nil {
 		st.MatcherObservations = m.Observations()
 		st.MatcherSwaps = m.Swaps()

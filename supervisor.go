@@ -2,6 +2,7 @@ package hotprefetch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime/pprof"
@@ -21,7 +22,7 @@ type SupervisorState int32
 const (
 	// StateProfiling: no optimization installed yet; the profile is
 	// accumulating evidence and the supervisor is waiting for enough banked
-	// cycles (or references) to build the first matcher.
+	// cycles to build the first matcher.
 	StateProfiling SupervisorState = iota
 
 	// StateOptimized: a matcher trained on detected hot streams is
@@ -48,15 +49,14 @@ func (s SupervisorState) String() string {
 }
 
 // SupervisorConfig tunes the accuracy-driven deoptimization loop. The zero
-// value is usable: manual polling, a 25% accuracy floor, three bad windows
-// to deoptimize, head length 2, and the paper's default analysis settings.
+// value is usable: manual polling, a 25% accuracy floor, and three bad
+// windows to deoptimize. What the supervisor builds is fixed by its inputs:
+// the matcher's head length and the profile's CycleAnalysis.
 type SupervisorConfig struct {
 	// Interval is the sampling period of the background supervision loop.
 	// Zero means no background goroutine: the caller drives the state
 	// machine by calling Poll — the deterministic mode tests and examples
-	// use. A positive Interval requires the supervised profile to have a
-	// grammar budget (MaxGrammarSymbols), because the loop retrains under
-	// live traffic and that is only safe from banked cycle streams.
+	// use.
 	Interval time.Duration
 
 	// AccuracyFloor is the sliding-window prefetch accuracy (hits/issued)
@@ -75,30 +75,6 @@ type SupervisorConfig struct {
 	// observations. Zero means 256.
 	MinWindowObservations uint64
 
-	// HeadLen is the prefix length for matchers the supervisor builds.
-	// Zero means 2 (the paper's best setting, §4.3).
-	HeadLen int
-
-	// Analysis configures hot-stream extraction at (re)optimization. The
-	// zero value means DefaultAnalysisConfig.
-	Analysis AnalysisConfig
-
-	// ProvisionalWindows is the bad-window threshold while a warm-started
-	// (snapshot-restored) optimization is provisional: the restored profile
-	// earned its trust in a previous run, so it gets fewer strikes than a
-	// live-trained one (BadWindows) before demotion. One conclusive window
-	// at or above AccuracyFloor promotes it to fully trusted. Zero means 2.
-	ProvisionalWindows int
-
-	// DriftOverlapFloor is the workload-drift threshold for a provisional
-	// optimization: once the first live grammar cycle banks, the restored
-	// stream set is compared against the live banked set, and an overlap
-	// ratio (|restored ∩ live| / min size) below the floor demotes the warm
-	// start immediately — the workload no longer runs those streams, so
-	// waiting out accuracy windows would just issue useless prefetches.
-	// Zero means 0.25; negative disables the check.
-	DriftOverlapFloor float64
-
 	// Fault, when non-nil, lets the injector force accuracy windows stale
 	// (fault.Injector.MatcherStale), driving the deoptimization path on
 	// demand in chaos tests.
@@ -116,18 +92,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.MinWindowObservations == 0 {
 		c.MinWindowObservations = 256
 	}
-	if c.HeadLen == 0 {
-		c.HeadLen = 2
-	}
-	if c.Analysis == (AnalysisConfig{}) {
-		c.Analysis = DefaultAnalysisConfig()
-	}
-	if c.ProvisionalWindows == 0 {
-		c.ProvisionalWindows = 2
-	}
-	if c.DriftOverlapFloor == 0 {
-		c.DriftOverlapFloor = 0.25
-	}
 	return c
 }
 
@@ -141,18 +105,6 @@ func (c SupervisorConfig) Validate() error {
 	}
 	if c.BadWindows < 0 {
 		return fmt.Errorf("hotprefetch: negative supervisor BadWindows %d", c.BadWindows)
-	}
-	if c.ProvisionalWindows < 0 {
-		return fmt.Errorf("hotprefetch: negative supervisor ProvisionalWindows %d", c.ProvisionalWindows)
-	}
-	if c.DriftOverlapFloor > 1 {
-		return fmt.Errorf("hotprefetch: supervisor DriftOverlapFloor %g above 1", c.DriftOverlapFloor)
-	}
-	if c.HeadLen < 0 {
-		return fmt.Errorf("hotprefetch: negative supervisor HeadLen %d", c.HeadLen)
-	}
-	if err := c.Analysis.Validate(); err != nil {
-		return fmt.Errorf("supervisor Analysis: %w", err)
 	}
 	return nil
 }
@@ -179,14 +131,9 @@ type SupervisorStats struct {
 	PrefetchesIssued uint64 `json:"prefetches_issued"`
 	PrefetchesHit    uint64 `json:"prefetches_hit"`
 
-	// PollErrors counts Poll ticks that failed (flush or analysis-pool
-	// stalls during re-optimization).
+	// PollErrors counts Poll ticks that failed: a retrain or teardown whose
+	// matcher build returned an error or panicked.
 	PollErrors uint64 `json:"poll_errors"`
-
-	// Provisional reports that the current optimization came from a
-	// restored snapshot and has not yet earned a conclusive good accuracy
-	// window (see SupervisorConfig.ProvisionalWindows).
-	Provisional bool `json:"provisional,omitempty"`
 }
 
 // Supervisor closes the paper's control loop over a profiling service and
@@ -217,20 +164,9 @@ type Supervisor struct {
 	lastHits     uint64
 	lastObserved uint64
 
-	// Readiness baselines captured at startup and every deoptimization or
-	// demotion: banked cycles, and consumed references for a profile
-	// without a grammar budget.
-	bankedBase   uint64
-	consumedBase uint64
-
-	// Warm-start provisional trust (pollMu except the atomic flag):
-	// provisional marks an optimization restored from a snapshot that has
-	// not yet produced a good live window; restored holds the warm-start
-	// stream set for the drift check, which runs once (driftChecked) when
-	// the first live cycle banks.
-	provisional  atomic.Bool
-	restored     []Stream
-	driftChecked bool
+	// bankedBase is the profile's banked-cycle count at startup and at every
+	// deoptimization: the next optimization waits for fresh cycles past it.
+	bankedBase uint64
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -241,17 +177,16 @@ type Supervisor struct {
 // accuracy tracking on the matcher, registers both with the profile's Stats,
 // and — when cfg.Interval > 0 — starts the background supervision loop.
 // With Interval == 0 the caller drives the loop by calling Poll.
+//
+// The profile must have a grammar budget (MaxGrammarSymbols): every retrain
+// reads the cycle streams banked since the last one, and without a budget no
+// cycle ever banks.
 func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) (*Supervisor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Interval > 0 && sp.cfg.MaxGrammarSymbols == 0 {
-		// The background loop retrains while producers are live, which is
-		// only safe from banked cycle streams; without a grammar budget no
-		// cycles ever bank and retraining would race the consumers' live
-		// grammars. Manual Poll mode (Interval 0) leaves quiescence to the
-		// caller instead.
-		return nil, fmt.Errorf("hotprefetch: supervisor Interval %v requires a profile with MaxGrammarSymbols set (background retraining reads banked cycle streams)", cfg.Interval)
+	if sp.cfg.MaxGrammarSymbols == 0 {
+		return nil, errors.New("hotprefetch: Supervise requires a profile with MaxGrammarSymbols set (every retrain reads banked cycle streams)")
 	}
 	cfg = cfg.withDefaults()
 	s := &Supervisor{
@@ -264,18 +199,15 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 	cm.EnableAccuracyTracking(0)
 	if restored, base := sp.restored(); len(restored) > 0 {
 		// Warm start: a snapshot was restored into the profile, so optimize
-		// from it immediately — no profiling period — but provisionally. The
-		// restored profile earned its trust in a previous run; judgeWindow
-		// gives it only ProvisionalWindows strikes and checkDrift compares it
-		// against the first live banked cycle. Either demotion clears the
-		// restored set and falls back to cold profiling. A base set that a
-		// previous supervisor's retrain left behind is no warm start: that
-		// supervisor already judged it, so this one starts cold.
-		if err := cm.Swap(restored, cfg.HeadLen); err != nil {
+		// from it immediately — no profiling period. It is an ordinary
+		// optimization: BadWindows bad windows deoptimize it, and the next
+		// retrain reads only the cycles banked after the restore, so a stale
+		// snapshot cannot be relearned. A base set that a previous
+		// supervisor's retrain left behind is no warm start: that supervisor
+		// already judged it, so this one starts cold.
+		if err := cm.Swap(restored); err != nil {
 			return nil, err
 		}
-		s.provisional.Store(true)
-		s.restored = restored
 		if base.Valid {
 			// Start the reported accuracy at the previous run's measured
 			// ratio until the first conclusive live window replaces it.
@@ -290,7 +222,7 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 		s.state.Store(int32(StateProfiling))
 		sp.obs.Emit(obs.KindPhaseProfiling, -1, 0)
 	}
-	s.markTransition()
+	s.bankedBase = sp.banked.Load()
 	s.lastObserved = cm.Observations()
 	s.lastIssued, s.lastHits = cm.AccuracyCounters()
 	sp.AttachMatcher(cm)
@@ -352,7 +284,6 @@ func (s *Supervisor) Snapshot() SupervisorStats {
 		PrefetchesIssued:  issued,
 		PrefetchesHit:     hits,
 		PollErrors:        s.pollErrors.Load(),
-		Provisional:       s.provisional.Load(),
 	}
 }
 
@@ -368,12 +299,7 @@ func (s *Supervisor) Poll() error {
 	defer s.pollMu.Unlock()
 	switch s.State() {
 	case StateOptimized:
-		if s.provisional.Load() {
-			s.checkDrift()
-		}
-		if s.State() == StateOptimized {
-			s.judgeWindow()
-		}
+		s.judgeWindow()
 		return nil
 	default:
 		return s.tryOptimize()
@@ -409,17 +335,6 @@ func (s *Supervisor) judgeWindow() {
 	s.sp.obs.AccuracyWindow.ObserveRatio(acc)
 	if acc >= s.cfg.AccuracyFloor {
 		s.badRun.Store(0)
-		// One conclusive good window promotes a provisional (warm-started)
-		// optimization to fully trusted: from here it gets the ordinary
-		// BadWindows allowance and its demise would be a deoptimization,
-		// not a stale-snapshot rejection.
-		s.provisional.Store(false)
-		return
-	}
-	if s.provisional.Load() {
-		if int(s.badRun.Add(1)) >= s.cfg.ProvisionalWindows {
-			s.demoteProvisional(uint64(s.cfg.ProvisionalWindows))
-		}
 		return
 	}
 	if int(s.badRun.Add(1)) >= s.cfg.BadWindows {
@@ -436,52 +351,7 @@ func (s *Supervisor) safeSwap(streams []Stream) (err error) {
 			err = fmt.Errorf("hotprefetch: predictor %q build panicked: %v", s.cm.Predictor(), r)
 		}
 	}()
-	return s.cm.Swap(streams, s.cfg.HeadLen)
-}
-
-// demoteProvisional rejects the warm start as stale: a pass-through matcher
-// is published, the restored stream set is dropped from BankedStreams (so
-// the next optimization trains only on live evidence), and the supervisor
-// falls back to cold profiling — the restored profile leaves no trace but
-// the stale-rejection counter and event. value is the bad-window run that
-// triggered it, or 0 for drift detection.
-func (s *Supervisor) demoteProvisional(value uint64) {
-	if err := s.safeSwap(nil); err != nil {
-		s.pollErrors.Add(1)
-		return
-	}
-	s.provisional.Store(false)
-	s.restored = nil
-	s.driftChecked = true
-	s.sp.clearRestored(value)
-	s.markTransition()
-	s.badRun.Store(0)
-	s.accBits.Store(0)
-	s.state.Store(int32(StateProfiling))
-	s.sp.obs.Emit(obs.KindPhaseProfiling, -1, 0)
-}
-
-// checkDrift runs the workload-drift heuristic once per warm start, as soon
-// as the first live grammar cycle has banked: if the restored stream set
-// and the live banked set overlap below DriftOverlapFloor, the workload no
-// longer runs the snapshotted streams and the warm start is demoted
-// immediately instead of waiting out bad accuracy windows.
-func (s *Supervisor) checkDrift() {
-	if s.driftChecked || s.cfg.DriftOverlapFloor < 0 {
-		return
-	}
-	if s.sp.banked.Load() == s.bankedBase {
-		return
-	}
-	live := s.sp.bankedSinceBase(0)
-	if len(live) == 0 {
-		// The cycle banked nothing hot; wait for real evidence.
-		return
-	}
-	s.driftChecked = true
-	if streamOverlap(s.restored, live) < s.cfg.DriftOverlapFloor {
-		s.demoteProvisional(0)
-	}
+	return s.cm.Swap(streams)
 }
 
 // deoptimize tears the optimization down: a pass-through matcher is
@@ -491,12 +361,12 @@ func (s *Supervisor) checkDrift() {
 // measured accuracy decay instead of an external call.
 func (s *Supervisor) deoptimize() {
 	if err := s.safeSwap(nil); err != nil {
-		// Building the empty machine cannot fail with a valid HeadLen;
+		// Building the empty machine cannot fail with a valid head length;
 		// treat a failure as a poll error rather than wedging the loop.
 		s.pollErrors.Add(1)
 		return
 	}
-	s.markTransition()
+	s.bankedBase = s.sp.banked.Load()
 	s.badRun.Store(0)
 	s.accBits.Store(0)
 	s.deopts.Add(1)
@@ -505,57 +375,26 @@ func (s *Supervisor) deoptimize() {
 	s.sp.obs.Emit(obs.KindPhaseHibernating, -1, uint64(s.cfg.BadWindows))
 }
 
-// markTransition restarts the readiness count at startup, a deoptimization
-// or a demotion: the next optimization waits for fresh evidence from here.
-func (s *Supervisor) markTransition() {
-	s.bankedBase = s.sp.banked.Load()
-	s.consumedBase = s.sp.Stats().Consumed
-}
-
 // minFreshCycles is how many grammar-budget cycles must have landed in the
 // shard banks since startup or the last deoptimization before the
 // supervisor (re)optimizes. A cycle counts once its analysis has banked, not
 // when it starts: a Poll in between would find nothing new to train on.
 const minFreshCycles = 1
 
-// minFreshRefs is the readiness signal when the profile has no grammar
-// budget (so cycles never bank): (re)optimize once this many references
-// have been consumed since the last transition.
-const minFreshRefs = 4096
-
-// tryOptimize retrains once fresh evidence has banked since the last
-// transition: minFreshCycles banked cycles, or minFreshRefs consumed
-// references when the profile has no budget (cycles never bank).
-//
-// With a budget, a retrain trains only on the streams banked since the
-// previous successful optimization (ShardedProfile.rebase): the evidence
-// the matcher it replaces never saw, so a retrain never runs on the
-// evidence that just went stale. Its training set then becomes the
-// profile's base set, and the banks restart from the cycles that landed
-// while the machine was building. That read is safe while producers are
-// running, which is what lets the background loop retrain under live
-// traffic. Without a budget it must analyze the live grammars
-// (HotStreamsErr), which requires the quiescence the manual-Poll mode gives
-// the caller control over; Supervise therefore rejects Interval > 0 on a
-// budget-less profile.
+// tryOptimize retrains once minFreshCycles cycles have banked since the last
+// transition. A retrain trains only on the streams banked since the previous
+// successful optimization (ShardedProfile.rebase), capped at the profile's
+// CycleAnalysis.MaxStreams: the evidence the matcher it replaces never saw,
+// so a retrain never runs on the evidence that just went stale. Its training
+// set then becomes the profile's base set, and the banks restart from the
+// cycles that landed while the machine was building. That read is safe while
+// producers are running, which is what lets the background loop retrain
+// under live traffic.
 func (s *Supervisor) tryOptimize() error {
-	var (
-		streams []Stream
-		err     error
-	)
-	if s.sp.cfg.MaxGrammarSymbols > 0 {
-		if s.sp.banked.Load()-s.bankedBase < minFreshCycles {
-			return nil
-		}
-		streams, err = s.sp.rebase(s.cfg.Analysis.MaxStreams, s.safeSwap)
-	} else {
-		if s.sp.Stats().Consumed-s.consumedBase < minFreshRefs {
-			return nil
-		}
-		if streams, err = s.sp.HotStreamsErr(s.cfg.Analysis); err == nil && len(streams) > 0 {
-			err = s.safeSwap(streams)
-		}
+	if s.sp.banked.Load()-s.bankedBase < minFreshCycles {
+		return nil
 	}
+	streams, err := s.sp.rebase(s.sp.cfg.CycleAnalysis.MaxStreams, s.safeSwap)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,8 +79,6 @@ func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
 		AccuracyFloor:         0.5,
 		BadWindows:            2,
 		MinWindowObservations: 64,
-		HeadLen:               2,
-		Analysis:              analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +198,11 @@ func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
 func TestSupervisorForcedStaleness(t *testing.T) {
 	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
 	trace := phaseTrace(3, 40)
-	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, CycleAnalysis: analysis})
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		CycleAnalysis:     analysis,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +225,6 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 		AccuracyFloor:         0.25,
 		BadWindows:            3,
 		MinWindowObservations: 64,
-		Analysis:              analysis,
 		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
 	})
 	if err != nil {
@@ -271,7 +273,6 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 	}
 	sup, err := Supervise(sp, cm, SupervisorConfig{
 		Interval: time.Millisecond,
-		Analysis: analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +306,6 @@ func TestSupervisorConfigValidate(t *testing.T) {
 		{AccuracyFloor: -0.1},
 		{AccuracyFloor: 1.5},
 		{BadWindows: -1},
-		{HeadLen: -2},
-		{Analysis: AnalysisConfig{MinLen: -1}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -327,10 +326,78 @@ func TestSupervisorConfigValidate(t *testing.T) {
 	}
 }
 
+// TestSuperviseRequiresGrammarBudget: every retrain reads banked cycle
+// streams, so Supervise rejects a profile whose cycles never bank.
+func TestSuperviseRequiresGrammarBudget(t *testing.T) {
+	sp := NewShardedProfile(1)
+	defer sp.Close()
+	cm, err := NewConcurrentMatcher(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Supervise(sp, cm, SupervisorConfig{}); err == nil || !strings.Contains(err.Error(), "MaxGrammarSymbols") {
+		t.Fatalf("Supervise over a profile without a grammar budget = %v, want a MaxGrammarSymbols error", err)
+	}
+	if sp.Stats().Supervisor != nil {
+		t.Fatal("rejected Supervise still attached a supervisor")
+	}
+}
+
+// sameObservations fails unless got returns the same prefetches and
+// comparison counts as want at every reference of trace.
+func sameObservations(t *testing.T, got, want *ConcurrentMatcher, trace []Ref) {
+	t.Helper()
+	for i, r := range trace {
+		gp, gc := got.Observe(r)
+		wp, wc := want.Observe(r)
+		if !slices.Equal(gp, wp) || gc != wc {
+			t.Fatalf("ref %d: (%v, %d) != reference (%v, %d)", i, gp, gc, wp, wc)
+		}
+	}
+}
+
+// TestSupervisorRetrainKeepsHeadLen: a supervised retrain publishes a
+// machine with the head length the matcher was built with.
+func TestSupervisorRetrainKeepsHeadLen(t *testing.T) {
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	cm, err := NewConcurrentMatcher(nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := Supervise(sp, cm, SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	feedUntilCycle(t, sp, phaseTrace(1, 40), 0)
+	if err := sup.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sup.State(); got != StateOptimized {
+		t.Fatalf("state after the first banked cycle = %v, want %v", got, StateOptimized)
+	}
+	want, err := NewConcurrentMatcher(sp.BankedStreams(0), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameObservations(t, cm, want, phaseTrace(1, 40))
+}
+
 // TestStatsJSONRoundTripWithSupervisor extends the Stats JSON contract to
 // the supervision snapshot.
 func TestStatsJSONRoundTripWithSupervisor(t *testing.T) {
-	sp := NewShardedProfile(1)
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, MaxGrammarSymbols: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sp.Close()
 	cm, err := NewConcurrentMatcher(nil, 2)
 	if err != nil {
@@ -395,8 +462,6 @@ func TestSupervisorABChaosPanicDemotes(t *testing.T) {
 	sup, err := Supervise(sp, cm, SupervisorConfig{
 		AccuracyFloor:         0.25,
 		MinWindowObservations: 64,
-		HeadLen:               2,
-		Analysis:              analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +602,6 @@ func TestSupervisorRetrainForgetsStalePhase(t *testing.T) {
 		AccuracyFloor:         0.5,
 		BadWindows:            2,
 		MinWindowObservations: 64,
-		Analysis:              analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -621,7 +685,6 @@ func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
 	sup, err := Supervise(sp, cm, SupervisorConfig{
 		BadWindows:            1,
 		MinWindowObservations: 64,
-		Analysis:              analysis,
 		Fault:                 &fault.Hooks{MatcherStaleFn: stale.Load},
 	})
 	if err != nil {
@@ -733,7 +796,6 @@ func TestSupervisorRetrainKeepsCycleBankedDuringBuild(t *testing.T) {
 	sup, err := Supervise(sp, cm, SupervisorConfig{
 		BadWindows:            1,
 		MinWindowObservations: 64,
-		Analysis:              analysis,
 		Fault:                 &fault.Hooks{MatcherStaleFn: stale.Load},
 	})
 	if err != nil {
@@ -757,7 +819,11 @@ func TestSupervisorRetrainKeepsCycleBankedDuringBuild(t *testing.T) {
 	if got := sup.State(); got != StateOptimized {
 		t.Fatalf("state after the first banked cycle = %v, want %v", got, StateOptimized)
 	}
-	if in := phasesIn(sp.bankedSinceBase(0)); !in[2] || in[1] {
+	var banks []Stream
+	for _, s := range sp.shards {
+		banks = append(banks, s.retainedStreams()...)
+	}
+	if in := phasesIn(banks); !in[2] || in[1] {
 		t.Fatalf("banks after the publish cover phases %v, want the phase 2 cycle that banked during the build", in)
 	}
 	if in := phasesIn(sp.BankedStreams(0)); !in[1] || !in[2] {
@@ -796,9 +862,8 @@ func TestSupervisorRetrainKeepsCycleBankedDuringBuild(t *testing.T) {
 
 // TestSuperviseLeftoverBaseIsColdStart: a base set that a previous
 // supervisor's retrain installed is no warm start. The next supervisor
-// starts cold — profiling, not provisional — and the profile still serves
-// that base until its own first retrain; tearing that optimization down
-// later is a deoptimization, never a stale-snapshot rejection.
+// starts cold — profiling, not optimized — and the profile still serves
+// that base until its own first retrain.
 func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
 	sp, err := NewShardedProfileConfig(ShardedConfig{
@@ -810,7 +875,7 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	cfg := SupervisorConfig{BadWindows: 1, MinWindowObservations: 64, Analysis: analysis}
+	cfg := SupervisorConfig{BadWindows: 1, MinWindowObservations: 64}
 	cm1, err := NewConcurrentMatcher(nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -839,8 +904,8 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sup2.Close()
-	if snap := sup2.Snapshot(); snap.State != "profiling" || snap.Provisional {
-		t.Fatalf("supervisor over a leftover base: %+v, want a cold, non-provisional start", snap)
+	if snap := sup2.Snapshot(); snap.State != "profiling" {
+		t.Fatalf("supervisor over a leftover base: %+v, want a cold start", snap)
 	}
 	if in := phasesIn(sp.BankedStreams(0)); !in[1] {
 		t.Fatalf("BankedStreams covers phases %v, want the leftover phase 1 base", in)
@@ -858,9 +923,8 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 	if snap.State != "hibernating" || snap.Deoptimizations != 1 {
 		t.Fatalf("after a stale window: %+v, want one deoptimization", snap)
 	}
-	if st.SnapshotStaleRejected != 0 || st.RestoredStreams != 0 {
-		t.Fatalf("stale rejected %d, restored %d; want 0, 0 (nothing was restored)",
-			st.SnapshotStaleRejected, st.RestoredStreams)
+	if st.RestoredStreams != 0 {
+		t.Fatalf("restored %d; want 0 (nothing was restored)", st.RestoredStreams)
 	}
 }
 
@@ -888,7 +952,6 @@ func TestRebaseSeenWholeByConcurrentReaders(t *testing.T) {
 	sup, err := Supervise(sp, cm, SupervisorConfig{
 		BadWindows:            1,
 		MinWindowObservations: 1,
-		Analysis:              analysis,
 		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
 	})
 	if err != nil {
