@@ -2,6 +2,7 @@ package hotprefetch
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -459,9 +460,9 @@ func TestConcurrentSwapsSerialized(t *testing.T) {
 }
 
 // TestHotStreamsErrReportsFlushStall pins the strict/lossy reader split: a
-// stalled consumer surfaces as an error from HotStreamsErr, while the lossy
-// HotStreams wrapper returns the partial merge and records the stall in
-// Stats.FlushStalls.
+// stalled consumer (its drain lock held without progress) surfaces as an
+// error from HotStreamsErr, while the lossy HotStreams wrapper returns the
+// partial merge and records the stall in Stats.FlushStalls.
 func TestHotStreamsErrReportsFlushStall(t *testing.T) {
 	cfg := ShardedConfig{Shards: 1, FlushStallTimeout: 20 * time.Millisecond}
 	if err := cfg.Validate(); err != nil {
@@ -471,6 +472,7 @@ func TestHotStreamsErrReportsFlushStall(t *testing.T) {
 	if err := sp.Shard(0).Add(Ref{PC: 1, Addr: 8}); err != nil {
 		t.Fatal(err)
 	}
+	holdDrain(t, sp.Shard(0))
 	_, err := sp.HotStreamsErr(DefaultAnalysisConfig())
 	if !errors.Is(err, ErrFlushStalled) {
 		t.Fatalf("HotStreamsErr with a dead consumer = %v, want ErrFlushStalled", err)
@@ -481,5 +483,89 @@ func TestHotStreamsErrReportsFlushStall(t *testing.T) {
 	sp.HotStreams(DefaultAnalysisConfig())
 	if got := sp.Stats().FlushStalls; got != 1 {
 		t.Fatalf("FlushStalls=%d after lossy reader hit a stall, want 1", got)
+	}
+}
+
+// TestFlushStallsOnWedgedPool wedges the analysis pool — its one worker held
+// in an analysis far longer than FlushStallTimeout, with no AnalysisTimeout
+// to abandon it — and checks that Flush, which never waits on the analysis
+// queue, still gives up with ErrFlushStalled within about twice the stall
+// timeout. Drop keeps the producer from waiting behind the wedge as well.
+func TestFlushStallsOnWedgedPool(t *testing.T) {
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	hooks := &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
+		<-release
+		return fault.Outcome{}
+	}}
+	const stall = 100 * time.Millisecond
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		Policy:            Drop,
+		MaxGrammarSymbols: 64,
+		AnalysisWorkers:   1,
+		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+		FlushStallTimeout: stall,
+		Fault:             hooks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough cycles for one to wedge the worker, two to fill the queue, and
+	// more whose enqueue can never complete.
+	if err := sp.AddBatch(0, chaosTrace(1, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = sp.Flush()
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrFlushStalled) {
+		t.Errorf("Flush with a wedged pool = %v, want ErrFlushStalled", err)
+	}
+	if elapsed > 2*stall {
+		t.Errorf("Flush took %v to give up, want within twice the %v stall timeout", elapsed, stall)
+	}
+	close(release)
+	sp.Close()
+	st := sp.Stats()
+	checkCycleInvariant(t, st)
+	if st.Consumed != st.Pushed {
+		t.Errorf("consumed %d of %d pushed references after Close", st.Consumed, st.Pushed)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestAnalysisDeadlineVerdictByElapsed readies an isolated analysis' result
+// and its deadline together, so select could pick either: the verdict must
+// rest on the analysis' own elapsed time. A result that overran the timeout
+// is an ErrAnalysisTimeout failure every time, never banked, and not
+// abandoned, since its helper finished; one within the timeout stands; and
+// only a deadline with no result abandons the helper.
+func TestAnalysisDeadlineVerdictByElapsed(t *testing.T) {
+	s := newShardedProfile(ShardedConfig{Shards: 1}).Shard(0)
+	const timeout = time.Millisecond
+	want := []Stream{{Refs: []Ref{{PC: 1, Addr: 8}}, Heat: 2}}
+	verdict := func(r *analysisResult) ([]Stream, error, bool) {
+		done := make(chan analysisResult, 1)
+		if r != nil {
+			done <- *r
+		}
+		deadline := make(chan time.Time, 1)
+		deadline <- time.Now()
+		return s.awaitAnalysis(done, deadline, timeout)
+	}
+	for i := 0; i < 100; i++ {
+		streams, err, abandoned := verdict(&analysisResult{streams: want, elapsed: 2 * timeout})
+		if !errors.Is(err, ErrAnalysisTimeout) || streams != nil || abandoned {
+			t.Fatalf("late result, try %d: streams=%v err=%v abandoned=%v; want ErrAnalysisTimeout, no streams, not abandoned",
+				i, streams, err, abandoned)
+		}
+		streams, err, abandoned = verdict(&analysisResult{streams: want, elapsed: timeout / 2})
+		if err != nil || !reflect.DeepEqual(streams, want) || abandoned {
+			t.Fatalf("timely result, try %d: streams=%v err=%v abandoned=%v; want the result", i, streams, err, abandoned)
+		}
+	}
+	if _, err, abandoned := verdict(nil); !errors.Is(err, ErrAnalysisTimeout) || !abandoned {
+		t.Fatalf("no result by the deadline: err=%v abandoned=%v; want ErrAnalysisTimeout, abandoned", err, abandoned)
 	}
 }

@@ -201,7 +201,9 @@ func (m PrepassMode) String() string {
 var ErrClosed = errors.New("hotprefetch: Add on closed ShardedProfile")
 
 // ErrFlushStalled is returned (wrapped) by ShardedProfile.Flush when a
-// shard's consumer stops making progress before reaching Flush's target.
+// shard's consumer holds its drain lock without making progress toward
+// Flush's target for FlushStallTimeout — in practice a consumer blocked on
+// the queue of a wedged analysis pool.
 var ErrFlushStalled = errors.New("hotprefetch: flush stalled")
 
 // ErrAnalysisPanic wraps the recovered value of a cycle-end analysis that
@@ -213,7 +215,9 @@ var ErrAnalysisPanic = errors.New("hotprefetch: analysis panicked")
 // ErrAnalysisTimeout is the failure recorded for a background analysis that
 // exceeded ShardedConfig.AnalysisTimeout. The runaway analysis goroutine is
 // abandoned (its profile is discarded, never reused) so the worker pool
-// keeps draining.
+// keeps draining. An analysis whose result arrives after the deadline
+// fails the same way, but its goroutine has finished, so its profile is
+// recycled.
 var ErrAnalysisTimeout = errors.New("hotprefetch: analysis deadline exceeded")
 
 // ErrAnalysisStalled is returned (wrapped) by HotStreamsErr when the
@@ -264,9 +268,9 @@ type ShardedConfig struct {
 	// stream set per shard. The zero value means DefaultAnalysisConfig.
 	CycleAnalysis AnalysisConfig
 
-	// FlushStallTimeout bounds how long Flush waits for a shard's consumer
-	// without observing progress before giving up with ErrFlushStalled
-	// (0 means the default of 5s).
+	// FlushStallTimeout bounds how long Flush waits without observing
+	// progress while a shard's consumer holds its drain lock, before giving
+	// up with ErrFlushStalled (0 means the default of 5s).
 	FlushStallTimeout time.Duration
 
 	// AnalysisWorkers, when positive, pipelines grammar budget cycles: each
@@ -274,8 +278,8 @@ type ShardedConfig struct {
 	// swaps it in and hands the full grammar to a pool of this many
 	// background analysis workers — ingestion stalls for a pointer swap
 	// instead of a full hot-stream analysis. Zero keeps cycles inline on the
-	// consumer goroutine (the prior behavior). Has no effect without a
-	// grammar budget.
+	// goroutine draining the shard: its consumer, or a Flush caller. Has no
+	// effect without a grammar budget.
 	AnalysisWorkers int
 
 	// AnalysisTimeout, when positive, bounds each background cycle-end
@@ -283,9 +287,9 @@ type ShardedConfig struct {
 	// as failed (ErrAnalysisTimeout), its runaway goroutine is abandoned
 	// with its profile, and the worker moves on — a slow analysis can no
 	// longer back up the pool. Zero means no deadline. Inline cycles
-	// (AnalysisWorkers == 0) run on the consumer goroutine, which must
-	// retain ownership of its grammar, so the deadline applies only to the
-	// background pool.
+	// (AnalysisWorkers == 0) run on the goroutine draining the shard, which
+	// must retain ownership of its grammar, so the deadline applies only to
+	// the background pool.
 	AnalysisTimeout time.Duration
 
 	// BreakerThreshold is the number of consecutive analysis failures

@@ -344,8 +344,8 @@ func TestFlushBoundedUnderActiveProducers(t *testing.T) {
 }
 
 // TestFlushStalledConsumer checks the bounded-wait error path: a shard whose
-// consumer never runs cannot drain, so Flush must give up with
-// ErrFlushStalled instead of spinning forever.
+// drain lock is held by a consumer that makes no progress cannot drain, so
+// Flush must give up with ErrFlushStalled instead of spinning forever.
 func TestFlushStalledConsumer(t *testing.T) {
 	cfg := ShardedConfig{Shards: 1, FlushStallTimeout: 20 * time.Millisecond}
 	if err := cfg.Validate(); err != nil {
@@ -353,6 +353,7 @@ func TestFlushStalledConsumer(t *testing.T) {
 	}
 	sp := newShardedProfile(cfg) // consumers intentionally not started
 	sp.Shard(0).Add(Ref{PC: 1, Addr: 1})
+	holdDrain(t, sp.Shard(0))
 	start := time.Now()
 	err := sp.Flush()
 	if !errors.Is(err, ErrFlushStalled) {
@@ -360,6 +361,53 @@ func TestFlushStalledConsumer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("Flush took %v to give up, want bounded by the stall timeout", elapsed)
+	}
+}
+
+// holdDrain holds s's drain lock until the test ends, as a consumer stuck
+// mid-drain would: Flush can neither drain the shard on its own goroutine
+// nor see progress.
+func holdDrain(t *testing.T, s *ProfileShard) {
+	t.Helper()
+	s.drain.Lock()
+	t.Cleanup(s.drain.Unlock)
+}
+
+// TestFlushDrainsWithoutRunningConsumer checks that Flush compresses on its
+// own goroutine while a shard's drain lock is free: with no consumer
+// running, every accepted reference still reaches its grammar, and a
+// grammar-budget cycle that falls due runs on the caller.
+func TestFlushDrainsWithoutRunningConsumer(t *testing.T) {
+	cfg := ShardedConfig{
+		Shards:            2,
+		MaxGrammarSymbols: 64,
+		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
+		FlushStallTimeout: 20 * time.Millisecond,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sp := newShardedProfile(cfg) // consumers intentionally not started
+	trace := shardTrace(1, 100)
+	for i := 0; i < sp.NumShards(); i++ {
+		if err := sp.Shard(i).AddAll(trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sp.Flush(); err != nil {
+		t.Fatalf("Flush with no running consumer = %v, want nil", err)
+	}
+	st := sp.Stats()
+	want := uint64(sp.NumShards() * len(trace))
+	if st.Pushed != want || st.Consumed != want {
+		t.Errorf("pushed/consumed = %d/%d, want %d/%d", st.Pushed, st.Consumed, want, want)
+	}
+	if st.Resets == 0 {
+		t.Error("no grammar-budget cycle ran during the caller's drain")
+	}
+	checkCycleInvariant(t, st)
+	if len(sp.BankedStreams(0)) == 0 {
+		t.Error("the caller's cycles banked no hot streams")
 	}
 }
 

@@ -22,12 +22,12 @@ import (
 
 // ShardedProfile scales profile ingestion across concurrent producers: N
 // independent Profile shards, each fed through its own single-producer
-// single-consumer ring buffer by a dedicated consumer goroutine. Producers
-// never contend on a lock or on each other's cache lines, so aggregate
-// ingestion throughput grows with the shard count — the concurrency layer a
-// multi-tenant profiling service needs on top of the paper's inherently
-// sequential per-trace algorithms (§2.3 profiles one program; a service
-// profiles many).
+// single-consumer ring buffer by a dedicated consumer goroutine that sleeps
+// while its ring is empty. Producers never contend on a lock or on each
+// other's cache lines, so aggregate ingestion throughput grows with the
+// shard count — the concurrency layer a multi-tenant profiling service needs
+// on top of the paper's inherently sequential per-trace algorithms (§2.3
+// profiles one program; a service profiles many).
 //
 // Each shard builds an independent Sequitur grammar over the subsequence it
 // receives, so hot data streams are detected per shard and merged by heat.
@@ -269,8 +269,32 @@ type analysisJob struct {
 // from at most one goroutine at a time (the single-producer half of the SPSC
 // contract); distinct shards are fully independent.
 type ProfileShard struct {
-	q   *ring.SPSC[Ref]
-	p   *Profile
+	q *ring.SPSC[Ref]
+
+	// drain is the consumer side of the ring: whoever holds it pops
+	// (PopBatch), compresses (apply) and cycles, and it guards p, unsent
+	// and pooled. The shard's consumer takes it whenever the ring
+	// has references; Flush takes it when it is free and drains on its own
+	// goroutine. The one blocking step under drain is the consumer's
+	// enqueue of a full grammar (cycle); Flush only ever TryLocks, so a
+	// consumer held there by a wedged analysis pool shows as a stall rather
+	// than a hang.
+	drain sync.Mutex
+	p     *Profile
+	// unsent holds, in cycle order, the full grammars a caller drain could
+	// not enqueue without waiting; the consumer sends them before its next
+	// drain (Close, if the consumers are gone).
+	unsent []*Profile
+	// pooled is set while cycles hand full grammars to the analysis pool:
+	// from construction when the pool and a grammar budget are configured
+	// until Close closes the pool, after which a drain cycles inline.
+	pooled bool
+
+	// parked is set while the consumer sleeps on wake with an empty ring;
+	// the push that finds it set clears it and sends the wake token.
+	parked atomic.Bool
+	wake   chan struct{}
+
 	sp  *ShardedProfile // owner; reaches the analysis pool and its stats
 	idx int             // shard index, used by fault injection and errors
 	inj fault.Injector  // nil unless ShardedConfig.Fault was set
@@ -284,7 +308,8 @@ type ProfileShard struct {
 	// consumer's fast path: when set, the shard's profiles run the two-level
 	// ingest front end and the consumer tracks collapse deltas. collapsed
 	// and minted accumulate across grammar cycles (the per-profile counters
-	// die with each cycle's Reset); both are consumer-written, Stats-read.
+	// die with each cycle's Reset); both are written under drain and read by
+	// Stats.
 	prepassOn bool
 	collapsed atomic.Uint64 // references absorbed by the front end
 	minted    atomic.Uint64 // phrase/run rules minted by the front end
@@ -410,6 +435,7 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			maxSymbols: cfg.MaxGrammarSymbols,
 			cycleCfg:   cfg.CycleAnalysis,
 			prepassOn:  cfg.Prepass == PrepassOn,
+			wake:       make(chan struct{}, 1),
 			stop:       make(chan struct{}),
 			done:       make(chan struct{}),
 		}
@@ -439,6 +465,7 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			// pointer swap.
 			s.spare = make(chan *Profile, 2)
 			s.spare <- sp.newProfile()
+			s.pooled = true
 		}
 		sp.shards[i] = s
 	}
@@ -497,34 +524,57 @@ func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, err error) {
 	return p.HotStreams(s.cycleCfg), nil
 }
 
+// analysisResult is what an isolated analysis helper reports: its streams
+// or error, and how long the analysis took.
+type analysisResult struct {
+	streams []Stream
+	err     error
+	elapsed time.Duration
+}
+
 // analyzeIsolated runs safeAnalyze, enforcing timeout when positive by
-// running the analysis on a helper goroutine. On a deadline overrun the
-// helper is abandoned together with the profile (abandoned == true): the
-// runaway analysis still reads p, so p must never be recycled; when the
-// helper eventually finishes, its send lands in the buffered channel and
-// both are garbage collected.
+// running the analysis on a helper goroutine; awaitAnalysis gives the
+// verdict.
 func (s *ProfileShard) analyzeIsolated(p *Profile, timeout time.Duration) (streams []Stream, err error, abandoned bool) {
 	if timeout <= 0 {
 		streams, err = s.safeAnalyze(p)
 		return streams, err, false
 	}
-	type result struct {
-		streams []Stream
-		err     error
-	}
-	done := make(chan result, 1)
+	done := make(chan analysisResult, 1)
 	go func() {
+		start := time.Now()
 		st, err := s.safeAnalyze(p)
-		done <- result{st, err}
+		done <- analysisResult{st, err, time.Since(start)}
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
+	return s.awaitAnalysis(done, timer.C, timeout)
+}
+
+// awaitAnalysis waits for an isolated analysis' result or its deadline.
+// The verdict rests on the helper's own elapsed time, never on which of
+// the two a select happens to pick when both are ready: a result that took
+// longer than timeout is an ErrAnalysisTimeout failure. Such a helper has
+// finished, so its profile may be recycled. Only when the deadline passes
+// with no result is the helper abandoned together with the profile
+// (abandoned == true): the runaway analysis still reads p, so p must never
+// be recycled; when the helper eventually finishes, its send lands in the
+// buffered channel and both are garbage collected.
+func (s *ProfileShard) awaitAnalysis(done <-chan analysisResult, deadline <-chan time.Time, timeout time.Duration) (streams []Stream, err error, abandoned bool) {
+	var r analysisResult
 	select {
-	case r := <-done:
-		return r.streams, r.err, false
-	case <-timer.C:
-		return nil, fmt.Errorf("hotprefetch: shard %d analysis exceeded %v: %w", s.idx, timeout, ErrAnalysisTimeout), true
+	case r = <-done:
+	case <-deadline:
+		select {
+		case r = <-done:
+		default:
+			abandoned = true
+		}
 	}
+	if abandoned || r.elapsed > timeout {
+		return nil, fmt.Errorf("hotprefetch: shard %d analysis exceeded %v: %w", s.idx, timeout, ErrAnalysisTimeout), abandoned
+	}
+	return r.streams, r.err, false
 }
 
 // recycle resets a detached profile and offers it back as a spare.
@@ -646,7 +696,9 @@ func (sp *ShardedProfile) drainAnalyses() error {
 	return nil
 }
 
-// consume drains the shard's ring into its Profile until stopped.
+// consume drains the shard's ring into its Profile until stopped, under the
+// ingest profiler labels. Compression that Flush runs on its caller carries
+// the caller's labels instead.
 func (s *ProfileShard) consume() {
 	defer close(s.done)
 	prepass := "off"
@@ -659,28 +711,99 @@ func (s *ProfileShard) consume() {
 		func(context.Context) { s.consumeLoop() })
 }
 
+// consumeLoop drains the ring whenever it has references and sleeps on
+// wake otherwise, so an idle shard costs no CPU. Parking sets parked before
+// it re-checks the ring, and every successful push publishes its references
+// before it checks parked (wakeConsumer). Both sides use sequentially
+// consistent atomics, so either the re-check sees the push or the push sees
+// parked: no reference waits behind a sleeping consumer.
 func (s *ProfileShard) consumeLoop() {
-	var batch [256]Ref
+	for {
+		s.drainRing()
+		s.parked.Store(true)
+		if s.q.Len() == 0 {
+			select {
+			case <-s.wake:
+			case <-s.stop:
+				// Drain what raced in before the stop signal.
+				s.drainRing()
+				return
+			}
+		}
+		s.parked.Store(false)
+	}
+}
+
+// wakeConsumer wakes the shard's consumer if it sleeps; every successful
+// push calls it after publishing its references. A token left over from an
+// earlier wake only costs the consumer one empty drain.
+func (s *ProfileShard) wakeConsumer() {
+	if s.parked.Load() && s.parked.CompareAndSwap(true, false) {
+		s.signal()
+	}
+}
+
+// signal leaves the consumer a wake token unless one is already waiting.
+func (s *ProfileShard) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drainBatch is how many references a drain pops and compresses at a time.
+// Both drains use it, so the batches the prepass sees, and with them the
+// grammar, do not depend on which goroutine drained.
+const drainBatch = 256
+
+// drainRing is the consumer's drain: the grammars a caller drain left
+// unsent, then every reference in the ring, waiting for room in the
+// analysis queue whenever a cycle needs it.
+func (s *ProfileShard) drainRing() {
+	var batch [drainBatch]Ref
+	s.drain.Lock()
+	defer s.drain.Unlock()
+	s.sendUnsent()
 	for {
 		n := s.q.PopBatch(batch[:])
 		if n == 0 {
-			select {
-			case <-s.stop:
-				// Drain what raced in before the stop signal.
-				for {
-					n := s.q.PopBatch(batch[:])
-					if n == 0 {
-						return
-					}
-					s.apply(batch[:n])
-				}
-			default:
-				runtime.Gosched()
-				continue
-			}
+			return
 		}
-		s.apply(batch[:n])
+		s.apply(batch[:n], true)
 	}
+}
+
+// drainTo is Flush's drain on its own goroutine, under drain: it compresses
+// references, drainBatch at a time, until the shard has consumed target. It
+// never waits for the analysis pool: while a cycle's grammar is unsent
+// (enqueue), it wakes the consumer to send it and drains nothing.
+func (s *ProfileShard) drainTo(target uint64) {
+	var batch [drainBatch]Ref
+	for {
+		if len(s.unsent) > 0 {
+			s.signal()
+			return
+		}
+		c := s.consumed.Load()
+		if c >= target {
+			return
+		}
+		n := s.q.PopBatch(batch[:min(drainBatch, target-c)])
+		if n == 0 {
+			return
+		}
+		s.apply(batch[:n], false)
+	}
+}
+
+// sendUnsent enqueues the grammars a caller drain left unsent, in cycle
+// order, waiting for room in the analysis queue. Call under drain.
+func (s *ProfileShard) sendUnsent() {
+	for _, p := range s.unsent {
+		s.sp.analysisQ <- analysisJob{shard: s, p: p}
+	}
+	clear(s.unsent)
+	s.unsent = s.unsent[:0]
 }
 
 // compressLatencyMinBatch gates per-batch CompressLatency observation:
@@ -704,7 +827,10 @@ func (s *ProfileShard) addChunk(chunk []Ref) {
 	s.minted.Add(s.p.MintedRules() - mb)
 }
 
-func (s *ProfileShard) apply(refs []Ref) {
+// apply compresses one popped batch into the shard's grammar, cycling at
+// the grammar budget; wait is false on a caller drain (see enqueue). Call
+// under drain.
+func (s *ProfileShard) apply(refs []Ref, wait bool) {
 	n := len(refs)
 	observe := n >= compressLatencyMinBatch
 	var start time.Time
@@ -712,8 +838,9 @@ func (s *ProfileShard) apply(refs []Ref) {
 	if observe {
 		start = time.Now()
 		if s.prepassOn {
-			// s.collapsed is consumer-written, so this pre/post read pair is
-			// exact for the batch even though Stats reads it concurrently.
+			// s.collapsed is written only under drain, so this pre/post read
+			// pair is exact for the batch even though Stats reads it
+			// concurrently.
 			collapsedStart = s.collapsed.Load()
 		}
 	}
@@ -742,7 +869,7 @@ func (s *ProfileShard) apply(refs []Ref) {
 				if sz > peak {
 					peak = sz
 				}
-				s.cycle()
+				s.cycle(wait)
 				sz = s.p.GrammarSize()
 			}
 			k := s.maxSymbols - sz
@@ -773,22 +900,22 @@ func (s *ProfileShard) apply(refs []Ref) {
 }
 
 // cycle ends the current profiling phase when the grammar hits its budget.
-// Runs on the consumer goroutine, which owns s.p.
+// Runs under drain, which guards s.p.
 //
 // Pipelined (AnalysisWorkers > 0): swap in a pre-warmed spare grammar and
 // hand the full one to the background analysis pool — the ingest path stalls
 // for a pointer exchange and a channel send, not for the analysis itself.
-// Inline (no pool): extract hot streams, bank them, and recycle the grammar
-// before returning, stalling ingestion for the whole analysis (the paper
-// §5's cycle-end deallocation, run synchronously).
+// Inline (no pool, or the pool closed): extract hot streams, bank them, and
+// recycle the grammar before returning, stalling ingestion for the whole
+// analysis (the paper §5's cycle-end deallocation, run synchronously).
 // In both modes the shard's reset is counted before the cycle's analysis
 // can reach a terminal state (analyzed, failed, or skipped), so a Stats
 // snapshot taken mid-cycle never sees the terminal counters ahead of
 // Resets — the snapshot invariant documented on Stats.
-func (s *ProfileShard) cycle() {
+func (s *ProfileShard) cycle(wait bool) {
 	start := time.Now()
 	s.sp.obs.Emit(obs.KindCycleStart, s.idx, uint64(s.p.GrammarSize()))
-	if s.spare != nil {
+	if s.pooled {
 		full := s.p
 		var next *Profile
 		select {
@@ -805,18 +932,36 @@ func (s *ProfileShard) cycle() {
 		// send lands, the analysis may complete at any moment, and its
 		// terminal counter must never be observable ahead of this one.
 		s.resets.Add(1)
-		s.sp.analysisQ <- analysisJob{shard: s, p: full}
+		s.enqueue(full, wait)
 		s.noteCycleStall(time.Since(start))
 		return
 	}
-	// Inline: the consumer goroutine owns s.p throughout, so the analysis
-	// runs here on the pool's path (AnalysisTimeout does not apply — the
-	// grammar cannot be abandoned to a runaway goroutine when the consumer
-	// must reuse it).
+	// Inline: the drain owns s.p throughout, so the analysis runs here on
+	// the pool's path (AnalysisTimeout does not apply — the grammar cannot
+	// be abandoned to a runaway goroutine when the drain must reuse it).
 	s.resets.Add(1)
 	s.analyzeCycle(s.p, start, 0)
 	s.p.Reset()
 	s.noteCycleStall(time.Since(start))
+}
+
+// enqueue hands a full grammar to the analysis pool in cycle order. The
+// consumer (wait) blocks while the queue is full; a caller drain never
+// does: it sends only into free room, and once it has left one grammar
+// unsent, every later one of its cycles waits in unsent behind it.
+func (s *ProfileShard) enqueue(p *Profile, wait bool) {
+	if !wait {
+		if len(s.unsent) == 0 {
+			select {
+			case s.sp.analysisQ <- analysisJob{shard: s, p: p}:
+				return
+			default:
+			}
+		}
+		s.unsent = append(s.unsent, p)
+		return
+	}
+	s.sp.analysisQ <- analysisJob{shard: s, p: p}
 }
 
 // noteCycleStall records how long one cycle blocked the ingest path: the
@@ -833,21 +978,30 @@ func (s *ProfileShard) noteCycleStall(d time.Duration) {
 }
 
 // tryPush pushes one reference, treating the ring as full when the fault
-// injector simulates pressure.
+// injector simulates pressure, and wakes a sleeping consumer on success.
 func (s *ProfileShard) tryPush(r Ref) bool {
 	if s.inj != nil && s.inj.RingFull(s.idx) {
 		return false
 	}
-	return s.q.TryPush(r)
+	if !s.q.TryPush(r) {
+		return false
+	}
+	s.wakeConsumer()
+	return true
 }
 
 // tryPushBatch pushes a run of references, treating the ring as full when
-// the fault injector simulates pressure.
+// the fault injector simulates pressure, and wakes a sleeping consumer
+// when any landed.
 func (s *ProfileShard) tryPushBatch(refs []Ref) int {
 	if s.inj != nil && s.inj.RingFull(s.idx) {
 		return 0
 	}
-	return s.q.PushBatch(refs)
+	n := s.q.PushBatch(refs)
+	if n > 0 {
+		s.wakeConsumer()
+	}
+	return n
 }
 
 // retainedStreams returns the shard's bank. A bank is replaced, never
@@ -1185,9 +1339,16 @@ func (sp *ShardedProfile) Shard(i int) *ProfileShard { return sp.shards[i] }
 // included — the quiescence contract: only a moment with no active
 // producers gives a complete cut. Because the target is snapshotted up
 // front, concurrent producers keeping the rings full can no longer livelock
-// Flush; and if a consumer stops making progress toward the snapshot for
-// FlushStallTimeout, Flush gives up with an error wrapping ErrFlushStalled
-// instead of spinning forever.
+// Flush.
+//
+// Whenever a shard's drain lock is free, Flush takes it and drains up to its
+// target on the calling goroutine, so it needs no running consumer and
+// never waits for one to wake; it never waits for the analysis pool either
+// (a cycle that finds the analysis queue full is left to the consumer).
+// While the consumer holds the lock, Flush waits for it. If the holder makes
+// no progress toward the target for FlushStallTimeout — a consumer held by
+// a wedged analysis pool — Flush gives up with an error wrapping
+// ErrFlushStalled instead of spinning forever.
 func (sp *ShardedProfile) Flush() error {
 	start := time.Now()
 	defer func() { sp.obs.FlushLatency.ObserveDuration(time.Since(start)) }()
@@ -1196,6 +1357,10 @@ func (sp *ShardedProfile) Flush() error {
 		last := s.consumed.Load()
 		lastProgress := time.Now()
 		for {
+			if s.drain.TryLock() {
+				s.drainTo(target)
+				s.drain.Unlock()
+			}
 			c := s.consumed.Load()
 			if c >= target {
 				break
@@ -1203,9 +1368,10 @@ func (sp *ShardedProfile) Flush() error {
 			if c != last {
 				last, lastProgress = c, time.Now()
 			} else if time.Since(lastProgress) > sp.cfg.FlushStallTimeout {
-				return fmt.Errorf("shard %d consumer stalled at %d/%d references for %v "+
+				return fmt.Errorf("shard %d drain stalled at %d/%d references for %v "+
 					"(quiescence contract: Flush only completes the references accepted "+
-					"before it was called, and requires a live consumer to drain them): %w",
+					"before it was called; the shard's consumer held its drain without "+
+					"progress): %w",
 					i, c, target, sp.cfg.FlushStallTimeout, ErrFlushStalled)
 			}
 			runtime.Gosched()
@@ -1244,10 +1410,18 @@ func (sp *ShardedProfile) Close() {
 	for _, s := range sp.shards {
 		<-s.done
 	}
-	// Consumers are joined, so no further jobs can be enqueued; close the
-	// analysis queue and wait for the pool to finish banking in-flight
-	// cycles. Readers after Close see complete retained sets.
+	// Consumers are joined; close the analysis queue and wait for the pool
+	// to finish banking in-flight cycles. Readers after Close see complete
+	// retained sets. A Flush may still drain what a producer racing Close
+	// pushed, so each shard first sends what a caller drain left unsent and
+	// switches to inline cycles, under its drain lock.
 	if sp.analysisQ != nil {
+		for _, s := range sp.shards {
+			s.drain.Lock()
+			s.sendUnsent()
+			s.pooled = false
+			s.drain.Unlock()
+		}
 		close(sp.analysisQ)
 		sp.workersDone.Wait()
 	}

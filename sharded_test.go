@@ -1,9 +1,13 @@
 package hotprefetch
 
 import (
+	"errors"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // shardTrace builds a trace dominated by a repeating hot stream, with the
@@ -310,4 +314,229 @@ func TestMergeStreamsCapReleasesCutStreams(t *testing.T) {
 			t.Fatalf("backing array slot %d past len still holds %v", len(got)+i, cut)
 		}
 	}
+}
+
+// waitConsumed polls, without calling Flush, until shard s has consumed
+// every reference it accepted, reporting false after timeout: only the
+// shard's own consumer can make the progress.
+func waitConsumed(s *ProfileShard, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for s.consumed.Load() < s.pushed.Load() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return true
+}
+
+// TestConsumerParksWhenIdle: once a shard's ring drains, its consumer goes
+// to sleep within 100 ms instead of polling, and a later Add wakes it — the
+// reference is consumed with no Flush to drain it.
+func TestConsumerParksWhenIdle(t *testing.T) {
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 2, MaxGrammarSymbols: 256, AnalysisWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	for i := 0; i < sp.NumShards(); i++ {
+		s := sp.Shard(i)
+		if err := s.AddBatch(shardTrace(i+1, 200)); err != nil {
+			t.Fatal(err)
+		}
+		if !waitConsumed(s, 5*time.Second) {
+			t.Fatalf("shard %d: consumer never drained its ring", i)
+		}
+		deadline := time.Now().Add(100 * time.Millisecond)
+		for !s.parked.Load() {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d: consumer not parked 100ms after its ring drained", i)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if err := s.Add(Ref{PC: 1, Addr: 64}); err != nil {
+			t.Fatal(err)
+		}
+		if !waitConsumed(s, 5*time.Second) {
+			t.Fatalf("shard %d: Add to an idle shard was never consumed without Flush", i)
+		}
+	}
+}
+
+// TestShardedNoLostWakeups races producers on every shard — single refs and
+// short batches with random sub-millisecond pauses — against their consumers'
+// parking, against each other's Flushes, and finally against Close. Every
+// other publish is left to the consumer alone; a lost wake-up strands it and
+// fails the consumer-only drain check. Every Flush returns nil, every
+// reference is on the books exactly once, and no goroutine outlives Close.
+func TestShardedNoLostWakeups(t *testing.T) {
+	const (
+		shards = 4
+		rounds = 200
+	)
+	base := runtime.NumGoroutine()
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            shards,
+		Policy:            Drop, // a batch is accepted or rejected whole, so the books stay exact
+		RingCap:           64,
+		FlushStallTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var produced, rejected [shards]uint64
+	var published, checked sync.WaitGroup
+	published.Add(shards)
+	checked.Add(shards)
+	lastStage := make(chan struct{})
+	publish := func(i int, rng *rand.Rand, flush bool) error {
+		s := sp.Shard(i)
+		var err error
+		n := 1
+		if rng.IntN(2) == 0 {
+			err = s.Add(Ref{PC: 100*i + rng.IntN(8), Addr: rng.Uint64N(1 << 12)})
+		} else {
+			n = 1 + rng.IntN(8)
+			refs := make([]Ref, n)
+			for k := range refs {
+				refs[k] = Ref{PC: 100*i + k, Addr: uint64(64 * k)}
+			}
+			err = s.AddBatch(refs)
+		}
+		produced[i] += uint64(n)
+		if errors.Is(err, ErrClosed) {
+			rejected[i] += uint64(n)
+			return err
+		}
+		if err != nil {
+			t.Errorf("shard %d publish: %v", i, err)
+			return err
+		}
+		time.Sleep(time.Duration(rng.IntN(500)) * time.Microsecond)
+		if flush {
+			if err := sp.Flush(); err != nil {
+				t.Errorf("shard %d Flush: %v", i, err)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < shards; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(i), 19))
+			for k := 0; k < rounds; k++ {
+				publish(i, rng, k%2 == 0)
+			}
+			// Consumer-only drain: no Flush runs anywhere until every
+			// producer has checked its shard.
+			published.Done()
+			published.Wait()
+			if !waitConsumed(sp.Shard(i), 5*time.Second) {
+				t.Errorf("shard %d: %d/%d references consumed without Flush (lost wake-up)",
+					i, sp.Shard(i).consumed.Load(), sp.Shard(i).pushed.Load())
+			}
+			checked.Done()
+			<-lastStage
+			for k := 0; ; k++ {
+				if publish(i, rng, k%2 == 0) != nil {
+					return
+				}
+			}
+		}(i)
+	}
+	checked.Wait()
+	close(lastStage)
+	time.Sleep(20 * time.Millisecond) // Close lands among the last publishes
+	sp.Close()
+	wg.Wait()
+	// What a producer pushed after its consumer's final drain is still
+	// drained, on the caller.
+	if err := sp.Flush(); err != nil {
+		t.Fatalf("Flush after Close: %v", err)
+	}
+	st := sp.Stats()
+	for i, ss := range st.Shards {
+		if got := ss.Pushed + ss.Dropped + rejected[i]; got != produced[i] {
+			t.Errorf("shard %d books %d references (pushed=%d dropped=%d rejected=%d), want %d",
+				i, got, ss.Pushed, ss.Dropped, rejected[i], produced[i])
+		}
+		if ss.Consumed != ss.Pushed {
+			t.Errorf("shard %d consumed %d of %d pushed references", i, ss.Consumed, ss.Pushed)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
+// TestFlushLeavesFullQueueToConsumer drives Flush's drain into a full
+// analysis queue with no worker and no consumer running: Flush must not
+// wait on the queue, so it stops draining and reports the stall, leaving
+// the cycle's grammar unsent. Once the worker and the consumer start, the
+// consumer sends that grammar first and drains the rest; no cycle is lost.
+func TestFlushLeavesFullQueueToConsumer(t *testing.T) {
+	sp := newShardedProfile(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		AnalysisWorkers:   1,
+		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
+		FlushStallTimeout: 20 * time.Millisecond,
+	}) // neither the consumer nor the worker is started yet
+	s := sp.Shard(0)
+	if err := s.AddAll(shardTrace(1, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Flush(); !errors.Is(err, ErrFlushStalled) {
+		t.Fatalf("Flush into a full analysis queue = %v, want ErrFlushStalled", err)
+	}
+	if len(s.unsent) == 0 || len(sp.analysisQ) != cap(sp.analysisQ) {
+		t.Fatalf("unsent=%d queued=%d/%d; want a full queue and an unsent grammar",
+			len(s.unsent), len(sp.analysisQ), cap(sp.analysisQ))
+	}
+	sp.workersDone.Add(1)
+	go sp.analysisWorker()
+	go s.consume()
+	if err := sp.Flush(); err != nil {
+		t.Fatalf("Flush once the consumer runs: %v", err)
+	}
+	sp.Close()
+	st := sp.Stats()
+	checkCycleInvariant(t, st)
+	if st.Consumed != st.Pushed || st.CyclesAnalyzed != st.Resets {
+		t.Errorf("consumed %d/%d, analyzed %d/%d cycles; want every reference and cycle",
+			st.Consumed, st.Pushed, st.CyclesAnalyzed, st.Resets)
+	}
+}
+
+// TestFlushAfterCloseCyclesInline: what a producer racing Close pushed after
+// its consumer's final drain is still drained by a later Flush, and since
+// the analysis pool has closed, the cycles that fall due run inline on the
+// caller instead of sending on the closed queue.
+func TestFlushAfterCloseCyclesInline(t *testing.T) {
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		AnalysisWorkers:   1,
+		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Close()
+	// A producer that passed Add's closed check before Close landed.
+	s := sp.Shard(0)
+	trace := shardTrace(1, 100)
+	n := s.q.PushBatch(trace)
+	s.pushed.Add(uint64(n))
+	if err := sp.Flush(); err != nil {
+		t.Fatalf("Flush after Close: %v", err)
+	}
+	st := sp.Stats()
+	if st.Consumed != uint64(len(trace)) {
+		t.Errorf("consumed %d of %d straggling references", st.Consumed, len(trace))
+	}
+	if st.Resets == 0 {
+		t.Error("no cycle fell due during the drain")
+	}
+	checkCycleInvariant(t, st)
 }
