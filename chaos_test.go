@@ -535,6 +535,69 @@ func TestFlushStallsOnWedgedPool(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// oneCycleProfile returns a profile of the service's per-tenant shape whose
+// analyses consult hook, fed references that fill its 64-symbol grammar
+// budget exactly once: one cycle goes to the analysis pool, and the grammar
+// left behind is small.
+func oneCycleProfile(t *testing.T, hook func(int) fault.Outcome, stall time.Duration) *ShardedProfile {
+	t.Helper()
+	sp, err := NewShardedProfileConfig(ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		AnalysisWorkers:   1,
+		FlushStallTimeout: stall,
+		Fault:             &fault.Hooks{AnalysisFn: hook},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]Ref, 100)
+	for i := range refs {
+		refs[i] = Ref{PC: i, Addr: uint64(i) * 64}
+	}
+	if err := sp.AddBatch(0, refs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.Stats().Resets; got != 1 {
+		t.Fatalf("%d grammar cycles, want exactly 1", got)
+	}
+	return sp
+}
+
+// TestHotStreamsErrReportsAnalysisStall wedges the analysis pool's one
+// worker on the profile's only cycle, with no AnalysisTimeout to abandon it:
+// HotStreamsErr must give up with ErrAnalysisStalled within about twice the
+// stall timeout instead of waiting for the analysis forever.
+func TestHotStreamsErrReportsAnalysisStall(t *testing.T) {
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	const stall = 100 * time.Millisecond
+	sp := oneCycleProfile(t, func(int) fault.Outcome {
+		<-release
+		return fault.Outcome{}
+	}, stall)
+	start := time.Now()
+	_, err := sp.HotStreamsErr(DefaultAnalysisConfig())
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrAnalysisStalled) {
+		t.Errorf("HotStreamsErr with a wedged pool = %v, want ErrAnalysisStalled", err)
+	}
+	if elapsed > 2*stall {
+		t.Errorf("HotStreamsErr took %v to give up, want within twice the %v stall timeout", elapsed, stall)
+	}
+	close(release)
+	sp.Close()
+	st := sp.Stats()
+	checkCycleInvariant(t, st)
+	if st.CyclesAnalyzed != 1 {
+		t.Errorf("%d cycles analyzed after the wedge was released, want 1", st.CyclesAnalyzed)
+	}
+	waitGoroutines(t, base)
+}
+
 // TestAnalysisDeadlineVerdictByElapsed readies an isolated analysis' result
 // and its deadline together, so select could pick either: the verdict must
 // rest on the analysis' own elapsed time. A result that overran the timeout

@@ -156,10 +156,10 @@ type Capture struct {
 	wg      sync.WaitGroup
 
 	// spare recycles the capacity of published (or dropped) batches back to
-	// the buffer-rotation sites, and bodyPool recycles the tracefile encode
-	// buffer across publishes — together they make the steady-state capture
-	// loop reuse memory instead of allocating a buffer and a wire-format
-	// body per publish.
+	// the buffer-rotation sites, and bodyPool recycles the wire-format body
+	// (a *[]byte the batch is appended to) across publishes — together they
+	// make the steady-state capture loop reuse memory instead of allocating
+	// a buffer and a body per publish.
 	spare    chan []ref.Ref
 	bodyPool sync.Pool
 
@@ -412,14 +412,15 @@ func (c *Capture) recycleBatch(batch []ref.Ref) {
 // Close pools the buffer: a stale second Close from an earlier round trip
 // cannot pool a buffer a later publish holds.
 type pooledBody struct {
-	*bytes.Buffer
+	bytes.Reader
+	buf    *[]byte
 	pool   *sync.Pool
 	closed atomic.Bool
 }
 
 func (b *pooledBody) Close() error {
 	if b.closed.CompareAndSwap(false, true) {
-		b.pool.Put(b.Buffer)
+		b.pool.Put(b.buf)
 	}
 	return nil
 }
@@ -473,29 +474,27 @@ func backoffSleep(base time.Duration, attempt int) {
 }
 
 // tryPublish frames the batch and POSTs it to the ingest endpoint once,
-// reporting whether a failure is worth retrying. The encode buffer is
-// pooled: once the transport has closed the request body (see pooledBody)
-// the buffer's capacity is reused by a later attempt, so a warm capture
-// frames batches without allocating the body again. The request is built by
-// hand from the pre-parsed URL (http.Client.Post would re-parse it per
-// call); GetBody is deliberately absent — the ingest endpoint never
-// redirects, a retry re-frames into a fresh pooled buffer, and a
-// transport-level replay would outlive the pooled buffer.
+// reporting whether a failure is worth retrying. The batch is appended
+// straight into a pooled byte slice: once the transport has closed the
+// request body (see pooledBody) the slice's capacity is reused by a later
+// attempt, so a warm capture frames batches without allocating the body
+// again. The request is built by hand from the pre-parsed URL
+// (http.Client.Post would re-parse it per call); GetBody is deliberately
+// absent — the ingest endpoint never redirects, a retry re-frames into a
+// fresh pooled buffer, and a transport-level replay would outlive the
+// pooled buffer.
 func (c *Capture) tryPublish(batch []ref.Ref) (retryable bool, err error) {
-	buf, _ := c.bodyPool.Get().(*bytes.Buffer)
+	buf, _ := c.bodyPool.Get().(*[]byte)
 	if buf == nil {
-		buf = new(bytes.Buffer)
+		buf = new([]byte)
 	}
-	buf.Reset()
-	if err := tracefile.Write(buf, batch); err != nil {
-		c.bodyPool.Put(buf)
-		return false, fmt.Errorf("client: encode: %w", err)
-	}
+	*buf = tracefile.Append((*buf)[:0], batch)
 	// The request and its body handle share one allocation.
 	rb := &struct {
 		req  http.Request
 		body pooledBody
-	}{body: pooledBody{Buffer: buf, pool: &c.bodyPool}}
+	}{body: pooledBody{buf: buf, pool: &c.bodyPool}}
+	rb.body.Reset(*buf)
 	u := *c.url // per-request copy; concurrent publishes must not share one URL
 	rb.req = http.Request{
 		Method:        http.MethodPost,
@@ -503,7 +502,7 @@ func (c *Capture) tryPublish(batch []ref.Ref) (retryable bool, err error) {
 		Host:          u.Host,
 		Header:        http.Header{"Content-Type": octetStream},
 		Body:          &rb.body,
-		ContentLength: int64(buf.Len()),
+		ContentLength: int64(len(*buf)),
 	}
 	req := &rb.req
 	resp, err := c.cfg.HTTPClient.Do(req)

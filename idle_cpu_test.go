@@ -6,6 +6,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hotprefetch/internal/fault"
 )
 
 // processCPU returns the CPU time the process has used so far.
@@ -48,5 +50,33 @@ func TestIdleProfileUsesNoCPU(t *testing.T) {
 	cores := float64(processCPU(t)-cpu0) / float64(time.Since(t0))
 	if cores > 0.1 {
 		t.Errorf("idle profile used %.2f cores over %v, want about 0", cores, window)
+	}
+}
+
+// TestDrainAnalysesSleeps: a HotStreamsErr caller waiting for a slow
+// background analysis sleeps until the analysis settles. Polling the
+// pending count with scheduler yields costs about one core for the whole
+// wait.
+func TestDrainAnalysesSleeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits half a second for a delayed analysis")
+	}
+	const delay = 500 * time.Millisecond
+	sp := oneCycleProfile(t, func(int) fault.Outcome { return fault.Outcome{Delay: delay} }, 0)
+	defer sp.Close()
+	cpu0, t0 := processCPU(t), time.Now()
+	if _, err := sp.HotStreamsErr(DefaultAnalysisConfig()); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(t0)
+	cores := float64(processCPU(t)-cpu0) / float64(elapsed)
+	if elapsed < delay/2 {
+		t.Fatalf("HotStreamsErr returned after %v, before the %v analysis could settle", elapsed, delay)
+	}
+	if got := sp.Stats().CyclesAnalyzed; got != 1 {
+		t.Errorf("HotStreamsErr returned with %d cycles analyzed, want 1", got)
+	}
+	if cores > 0.1 {
+		t.Errorf("waiting %v for an analysis used %.2f cores, want about 0", elapsed, cores)
 	}
 }

@@ -134,7 +134,7 @@ func TestDecoderByteBudget(t *testing.T) {
 		t.Fatalf("decoded %d refs, want 100000", total)
 	}
 	// 2^32 refs at 16 bytes each would be 64 GiB; the streaming path must
-	// stay within a modest fixed budget (chunk buffer + bufio + noise).
+	// stay within a modest fixed budget (chunk buffer + window + noise).
 	const budget = 1 << 20
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > budget {
 		t.Errorf("decoding allocated %d bytes, want <= %d", grew, budget)
@@ -167,11 +167,56 @@ func TestDecoderNextZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecoderResetZeroAlloc: a decoder reused through Reset — the service's
+// pooled ingest decoder — decodes trace after trace without allocating,
+// header included.
+func TestDecoderResetZeroAlloc(t *testing.T) {
+	refs := make([]ref.Ref, 5000)
+	for i := range refs {
+		refs[i] = ref.Ref{PC: i % 113, Addr: uint64(i%127) * 4096}
+	}
+	data := encode(t, refs)
+	rd := bytes.NewReader(data)
+	var d Decoder
+	b := make([]ref.Ref, 2048)
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(data)
+		if err := d.Reset(rd); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for {
+			n, err := d.Next(b)
+			total += n
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if total != len(refs) {
+			t.Fatalf("decoded %d refs, want %d", total, len(refs))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset and drain allocate %v per trace, want 0", allocs)
+	}
+	if err := d.Reset(nil); err != nil || d.r != nil || d.Remaining() != 0 {
+		t.Errorf("Reset(nil) = %v with source %v and %d refs remaining; want the source dropped and an empty trace",
+			err, d.r, d.Remaining())
+	}
+	if n, err := d.Next(b); n != 0 || err != io.EOF {
+		t.Errorf("Next after Reset(nil) = %d, %v; want 0, io.EOF", n, err)
+	}
+}
+
 // BenchmarkDecoderDrain measures streaming decode throughput: one iteration
 // opens a decoder over a 1<<14-reference frame and drains it in 2048-ref
-// chunks — the ingest endpoint's exact access pattern. The per-drain
-// allocations are the decoder's fixed setup (bufio reader + Decoder); Next
-// itself allocates nothing (see TestDecoderNextZeroAlloc).
+// chunks — the ingest endpoint's exact access pattern. The one allocation
+// per drain is NewDecoder's Decoder with its window, which the service
+// pools instead (see TestDecoderResetZeroAlloc); Next itself allocates
+// nothing (see TestDecoderNextZeroAlloc).
 func BenchmarkDecoderDrain(b *testing.B) {
 	const n = 1 << 14
 	refs := make([]ref.Ref, n)

@@ -428,13 +428,17 @@ func (svc *Service) Stats() ServiceStats {
 	return st
 }
 
-// decodePool holds one publish's resident decode buffer, pooled across
-// requests so sustained ingest allocates no per-chunk buffers. The decoder
-// fills it and PublishBatch reads it in place.
-var decodePool = sync.Pool{New: func() any {
-	buf := make([]Ref, publishChunk)
-	return &buf
-}}
+// ingestDecode is one publish's resident decode state: the decoder with its
+// read window, and the chunk it decodes into and PublishBatch reads in
+// place.
+type ingestDecode struct {
+	dec   tracefile.Decoder
+	chunk [publishChunk]Ref
+}
+
+// decodePool recycles ingestDecode across requests, so a publish allocates
+// no decode state.
+var decodePool = sync.Pool{New: func() any { return new(ingestDecode) }}
 
 // Handler returns the service's HTTP API:
 //
@@ -462,16 +466,16 @@ func (svc *Service) Handler() http.Handler {
 // explicit &stream= value when present, else a hash of tenant key and remote
 // address — so one client's connection keeps landing on one shard even when
 // the client doesn't pick an id.
-func streamID(r *http.Request, tenant string) uint64 {
-	if s := r.URL.Query().Get("stream"); s != "" {
-		if v, err := strconv.ParseUint(s, 10, 64); err == nil {
+func streamID(stream, tenant, remoteAddr string) uint64 {
+	if stream != "" {
+		if v, err := strconv.ParseUint(stream, 10, 64); err == nil {
 			return v
 		}
 	}
 	h := fnv.New64a()
 	io.WriteString(h, tenant)
 	io.WriteString(h, "\x00")
-	io.WriteString(h, r.RemoteAddr)
+	io.WriteString(h, remoteAddr)
 	return h.Sum64()
 }
 
@@ -485,7 +489,8 @@ type ingestResult struct {
 }
 
 func (svc *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("tenant")
+	query := r.URL.Query()
+	key := query.Get("tenant")
 	t, err := svc.Tenant(key)
 	switch {
 	case errors.Is(err, ErrBadTenantKey):
@@ -499,17 +504,18 @@ func (svc *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	stream := streamID(r, key)
-	body := http.MaxBytesReader(w, r.Body, svc.cfg.MaxBodyBytes)
-	dec, err := tracefile.NewDecoder(body)
-	if err != nil {
+	stream := streamID(query.Get("stream"), key, r.RemoteAddr)
+	st := decodePool.Get().(*ingestDecode)
+	defer func() {
+		st.dec.Reset(nil) // the pool must not keep this request's body
+		decodePool.Put(st)
+	}()
+	dec, buf := &st.dec, st.chunk[:]
+	if err := dec.Reset(http.MaxBytesReader(w, r.Body, svc.cfg.MaxBodyBytes)); err != nil {
 		svc.decodeErrors.Add(1)
 		http.Error(w, err.Error(), httpDecodeStatus(err))
 		return
 	}
-	bufp := decodePool.Get().(*[]Ref)
-	defer decodePool.Put(bufp)
-	buf := *bufp
 	// published counts refs admitted into the tenant's profile on every exit
 	// path, success or failure: a request that dies mid-body (oversized,
 	// truncated, tenant evicted) has still pushed its earlier chunks, and the

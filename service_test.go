@@ -606,3 +606,40 @@ func TestServiceMetricsCardinalityBound(t *testing.T) {
 		t.Error("tail tenant got its own label series despite the cardinality bound")
 	}
 }
+
+// TestServiceIngestSteadyStateAllocs: with the decode pool warm, a publish
+// allocates the same whatever the size of its body — the decoder, its
+// window and the chunk come from the pool, and Next allocates nothing — so
+// what an upload allocates is its request's fixed cost. The tenant's
+// one-reference quota is spent by the warm-up publish, so every measured
+// reference is shed at the producer boundary and no consumer work adds
+// allocations of its own.
+func TestServiceIngestSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping under -race")
+	}
+	svc, err := NewService(ServiceConfig{Tenant: ShardedConfig{Shards: 1, RefQuota: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	handler := svc.Handler()
+	perPublish := func(n int) float64 {
+		body := encodeTrace(t, makeRefs(1, n))
+		publish := func() {
+			req := httptest.NewRequest(http.MethodPost, "/ingest?tenant=allocs&stream=1", bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("ingest of %d refs: %d %s", n, rec.Code, rec.Body)
+			}
+		}
+		publish()
+		return testing.AllocsPerRun(50, publish)
+	}
+	small, large := perPublish(publishChunk), perPublish(8*publishChunk)
+	if small != large {
+		t.Errorf("a publish allocates %v times with %d refs and %v with %d; want the same",
+			small, publishChunk, large, 8*publishChunk)
+	}
+}

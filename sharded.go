@@ -58,6 +58,12 @@ type ShardedProfile struct {
 	analysisQ   chan analysisJob
 	workersDone sync.WaitGroup
 
+	// settledSig is closed, waking every drainAnalyses caller, each time a
+	// pooled analysis reaches a terminal state; it exists only while a
+	// caller waits. settledMu guards it.
+	settledMu  sync.Mutex
+	settledSig chan struct{}
+
 	// quotaUsed counts references admitted against cfg.RefQuota across all
 	// shards; producers reserve from it before touching any per-shard state,
 	// so the quota is exact even with concurrent producers (the counter may
@@ -595,10 +601,33 @@ func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 	s := job.shard
 	// Last on every path: drainAnalyses readers must see the retained
 	// merge and the failure accounting.
-	defer s.pending.Add(-1)
+	defer sp.analysisSettled(s)
 	if !s.analyzeCycle(job.p, time.Now(), sp.cfg.AnalysisTimeout) {
 		s.recycle(job.p)
 	}
+}
+
+// analysisSettled retires one of s's pending analyses and wakes whoever
+// waits in drainAnalyses.
+func (sp *ShardedProfile) analysisSettled(s *ProfileShard) {
+	s.pending.Add(-1)
+	sp.settledMu.Lock()
+	if sp.settledSig != nil {
+		close(sp.settledSig)
+		sp.settledSig = nil
+	}
+	sp.settledMu.Unlock()
+}
+
+// settled returns a channel that is closed when the next pooled analysis
+// settles (analysisSettled).
+func (sp *ShardedProfile) settled() <-chan struct{} {
+	sp.settledMu.Lock()
+	defer sp.settledMu.Unlock()
+	if sp.settledSig == nil {
+		sp.settledSig = make(chan struct{})
+	}
+	return sp.settledSig
 }
 
 // analyzeCycle is the one cycle-end analysis path, inline and pooled: the
@@ -675,7 +704,9 @@ func (sp *ShardedProfile) analysesDone() uint64 {
 // the isolation contract is that every job terminates — but if the pool
 // stops making progress for FlushStallTimeout (e.g. a hung analysis with no
 // AnalysisTimeout configured), drainAnalyses gives up with an error
-// wrapping ErrAnalysisStalled instead of spinning forever.
+// wrapping ErrAnalysisStalled instead of waiting forever. It sleeps between
+// checks: each settled analysis wakes it, and a timer set to the end of the
+// stall window wakes it for the verdict.
 func (sp *ShardedProfile) drainAnalyses() error {
 	if sp.analysisQ == nil {
 		return nil
@@ -683,14 +714,27 @@ func (sp *ShardedProfile) drainAnalyses() error {
 	lastDone := sp.analysesDone()
 	lastProgress := time.Now()
 	for i, s := range sp.shards {
-		for s.pending.Load() > 0 {
+		for {
+			// Take the signal before the check, so an analysis that
+			// settles after the check still wakes the wait below.
+			settled := sp.settled()
+			if s.pending.Load() == 0 {
+				break
+			}
 			if d := sp.analysesDone(); d != lastDone {
 				lastDone, lastProgress = d, time.Now()
-			} else if time.Since(lastProgress) > sp.cfg.FlushStallTimeout {
+			}
+			left := sp.cfg.FlushStallTimeout - time.Since(lastProgress)
+			if left <= 0 {
 				return fmt.Errorf("hotprefetch: shard %d has %d cycle analyses pending with no pool progress for %v: %w",
 					i, s.pending.Load(), sp.cfg.FlushStallTimeout, ErrAnalysisStalled)
 			}
-			runtime.Gosched()
+			stall := time.NewTimer(left)
+			select {
+			case <-settled:
+			case <-stall.C:
+			}
+			stall.Stop()
 		}
 	}
 	return nil
