@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hotprefetch/internal/ref"
 	"hotprefetch/internal/tracefile"
@@ -36,6 +37,15 @@ func benchBody(b *testing.B, stream uint64, n int) []byte {
 	return buf.Bytes()
 }
 
+// reportCPU reports the process CPU time used since cpu0, per operation, as
+// cpu-ns/op: with the shard consumer and any waiting publisher included, it
+// shows what a wait costs, which ns/op cannot.
+func reportCPU(b *testing.B, cpu0 time.Duration) {
+	if cpu := processCPU(b) - cpu0; cpu > 0 {
+		b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N), "cpu-ns/op")
+	}
+}
+
 // BenchmarkServiceIngest measures one publish request — 2048 references
 // streaming-decoded and routed to the tenant's shard — through the full
 // handler, sequentially on one tenant.
@@ -50,6 +60,7 @@ func BenchmarkServiceIngest(b *testing.B) {
 	body := benchBody(b, 1, refsPerPublish)
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0 := processCPU(b)
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest("POST", "/ingest?tenant=bench&stream=1", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -59,6 +70,7 @@ func BenchmarkServiceIngest(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	reportCPU(b, cpu0)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refsPerPublish), "refs-ns/op")
 }
 
@@ -77,6 +89,7 @@ func BenchmarkServiceIngestParallel(b *testing.B) {
 	var nextClient atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0 := processCPU(b)
 	b.RunParallel(func(pb *testing.PB) {
 		ci := nextClient.Add(1)
 		url := fmt.Sprintf("/ingest?tenant=bench-%02d&stream=%d", ci%16, ci)
@@ -90,6 +103,7 @@ func BenchmarkServiceIngestParallel(b *testing.B) {
 		}
 	})
 	b.StopTimer()
+	reportCPU(b, cpu0)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refsPerPublish), "refs-ns/op")
 	// Aggregate throughput across all publishers — the capacity-planning
 	// number: how many references per second one service instance absorbs.

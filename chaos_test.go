@@ -108,7 +108,7 @@ func TestChaosPolicyFaultMatrix(t *testing.T) {
 				// with PanicRate 1 every failure run is consecutive, so any
 				// shard that failed threshold times must have tripped.
 				for i, ss := range st.Shards {
-					if ss.AnalysesFailed >= 3 && ss.BreakerTransitions == 0 {
+					if ss.AnalysesFailed >= breakerThreshold && ss.BreakerTransitions == 0 {
 						t.Errorf("shard %d: %d consecutive failures but breaker never tripped",
 							i, ss.AnalysesFailed)
 					}
@@ -190,11 +190,7 @@ func runChaos(t *testing.T, policy IngestPolicy, sc chaosScenario, perShard int)
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   2,
 		AnalysisTimeout:   sc.timeout,
-		BreakerThreshold:  3,
-		BreakerBackoff:    time.Millisecond,
-		BreakerMaxBackoff: 8 * time.Millisecond,
 		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
-		FlushStallTimeout: 10 * time.Second,
 		Fault:             inj,
 	})
 	if err != nil {
@@ -250,57 +246,67 @@ func runChaos(t *testing.T, policy IngestPolicy, sc chaosScenario, perShard int)
 }
 
 // TestChaosBreakerRecovery walks one shard's breaker through its full
-// closed → open → half-open → closed cycle: the first failures trip it,
-// cycles during the backoff are skipped without analysis, and the half-open
+// closed → open → half-open → closed cycle at its production schedule, in
+// virtual time: the first breakerThreshold failures trip it, cycles during
+// the backoff are skipped without analysis, and once the clock passes the
+// jittered backoff, in [breakerBackoff/2, breakerBackoff], the half-open
 // probe's success restores full service.
 func TestChaosBreakerRecovery(t *testing.T) {
-	var failures atomic.Int64
+	var analyses atomic.Int64
 	hooks := &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
-		// Exactly the first `threshold` analyses panic; everything after
-		// succeeds, so the probe must close the breaker.
-		if failures.Add(1) <= 3 {
+		// Exactly the first breakerThreshold analyses panic; everything
+		// after succeeds, so the probe must close the breaker.
+		if analyses.Add(1) <= breakerThreshold {
 			return fault.Outcome{Panic: true}
 		}
 		return fault.Outcome{}
 	}}
-	sp, err := NewShardedProfileConfig(ShardedConfig{
+	sp, clk := fakeClockProfile(t, ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		BreakerThreshold:  3,
-		BreakerBackoff:    time.Millisecond,
-		BreakerMaxBackoff: 4 * time.Millisecond,
 		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 		Fault:             hooks,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer sp.Close()
 
 	trace := chaosTrace(1, 4096)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	feed := func() Stats {
+		t.Helper()
 		if err := sp.Shard(0).AddAll(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		st := sp.Stats()
-		if st.Shards[0].BreakerState == "closed" && st.CyclesAnalyzed > 0 && st.AnalysesFailed >= 3 {
-			// Recovered: trip (closed→open), probe (open→half-open), and
-			// restore (half-open→closed) are three recorded transitions.
-			if st.BreakerTransitions < 3 {
-				t.Fatalf("BreakerTransitions=%d after a full recovery cycle, want >= 3", st.BreakerTransitions)
-			}
-			checkCycleInvariant(t, st)
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never recovered; stats=%v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
+		return sp.Stats()
 	}
+	st := feed()
+	for st.AnalysesFailed < breakerThreshold {
+		st = feed()
+	}
+	st = feed()
+	if ss := st.Shards[0]; ss.BreakerState != "open" || ss.AnalysesSkipped == 0 || st.CyclesAnalyzed != 0 {
+		t.Fatalf("after %d failures with the clock standing: breaker %s, %d skipped, %d analyzed; want open, skipping, none analyzed",
+			st.AnalysesFailed, ss.BreakerState, ss.AnalysesSkipped, st.CyclesAnalyzed)
+	}
+	clk.Advance(breakerBackoff/2 - time.Nanosecond)
+	skipped := st.AnalysesSkipped
+	if st = feed(); st.Shards[0].BreakerState != "open" || st.AnalysesSkipped == skipped || st.CyclesAnalyzed != 0 {
+		t.Fatalf("%v into the backoff: breaker %s, %d skipped (%d before), %d analyzed; want still open and skipping",
+			breakerBackoff/2-time.Nanosecond, st.Shards[0].BreakerState, st.AnalysesSkipped, skipped, st.CyclesAnalyzed)
+	}
+	clk.Advance(breakerBackoff/2 + time.Nanosecond)
+	st = feed()
+	if st.Shards[0].BreakerState != "closed" || st.CyclesAnalyzed == 0 {
+		t.Fatalf("past the %v backoff: breaker %s, %d analyzed; want closed and analyzing", breakerBackoff,
+			st.Shards[0].BreakerState, st.CyclesAnalyzed)
+	}
+	// Trip (closed→open), probe (open→half-open), and restore
+	// (half-open→closed) are three recorded transitions.
+	if st.BreakerTransitions != 3 {
+		t.Fatalf("BreakerTransitions=%d after one recovery cycle, want 3", st.BreakerTransitions)
+	}
+	checkCycleInvariant(t, st)
 }
 
 // TestChaosCloseRacesAnalysis closes the profile while slow background
@@ -464,33 +470,38 @@ func TestConcurrentSwapsSerialized(t *testing.T) {
 // error from HotStreamsErr, while the lossy HotStreams wrapper returns the
 // partial merge and records the stall in Stats.FlushStalls.
 func TestHotStreamsErrReportsFlushStall(t *testing.T) {
-	cfg := ShardedConfig{Shards: 1, FlushStallTimeout: 20 * time.Millisecond}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sp := newShardedProfile(cfg) // consumers intentionally not started
+	sp := newShardedProfile(ShardedConfig{Shards: 1}) // consumers intentionally not started
+	clk := newFakeClock()
+	sp.clk = clk
 	if err := sp.Shard(0).Add(Ref{PC: 1, Addr: 8}); err != nil {
 		t.Fatal(err)
 	}
 	holdDrain(t, sp.Shard(0))
-	_, err := sp.HotStreamsErr(DefaultAnalysisConfig())
+	err := verdictAt(t, clk, flushStallTimeout, func() error {
+		_, err := sp.HotStreamsErr(DefaultAnalysisConfig())
+		return err
+	})
 	if !errors.Is(err, ErrFlushStalled) {
 		t.Fatalf("HotStreamsErr with a dead consumer = %v, want ErrFlushStalled", err)
 	}
 	if got := sp.Stats().FlushStalls; got != 0 {
 		t.Fatalf("FlushStalls=%d after strict reader, want 0", got)
 	}
-	sp.HotStreams(DefaultAnalysisConfig())
+	verdictAt(t, clk, flushStallTimeout, func() error {
+		sp.HotStreams(DefaultAnalysisConfig())
+		return nil
+	})
 	if got := sp.Stats().FlushStalls; got != 1 {
 		t.Fatalf("FlushStalls=%d after lossy reader hit a stall, want 1", got)
 	}
 }
 
 // TestFlushStallsOnWedgedPool wedges the analysis pool — its one worker held
-// in an analysis far longer than FlushStallTimeout, with no AnalysisTimeout
-// to abandon it — and checks that Flush, which never waits on the analysis
-// queue, still gives up with ErrFlushStalled within about twice the stall
-// timeout. Drop keeps the producer from waiting behind the wedge as well.
+// in an analysis, with no AnalysisTimeout to abandon it — until the
+// consumer blocks on the full analysis queue with its drain lock held, and
+// checks that Flush, which never waits on the analysis queue, gives up with
+// ErrFlushStalled exactly when the clock passes flushStallTimeout. Drop
+// keeps the producer from waiting behind the wedge as well.
 func TestFlushStallsOnWedgedPool(t *testing.T) {
 	base := runtime.NumGoroutine()
 	release := make(chan struct{})
@@ -498,32 +509,23 @@ func TestFlushStallsOnWedgedPool(t *testing.T) {
 		<-release
 		return fault.Outcome{}
 	}}
-	const stall = 100 * time.Millisecond
-	sp, err := NewShardedProfileConfig(ShardedConfig{
+	sp, clk := fakeClockProfile(t, ShardedConfig{
 		Shards:            1,
 		Policy:            Drop,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
 		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
-		FlushStallTimeout: stall,
 		Fault:             hooks,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Enough cycles for one to wedge the worker, two to fill the queue, and
 	// more whose enqueue can never complete.
 	if err := sp.AddBatch(0, chaosTrace(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	err = sp.Flush()
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrFlushStalled) {
+	s := sp.Shard(0)
+	eventually(t, "consumer blocked on the full analysis queue", func() bool { return s.pending.Load() == 4 })
+	if err := verdictAt(t, clk, flushStallTimeout, sp.Flush); !errors.Is(err, ErrFlushStalled) {
 		t.Errorf("Flush with a wedged pool = %v, want ErrFlushStalled", err)
-	}
-	if elapsed > 2*stall {
-		t.Errorf("Flush took %v to give up, want within twice the %v stall timeout", elapsed, stall)
 	}
 	close(release)
 	sp.Close()
@@ -535,22 +537,24 @@ func TestFlushStallsOnWedgedPool(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// oneCycleProfile returns a profile of the service's per-tenant shape whose
-// analyses consult hook, fed references that fill its 64-symbol grammar
-// budget exactly once: one cycle goes to the analysis pool, and the grammar
-// left behind is small.
-func oneCycleProfile(t *testing.T, hook func(int) fault.Outcome, stall time.Duration) *ShardedProfile {
+// oneCycleProfile returns a profile of the service's per-tenant shape, on
+// clock clk, whose analyses consult hook, fed references that fill its
+// 64-symbol grammar budget exactly once: one cycle goes to the analysis
+// pool, and the grammar left behind is small.
+func oneCycleProfile(t *testing.T, hook func(int) fault.Outcome, clk clock) *ShardedProfile {
 	t.Helper()
-	sp, err := NewShardedProfileConfig(ShardedConfig{
+	cfg := ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
-		FlushStallTimeout: stall,
 		Fault:             &fault.Hooks{AnalysisFn: hook},
-	})
-	if err != nil {
+	}
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	sp := newShardedProfile(cfg)
+	sp.clk = clk
+	sp.start()
 	refs := make([]Ref, 100)
 	for i := range refs {
 		refs[i] = Ref{PC: i, Addr: uint64(i) * 64}
@@ -569,24 +573,23 @@ func oneCycleProfile(t *testing.T, hook func(int) fault.Outcome, stall time.Dura
 
 // TestHotStreamsErrReportsAnalysisStall wedges the analysis pool's one
 // worker on the profile's only cycle, with no AnalysisTimeout to abandon it:
-// HotStreamsErr must give up with ErrAnalysisStalled within about twice the
-// stall timeout instead of waiting for the analysis forever.
+// HotStreamsErr must give up with ErrAnalysisStalled once the clock passes
+// flushStallTimeout, not before, instead of waiting for the analysis
+// forever.
 func TestHotStreamsErrReportsAnalysisStall(t *testing.T) {
 	base := runtime.NumGoroutine()
 	release := make(chan struct{})
-	const stall = 100 * time.Millisecond
+	clk := newFakeClock()
 	sp := oneCycleProfile(t, func(int) fault.Outcome {
 		<-release
 		return fault.Outcome{}
-	}, stall)
-	start := time.Now()
-	_, err := sp.HotStreamsErr(DefaultAnalysisConfig())
-	elapsed := time.Since(start)
+	}, clk)
+	err := verdictAt(t, clk, flushStallTimeout, func() error {
+		_, err := sp.HotStreamsErr(DefaultAnalysisConfig())
+		return err
+	})
 	if !errors.Is(err, ErrAnalysisStalled) {
 		t.Errorf("HotStreamsErr with a wedged pool = %v, want ErrAnalysisStalled", err)
-	}
-	if elapsed > 2*stall {
-		t.Errorf("HotStreamsErr took %v to give up, want within twice the %v stall timeout", elapsed, stall)
 	}
 	close(release)
 	sp.Close()

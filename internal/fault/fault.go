@@ -82,7 +82,8 @@ type SeededConfig struct {
 
 	// DelayRate is the fraction of analyses delayed by Delay before they
 	// run (set Delay above the service's AnalysisTimeout to force deadline
-	// failures).
+	// failures). The profile sleeps the delay on its own clock, so a test
+	// that substitutes a fake clock must advance it past Delay.
 	DelayRate float64
 	Delay     time.Duration
 

@@ -5,13 +5,11 @@
 // and each side re-reads the other's index only when its cached copy says
 // the ring looks full (producer) or empty (consumer). Under Go's memory
 // model the atomic head/tail loads and stores order the slot accesses, so
-// the queue is race-detector clean without locks.
+// the queue is race-detector clean without locks. No operation waits: the
+// caller of a refused push or an empty pop decides how to wait.
 package ring
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // pad keeps the producer- and consumer-owned fields on separate cache lines
 // so the two sides do not false-share.
@@ -76,14 +74,6 @@ func (q *SPSC[T]) TryPush(v T) bool {
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
 	return true
-}
-
-// Push enqueues v, spinning (with scheduler yields) while the ring is full.
-// Producer side only.
-func (q *SPSC[T]) Push(v T) {
-	for !q.TryPush(v) {
-		runtime.Gosched()
-	}
 }
 
 // PushBatch enqueues up to len(src) elements and returns how many fit,

@@ -52,7 +52,9 @@ func TestConcurrentTransfer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < n; i++ {
-			q.Push(i)
+			for !q.TryPush(i) {
+				runtime.Gosched()
+			}
 		}
 	}()
 	var next uint64
@@ -116,7 +118,9 @@ func TestLenBoundsUnderRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < n; i++ {
-			q.Push(i)
+			for !q.TryPush(i) {
+				runtime.Gosched()
+			}
 		}
 	}()
 	go func() {

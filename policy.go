@@ -19,9 +19,10 @@ import (
 type IngestPolicy int
 
 const (
-	// Block makes Add spin (with scheduler yields) until ring space frees
-	// up. No reference is ever lost, at the cost of stalling the producer —
-	// appropriate for offline trace ingestion where completeness matters.
+	// Block makes Add sleep while the ring is full, until the consumer has
+	// drained it to half. No reference is ever lost, at the cost of stalling
+	// the producer — appropriate for offline trace ingestion where
+	// completeness matters.
 	Block IngestPolicy = iota
 
 	// Drop makes Add shed the reference immediately when the ring is full,
@@ -196,14 +197,13 @@ func (m PrepassMode) String() string {
 }
 
 // ErrClosed is returned by ProfileShard.Add and AddAll after the profile has
-// been closed. Previously a blocked Add would spin forever against stopped
-// consumers; now it fails fast.
+// been closed, also to a Block Add that was asleep against a full ring.
 var ErrClosed = errors.New("hotprefetch: Add on closed ShardedProfile")
 
 // ErrFlushStalled is returned (wrapped) by ShardedProfile.Flush when a
 // shard's consumer holds its drain lock without making progress toward
-// Flush's target for FlushStallTimeout — in practice a consumer blocked on
-// the queue of a wedged analysis pool.
+// Flush's target for five seconds (flushStallTimeout) — in practice a
+// consumer blocked on the queue of a wedged analysis pool.
 var ErrFlushStalled = errors.New("hotprefetch: flush stalled")
 
 // ErrAnalysisPanic wraps the recovered value of a cycle-end analysis that
@@ -221,19 +221,20 @@ var ErrAnalysisPanic = errors.New("hotprefetch: analysis panicked")
 var ErrAnalysisTimeout = errors.New("hotprefetch: analysis deadline exceeded")
 
 // ErrAnalysisStalled is returned (wrapped) by HotStreamsErr when the
-// background analysis pool stops making progress toward draining the
-// pending cycle analyses within FlushStallTimeout.
+// background analysis pool makes no progress toward draining the pending
+// cycle analyses for five seconds (flushStallTimeout).
 var ErrAnalysisStalled = errors.New("hotprefetch: analysis pool stalled")
 
 // Defaults applied by ShardedConfig.withDefaults.
 const (
-	defaultRingCap           = 1 << 12
-	defaultSampleInterval    = 16
-	defaultFlushStallTimeout = 5 * time.Second
-	defaultBreakerThreshold  = 5
-	defaultBreakerBackoff    = 50 * time.Millisecond
-	defaultBreakerMaxBackoff = 5 * time.Second
+	defaultRingCap        = 1 << 12
+	defaultSampleInterval = 16
 )
+
+// flushStallTimeout is how long Flush waits on a drain-lock holder, and
+// HotStreamsErr on the analysis pool, without seeing progress before it
+// gives up with ErrFlushStalled or ErrAnalysisStalled.
+const flushStallTimeout = 5 * time.Second
 
 // ShardedConfig configures a ShardedProfile beyond the shard count. The zero
 // value (aside from Shards) reproduces NewShardedProfile's behavior: Block
@@ -268,11 +269,6 @@ type ShardedConfig struct {
 	// stream set per shard. The zero value means DefaultAnalysisConfig.
 	CycleAnalysis AnalysisConfig
 
-	// FlushStallTimeout bounds how long Flush waits without observing
-	// progress while a shard's consumer holds its drain lock, before giving
-	// up with ErrFlushStalled (0 means the default of 5s).
-	FlushStallTimeout time.Duration
-
 	// AnalysisWorkers, when positive, pipelines grammar budget cycles: each
 	// shard keeps a pre-warmed spare grammar, and hitting MaxGrammarSymbols
 	// swaps it in and hands the full grammar to a pool of this many
@@ -289,23 +285,8 @@ type ShardedConfig struct {
 	// longer back up the pool. Zero means no deadline. Inline cycles
 	// (AnalysisWorkers == 0) run on the goroutine draining the shard, which
 	// must retain ownership of its grammar, so the deadline applies only to
-	// the background pool.
+	// the background pool. Five failures in a row open a circuit breaker.
 	AnalysisTimeout time.Duration
-
-	// BreakerThreshold is the number of consecutive analysis failures
-	// (panics or deadline overruns) after which a shard's circuit breaker
-	// opens: while open, that shard's cycles skip analysis entirely and
-	// just recycle the grammar ("ingest-and-recycle"), counted in Stats as
-	// skipped analyses. After a backoff the breaker half-opens and lets one
-	// probe analysis through; success closes it, failure reopens it with a
-	// doubled backoff. Zero means the default of 5.
-	BreakerThreshold int
-
-	// BreakerBackoff is the initial open-state backoff; each reopen doubles
-	// it (with jitter) up to BreakerMaxBackoff. Zero means the defaults of
-	// 50ms and 5s.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
 
 	// Fault, when non-nil, is consulted at the service's fault-injection
 	// points (cycle-end analysis, producer ring pushes); see internal/fault.
@@ -348,21 +329,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	if c.CycleAnalysis == (AnalysisConfig{}) {
 		c.CycleAnalysis = DefaultAnalysisConfig()
 	}
-	if c.FlushStallTimeout == 0 {
-		c.FlushStallTimeout = defaultFlushStallTimeout
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = defaultBreakerThreshold
-	}
-	if c.BreakerBackoff == 0 {
-		c.BreakerBackoff = defaultBreakerBackoff
-	}
-	if c.BreakerMaxBackoff == 0 {
-		c.BreakerMaxBackoff = defaultBreakerMaxBackoff
-	}
-	if c.BreakerMaxBackoff < c.BreakerBackoff {
-		c.BreakerMaxBackoff = c.BreakerBackoff
-	}
 	return c
 }
 
@@ -385,20 +351,11 @@ func (c ShardedConfig) Validate() error {
 	if c.MaxGrammarSymbols > 0 && c.MaxGrammarSymbols < 16 {
 		return fmt.Errorf("hotprefetch: MaxGrammarSymbols %d too small to hold any stream (minimum 16)", c.MaxGrammarSymbols)
 	}
-	if c.FlushStallTimeout < 0 {
-		return fmt.Errorf("hotprefetch: negative FlushStallTimeout %v", c.FlushStallTimeout)
-	}
 	if c.AnalysisWorkers < 0 {
 		return fmt.Errorf("hotprefetch: negative AnalysisWorkers %d", c.AnalysisWorkers)
 	}
 	if c.AnalysisTimeout < 0 {
 		return fmt.Errorf("hotprefetch: negative AnalysisTimeout %v", c.AnalysisTimeout)
-	}
-	if c.BreakerThreshold < 0 {
-		return fmt.Errorf("hotprefetch: negative BreakerThreshold %d", c.BreakerThreshold)
-	}
-	if c.BreakerBackoff < 0 || c.BreakerMaxBackoff < 0 {
-		return fmt.Errorf("hotprefetch: negative breaker backoff (%v, %v)", c.BreakerBackoff, c.BreakerMaxBackoff)
 	}
 	if err := c.Burst.Validate(); err != nil {
 		return fmt.Errorf("Burst: %w", err)

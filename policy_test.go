@@ -345,22 +345,16 @@ func TestFlushBoundedUnderActiveProducers(t *testing.T) {
 
 // TestFlushStalledConsumer checks the bounded-wait error path: a shard whose
 // drain lock is held by a consumer that makes no progress cannot drain, so
-// Flush must give up with ErrFlushStalled instead of spinning forever.
+// Flush must give up with ErrFlushStalled once the clock passes
+// flushStallTimeout, not before, instead of waiting forever.
 func TestFlushStalledConsumer(t *testing.T) {
-	cfg := ShardedConfig{Shards: 1, FlushStallTimeout: 20 * time.Millisecond}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sp := newShardedProfile(cfg) // consumers intentionally not started
+	sp := newShardedProfile(ShardedConfig{Shards: 1}) // consumers intentionally not started
+	clk := newFakeClock()
+	sp.clk = clk
 	sp.Shard(0).Add(Ref{PC: 1, Addr: 1})
 	holdDrain(t, sp.Shard(0))
-	start := time.Now()
-	err := sp.Flush()
-	if !errors.Is(err, ErrFlushStalled) {
+	if err := verdictAt(t, clk, flushStallTimeout, sp.Flush); !errors.Is(err, ErrFlushStalled) {
 		t.Fatalf("Flush = %v, want ErrFlushStalled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("Flush took %v to give up, want bounded by the stall timeout", elapsed)
 	}
 }
 
@@ -382,7 +376,6 @@ func TestFlushDrainsWithoutRunningConsumer(t *testing.T) {
 		Shards:            2,
 		MaxGrammarSymbols: 64,
 		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
-		FlushStallTimeout: 20 * time.Millisecond,
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -468,13 +461,9 @@ func TestShardedConfigValidate(t *testing.T) {
 		{RingCap: -4},
 		{MaxGrammarSymbols: -1},
 		{MaxGrammarSymbols: 4},
-		{FlushStallTimeout: -time.Second},
 		{CycleAnalysis: AnalysisConfig{MinLen: -1}},
 		{AnalysisWorkers: -1},
 		{AnalysisTimeout: -time.Second},
-		{BreakerThreshold: -1},
-		{BreakerBackoff: -time.Millisecond},
-		{BreakerMaxBackoff: -time.Millisecond},
 	}
 	for i, cfg := range bad {
 		if _, err := NewShardedProfileConfig(cfg); err == nil {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -53,16 +52,14 @@ type ShardedProfile struct {
 	cfg    ShardedConfig
 	closed atomic.Bool
 
+	clk clock // the profile's one time source; see clock
+
 	// analysisQ feeds full profiles to the background analysis pool; nil
 	// when AnalysisWorkers == 0 (inline cycling).
 	analysisQ   chan analysisJob
 	workersDone sync.WaitGroup
 
-	// settledSig is closed, waking every drainAnalyses caller, each time a
-	// pooled analysis reaches a terminal state; it exists only while a
-	// caller waits. settledMu guards it.
-	settledMu  sync.Mutex
-	settledSig chan struct{}
+	retired waitq // notified as each pooled analysis settles; drainAnalyses waits on it
 
 	// quotaUsed counts references admitted against cfg.RefQuota across all
 	// shards; producers reserve from it before touching any per-shard state,
@@ -129,18 +126,22 @@ func breakerStateName(s int32) string {
 	}
 }
 
+// The breaker's schedule; see breaker.
+const (
+	breakerThreshold  = 5
+	breakerBackoff    = 50 * time.Millisecond
+	breakerMaxBackoff = 5 * time.Second
+)
+
 // breaker is a per-shard circuit breaker over cycle-end analyses: after
-// threshold consecutive failures (panics or deadline overruns) it opens and
-// the shard degrades to ingest-and-recycle without analysis, instead of
-// feeding a failing analysis path forever. After a jittered exponential
-// backoff it half-opens and admits exactly one probe analysis; success
-// closes it (resetting the backoff), failure reopens it with a doubled
-// backoff.
+// breakerThreshold consecutive failures (panics or deadline overruns) it
+// opens and the shard degrades to ingest-and-recycle without analysis,
+// instead of feeding a failing analysis path forever. After a jittered
+// exponential backoff from breakerBackoff it half-opens and admits exactly
+// one probe analysis; success closes it (resetting the backoff), failure
+// reopens it with a doubled backoff, up to breakerMaxBackoff.
 type breaker struct {
 	mu          sync.Mutex
-	threshold   int
-	minBackoff  time.Duration
-	maxBackoff  time.Duration
 	backoff     time.Duration // next open duration (pre-jitter)
 	state       int32
 	consecFails int
@@ -209,7 +210,7 @@ func (b *breaker) success() {
 	closed := b.state != breakerClosed
 	if closed {
 		b.state = breakerClosed
-		b.backoff = b.minBackoff
+		b.backoff = breakerBackoff
 		b.transitions.Add(1)
 	}
 	b.mu.Unlock()
@@ -225,7 +226,7 @@ func (b *breaker) failure(now time.Time) {
 	b.probing = false
 	switch b.state {
 	case breakerClosed:
-		if b.consecFails < b.threshold {
+		if b.consecFails < breakerThreshold {
 			b.mu.Unlock()
 			return
 		}
@@ -249,10 +250,7 @@ func (b *breaker) failure(now time.Time) {
 		d = half + time.Duration(b.nextRand()%uint64(half+1))
 	}
 	b.openUntil = now.Add(d)
-	b.backoff *= 2
-	if b.backoff > b.maxBackoff {
-		b.backoff = b.maxBackoff
-	}
+	b.backoff = min(2*b.backoff, breakerMaxBackoff)
 	b.mu.Unlock()
 	b.notify(breakerOpen)
 }
@@ -289,17 +287,20 @@ type ProfileShard struct {
 	p     *Profile
 	// unsent holds, in cycle order, the full grammars a caller drain could
 	// not enqueue without waiting; the consumer sends them before its next
-	// drain (Close, if the consumers are gone).
+	// drain (Close, if the consumers are gone). owed mirrors len(unsent) > 0
+	// for the waits that cannot take drain.
 	unsent []*Profile
+	owed   atomic.Bool
 	// pooled is set while cycles hand full grammars to the analysis pool:
 	// from construction when the pool and a grammar budget are configured
 	// until Close closes the pool, after which a drain cycles inline.
 	pooled bool
 
-	// parked is set while the consumer sleeps on wake with an empty ring;
-	// the push that finds it set clears it and sends the wake token.
-	parked atomic.Bool
-	wake   chan struct{}
+	// The consumer sleeps on work (references, an owed grammar, or Close), a
+	// Block producer on room (a pop left the ring at most half full, or
+	// Close), and a Flush that finds drain held on progress (every pop and
+	// every release of drain).
+	work, room, progress waitq
 
 	sp  *ShardedProfile // owner; reaches the analysis pool and its stats
 	idx int             // shard index, used by fault injection and errors
@@ -366,11 +367,11 @@ type ProfileShard struct {
 	// because the profile-wide RefQuota was exhausted.
 	quotaShed atomic.Uint64
 
-	// prodLock serializes PublishBatch producers on this shard: the SPSC
+	// pubMu serializes PublishBatch producers on this shard: the SPSC
 	// ring and the producer-local Sample/burst state admit one producer at
 	// a time, and stream-hashed placement cannot guarantee two goroutines
 	// never pick the same shard.
-	prodLock atomic.Bool
+	pubMu sync.Mutex
 
 	// retained is the shard's bank: the hot streams its grammar cycles
 	// extracted since the last rebase (since the profile began, for an
@@ -382,8 +383,7 @@ type ProfileShard struct {
 	reading  bool
 	late     []Stream
 
-	stop chan struct{}
-	done chan struct{}
+	done chan struct{} // closed when the consumer exits
 }
 
 // NewShardedProfile returns a profile with n shards (n < 1 is treated as 1)
@@ -408,6 +408,12 @@ func NewShardedProfileConfig(cfg ShardedConfig) (*ShardedProfile, error) {
 		return nil, err
 	}
 	sp := newShardedProfile(cfg)
+	sp.start()
+	return sp, nil
+}
+
+// start spawns the analysis workers and the shard consumers.
+func (sp *ShardedProfile) start() {
 	for i := 0; i < sp.cfg.AnalysisWorkers; i++ {
 		sp.workersDone.Add(1)
 		go sp.analysisWorker()
@@ -415,14 +421,14 @@ func NewShardedProfileConfig(cfg ShardedConfig) (*ShardedProfile, error) {
 	for _, s := range sp.shards {
 		go s.consume()
 	}
-	return sp, nil
 }
 
 // newShardedProfile builds the shard set without starting consumers; tests
-// use it to exercise producer-side policies deterministically.
+// use it to exercise producer-side policies deterministically, or to set
+// the clock before start.
 func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 	cfg = cfg.withDefaults()
-	sp := &ShardedProfile{shards: make([]*ProfileShard, cfg.Shards), cfg: cfg, obs: obs.New()}
+	sp := &ShardedProfile{shards: make([]*ProfileShard, cfg.Shards), cfg: cfg, clk: realClock{}, obs: obs.New()}
 	if cfg.AnalysisWorkers > 0 {
 		// Queue capacity of two jobs per shard: a shard can have at most one
 		// analysis in flight per spare it can draw, and the spare channel
@@ -441,17 +447,9 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			maxSymbols: cfg.MaxGrammarSymbols,
 			cycleCfg:   cfg.CycleAnalysis,
 			prepassOn:  cfg.Prepass == PrepassOn,
-			wake:       make(chan struct{}, 1),
-			stop:       make(chan struct{}),
 			done:       make(chan struct{}),
 		}
-		s.brk = breaker{
-			threshold:  cfg.BreakerThreshold,
-			minBackoff: cfg.BreakerBackoff,
-			maxBackoff: cfg.BreakerMaxBackoff,
-			backoff:    cfg.BreakerBackoff,
-			rng:        uint64(i)*0x9e3779b97f4a7c15 + 1,
-		}
+		s.brk = breaker{backoff: breakerBackoff, rng: uint64(i)*0x9e3779b97f4a7c15 + 1}
 		shard := i
 		s.brk.onTransition = func(newState int32) {
 			switch newState {
@@ -521,7 +519,9 @@ func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, err error) {
 	if s.inj != nil {
 		f := s.inj.Analysis(s.idx)
 		if f.Delay > 0 {
-			time.Sleep(f.Delay)
+			slept := make(chan struct{})
+			s.sp.clk.AfterFunc(f.Delay, func() { close(slept) })
+			<-slept
 		}
 		if f.Panic {
 			panic("fault: injected analysis panic")
@@ -548,13 +548,14 @@ func (s *ProfileShard) analyzeIsolated(p *Profile, timeout time.Duration) (strea
 	}
 	done := make(chan analysisResult, 1)
 	go func() {
-		start := time.Now()
+		start := s.sp.clk.Now()
 		st, err := s.safeAnalyze(p)
-		done <- analysisResult{st, err, time.Since(start)}
+		done <- analysisResult{st, err, s.sp.clk.Now().Sub(start)}
 	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	return s.awaitAnalysis(done, timer.C, timeout)
+	deadline := make(chan time.Time, 1)
+	stop := s.sp.clk.AfterFunc(timeout, func() { deadline <- s.sp.clk.Now() })
+	defer stop()
+	return s.awaitAnalysis(done, deadline, timeout)
 }
 
 // awaitAnalysis waits for an isolated analysis' result or its deadline.
@@ -601,33 +602,13 @@ func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 	s := job.shard
 	// Last on every path: drainAnalyses readers must see the retained
 	// merge and the failure accounting.
-	defer sp.analysisSettled(s)
-	if !s.analyzeCycle(job.p, time.Now(), sp.cfg.AnalysisTimeout) {
+	defer func() {
+		s.pending.Add(-1)
+		sp.retired.notify()
+	}()
+	if !s.analyzeCycle(job.p, sp.clk.Now(), sp.cfg.AnalysisTimeout) {
 		s.recycle(job.p)
 	}
-}
-
-// analysisSettled retires one of s's pending analyses and wakes whoever
-// waits in drainAnalyses.
-func (sp *ShardedProfile) analysisSettled(s *ProfileShard) {
-	s.pending.Add(-1)
-	sp.settledMu.Lock()
-	if sp.settledSig != nil {
-		close(sp.settledSig)
-		sp.settledSig = nil
-	}
-	sp.settledMu.Unlock()
-}
-
-// settled returns a channel that is closed when the next pooled analysis
-// settles (analysisSettled).
-func (sp *ShardedProfile) settled() <-chan struct{} {
-	sp.settledMu.Lock()
-	defer sp.settledMu.Unlock()
-	if sp.settledSig == nil {
-		sp.settledSig = make(chan struct{})
-	}
-	return sp.settledSig
 }
 
 // analyzeCycle is the one cycle-end analysis path, inline and pooled: the
@@ -649,11 +630,11 @@ func (s *ProfileShard) analyzeCycle(p *Profile, start time.Time, timeout time.Du
 	if err != nil {
 		s.analysesFailed.Add(1)
 		s.sp.obs.Emit(obs.KindAnalysisFailed, s.idx, 0)
-		s.brk.failure(time.Now())
+		s.brk.failure(s.sp.clk.Now())
 		return abandoned
 	}
 	s.brk.success()
-	s.sp.noteAnalysis(s, time.Since(start))
+	s.sp.noteAnalysis(s, s.sp.clk.Now().Sub(start))
 	s.bank(streams)
 	return false
 }
@@ -702,39 +683,27 @@ func (sp *ShardedProfile) analysesDone() uint64 {
 // running, so the retained sets are complete up to the analyses enqueued
 // before the call. Failed and breaker-skipped analyses count as drained —
 // the isolation contract is that every job terminates — but if the pool
-// stops making progress for FlushStallTimeout (e.g. a hung analysis with no
+// makes no progress for flushStallTimeout (e.g. a hung analysis with no
 // AnalysisTimeout configured), drainAnalyses gives up with an error
-// wrapping ErrAnalysisStalled instead of waiting forever. It sleeps between
-// checks: each settled analysis wakes it, and a timer set to the end of the
-// stall window wakes it for the verdict.
+// wrapping ErrAnalysisStalled instead of waiting forever. It sleeps on
+// retired between checks.
 func (sp *ShardedProfile) drainAnalyses() error {
 	if sp.analysisQ == nil {
 		return nil
 	}
 	lastDone := sp.analysesDone()
-	lastProgress := time.Now()
+	lastProgress := sp.clk.Now()
 	for i, s := range sp.shards {
-		for {
-			// Take the signal before the check, so an analysis that
-			// settles after the check still wakes the wait below.
-			settled := sp.settled()
-			if s.pending.Load() == 0 {
-				break
+		for s.pending.Load() != 0 {
+			if !sp.retired.wait(func() bool {
+				return s.pending.Load() == 0 || sp.analysesDone() != lastDone
+			}, sp.clk, lastProgress.Add(flushStallTimeout)) {
+				return fmt.Errorf("hotprefetch: shard %d has %d cycle analyses pending with no pool progress for %v: %w",
+					i, s.pending.Load(), flushStallTimeout, ErrAnalysisStalled)
 			}
 			if d := sp.analysesDone(); d != lastDone {
-				lastDone, lastProgress = d, time.Now()
+				lastDone, lastProgress = d, sp.clk.Now()
 			}
-			left := sp.cfg.FlushStallTimeout - time.Since(lastProgress)
-			if left <= 0 {
-				return fmt.Errorf("hotprefetch: shard %d has %d cycle analyses pending with no pool progress for %v: %w",
-					i, s.pending.Load(), sp.cfg.FlushStallTimeout, ErrAnalysisStalled)
-			}
-			stall := time.NewTimer(left)
-			select {
-			case <-settled:
-			case <-stall.C:
-			}
-			stall.Stop()
 		}
 	}
 	return nil
@@ -755,43 +724,19 @@ func (s *ProfileShard) consume() {
 		func(context.Context) { s.consumeLoop() })
 }
 
-// consumeLoop drains the ring whenever it has references and sleeps on
-// wake otherwise, so an idle shard costs no CPU. Parking sets parked before
-// it re-checks the ring, and every successful push publishes its references
-// before it checks parked (wakeConsumer). Both sides use sequentially
-// consistent atomics, so either the re-check sees the push or the push sees
-// parked: no reference waits behind a sleeping consumer.
+// consumeLoop drains the ring whenever it has references or a grammar is
+// owed, and sleeps on work otherwise, so an idle shard costs no CPU. Once
+// the profile closes it drains what raced in before the close and exits.
 func (s *ProfileShard) consumeLoop() {
 	for {
 		s.drainRing()
-		s.parked.Store(true)
-		if s.q.Len() == 0 {
-			select {
-			case <-s.wake:
-			case <-s.stop:
-				// Drain what raced in before the stop signal.
-				s.drainRing()
-				return
-			}
+		s.work.wait(func() bool {
+			return s.q.Len() > 0 || s.owed.Load() || s.closed.Load()
+		}, nil, time.Time{})
+		if s.closed.Load() {
+			s.drainRing()
+			return
 		}
-		s.parked.Store(false)
-	}
-}
-
-// wakeConsumer wakes the shard's consumer if it sleeps; every successful
-// push calls it after publishing its references. A token left over from an
-// earlier wake only costs the consumer one empty drain.
-func (s *ProfileShard) wakeConsumer() {
-	if s.parked.Load() && s.parked.CompareAndSwap(true, false) {
-		s.signal()
-	}
-}
-
-// signal leaves the consumer a wake token unless one is already waiting.
-func (s *ProfileShard) signal() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
 	}
 }
 
@@ -806,10 +751,10 @@ const drainBatch = 256
 func (s *ProfileShard) drainRing() {
 	var batch [drainBatch]Ref
 	s.drain.Lock()
-	defer s.drain.Unlock()
+	defer s.unlockDrain()
 	s.sendUnsent()
 	for {
-		n := s.q.PopBatch(batch[:])
+		n := s.pop(batch[:])
 		if n == 0 {
 			return
 		}
@@ -817,22 +762,42 @@ func (s *ProfileShard) drainRing() {
 	}
 }
 
+// pop takes up to len(batch) references off the ring, under drain, and
+// notifies progress, and room once the ring is at most half full: the drain
+// pays a Block producer's wakeup per half ring, not per batch.
+func (s *ProfileShard) pop(batch []Ref) int {
+	n := s.q.PopBatch(batch)
+	if n > 0 {
+		s.progress.notify()
+		if s.q.Len() <= s.q.Cap()/2 {
+			s.room.notify()
+		}
+	}
+	return n
+}
+
+// unlockDrain releases drain and notifies a Flush that found it held.
+func (s *ProfileShard) unlockDrain() {
+	s.drain.Unlock()
+	s.progress.notify()
+}
+
 // drainTo is Flush's drain on its own goroutine, under drain: it compresses
 // references, drainBatch at a time, until the shard has consumed target. It
-// never waits for the analysis pool: while a cycle's grammar is unsent
-// (enqueue), it wakes the consumer to send it and drains nothing.
+// never waits for the analysis pool: while a cycle's grammar is owed
+// (enqueue), it notifies the consumer to send it and drains nothing.
 func (s *ProfileShard) drainTo(target uint64) {
 	var batch [drainBatch]Ref
 	for {
-		if len(s.unsent) > 0 {
-			s.signal()
+		if s.owed.Load() {
+			s.work.notify()
 			return
 		}
 		c := s.consumed.Load()
 		if c >= target {
 			return
 		}
-		n := s.q.PopBatch(batch[:min(drainBatch, target-c)])
+		n := s.pop(batch[:min(drainBatch, target-c)])
 		if n == 0 {
 			return
 		}
@@ -848,12 +813,13 @@ func (s *ProfileShard) sendUnsent() {
 	}
 	clear(s.unsent)
 	s.unsent = s.unsent[:0]
+	s.owed.Store(false)
 }
 
 // compressLatencyMinBatch gates per-batch CompressLatency observation:
 // singleton batches compress in tens of nanoseconds, below the monotonic
-// clock's useful resolution, and a time.Now pair would roughly double their
-// cost.
+// clock's useful resolution, and a pair of clock reads would roughly double
+// their cost.
 const compressLatencyMinBatch = 8
 
 // addChunk feeds one chunk into the shard's current profile. With the
@@ -880,7 +846,7 @@ func (s *ProfileShard) apply(refs []Ref, wait bool) {
 	var start time.Time
 	var collapsedStart uint64
 	if observe {
-		start = time.Now()
+		start = s.sp.clk.Now()
 		if s.prepassOn {
 			// s.collapsed is written only under drain, so this pre/post read
 			// pair is exact for the batch even though Stats reads it
@@ -936,7 +902,7 @@ func (s *ProfileShard) apply(refs []Ref, wait bool) {
 	s.peakGrammar.Store(uint64(peak))
 	s.consumed.Add(uint64(n))
 	if observe {
-		s.sp.obs.CompressLatency.ObserveDuration(time.Since(start))
+		s.sp.obs.CompressLatency.ObserveDuration(s.sp.clk.Now().Sub(start))
 		if s.prepassOn {
 			s.sp.obs.PrepassCollapse.Observe(1000 * (s.collapsed.Load() - collapsedStart) / uint64(n))
 		}
@@ -957,7 +923,7 @@ func (s *ProfileShard) apply(refs []Ref, wait bool) {
 // snapshot taken mid-cycle never sees the terminal counters ahead of
 // Resets — the snapshot invariant documented on Stats.
 func (s *ProfileShard) cycle(wait bool) {
-	start := time.Now()
+	start := s.sp.clk.Now()
 	s.sp.obs.Emit(obs.KindCycleStart, s.idx, uint64(s.p.GrammarSize()))
 	if s.pooled {
 		full := s.p
@@ -977,7 +943,7 @@ func (s *ProfileShard) cycle(wait bool) {
 		// terminal counter must never be observable ahead of this one.
 		s.resets.Add(1)
 		s.enqueue(full, wait)
-		s.noteCycleStall(time.Since(start))
+		s.noteCycleStall(s.sp.clk.Now().Sub(start))
 		return
 	}
 	// Inline: the drain owns s.p throughout, so the analysis runs here on
@@ -986,7 +952,7 @@ func (s *ProfileShard) cycle(wait bool) {
 	s.resets.Add(1)
 	s.analyzeCycle(s.p, start, 0)
 	s.p.Reset()
-	s.noteCycleStall(time.Since(start))
+	s.noteCycleStall(s.sp.clk.Now().Sub(start))
 }
 
 // enqueue hands a full grammar to the analysis pool in cycle order. The
@@ -1003,6 +969,7 @@ func (s *ProfileShard) enqueue(p *Profile, wait bool) {
 			}
 		}
 		s.unsent = append(s.unsent, p)
+		s.owed.Store(true)
 		return
 	}
 	s.sp.analysisQ <- analysisJob{shard: s, p: p}
@@ -1022,7 +989,7 @@ func (s *ProfileShard) noteCycleStall(d time.Duration) {
 }
 
 // tryPush pushes one reference, treating the ring as full when the fault
-// injector simulates pressure, and wakes a sleeping consumer on success.
+// injector simulates pressure, and notifies the consumer on success.
 func (s *ProfileShard) tryPush(r Ref) bool {
 	if s.inj != nil && s.inj.RingFull(s.idx) {
 		return false
@@ -1030,22 +997,35 @@ func (s *ProfileShard) tryPush(r Ref) bool {
 	if !s.q.TryPush(r) {
 		return false
 	}
-	s.wakeConsumer()
+	s.work.notify()
 	return true
 }
 
 // tryPushBatch pushes a run of references, treating the ring as full when
-// the fault injector simulates pressure, and wakes a sleeping consumer
-// when any landed.
+// the fault injector simulates pressure, and notifies the consumer when
+// any landed.
 func (s *ProfileShard) tryPushBatch(refs []Ref) int {
 	if s.inj != nil && s.inj.RingFull(s.idx) {
 		return 0
 	}
 	n := s.q.PushBatch(refs)
 	if n > 0 {
-		s.wakeConsumer()
+		s.work.notify()
 	}
 	return n
+}
+
+// awaitRoom sleeps a refused Block producer only while its ring is really
+// full, until it is half empty, so injected pressure retries at once and
+// cannot strand it. It returns ErrClosed once the profile closes.
+func (s *ProfileShard) awaitRoom() error {
+	if s.q.Len() == s.q.Cap() {
+		s.room.wait(func() bool { return s.q.Len() <= s.q.Cap()/2 || s.closed.Load() }, nil, time.Time{})
+	}
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	return nil
 }
 
 // retainedStreams returns the shard's bank. A bank is replaced, never
@@ -1118,8 +1098,7 @@ func (s *ProfileShard) burstPhaseEnd() {
 // decrement with no ring traffic at all.
 //
 // Add returns ErrClosed once the profile has been closed — including for a
-// Block Add already spinning against a full ring when Close lands, which
-// previously span forever against stopped consumers.
+// Block Add asleep against a full ring when Close lands.
 func (s *ProfileShard) Add(r Ref) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -1137,8 +1116,8 @@ func (s *ProfileShard) Add(r Ref) error {
 }
 
 // addPolicy routes one burst-admitted reference through the shard's ingest
-// policy. The caller has already checked closed (Block re-checks while
-// spinning).
+// policy. The caller has already checked closed (Block re-checks while it
+// waits).
 func (s *ProfileShard) addPolicy(r Ref) error {
 	switch s.policy {
 	case Drop:
@@ -1169,10 +1148,9 @@ func (s *ProfileShard) addPolicy(r Ref) error {
 		}
 	default: // Block
 		for !s.tryPush(r) {
-			if s.closed.Load() {
-				return ErrClosed
+			if err := s.awaitRoom(); err != nil {
+				return err
 			}
-			runtime.Gosched()
 		}
 	}
 	s.pushed.Add(1)
@@ -1261,12 +1239,10 @@ func (s *ProfileShard) pushBatchPolicy(refs []Ref) error {
 		for pushed < len(refs) {
 			n := s.tryPushBatch(refs[pushed:])
 			if n == 0 {
-				if s.closed.Load() {
+				if err := s.awaitRoom(); err != nil {
 					s.pushed.Add(uint64(pushed))
-					return ErrClosed
+					return err
 				}
-				runtime.Gosched()
-				continue
 			}
 			pushed += n
 		}
@@ -1331,18 +1307,6 @@ func (sp *ShardedProfile) AddBatch(i int, refs []Ref) error {
 	return sp.shards[i].AddBatch(refs)
 }
 
-// lockProducer claims the shard's producer slot, spinning with scheduler
-// yields; unlockProducer releases it. Uncontended while each stream's
-// publishes arrive one at a time, so the common cost is one uncontended
-// CAS.
-func (s *ProfileShard) lockProducer() {
-	for !s.prodLock.CompareAndSwap(false, true) {
-		runtime.Gosched()
-	}
-}
-
-func (s *ProfileShard) unlockProducer() { s.prodLock.Store(false) }
-
 // mix64 is the splitmix64 finalizer, used to spread stream identifiers over
 // shards without clustering on sequential ids.
 func mix64(x uint64) uint64 {
@@ -1365,10 +1329,9 @@ func mix64(x uint64) uint64 {
 // direct shard producers bypass.
 func (sp *ShardedProfile) PublishBatch(stream uint64, refs []Ref) error {
 	s := sp.shards[mix64(stream)%uint64(len(sp.shards))]
-	s.lockProducer()
-	err := s.AddBatch(refs)
-	s.unlockProducer()
-	return err
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	return s.AddBatch(refs)
 }
 
 // NumShards returns the number of shards.
@@ -1387,38 +1350,38 @@ func (sp *ShardedProfile) Shard(i int) *ProfileShard { return sp.shards[i] }
 //
 // Whenever a shard's drain lock is free, Flush takes it and drains up to its
 // target on the calling goroutine, so it needs no running consumer and
-// never waits for one to wake; it never waits for the analysis pool either
+// never waits for one to run; it never waits for the analysis pool either
 // (a cycle that finds the analysis queue full is left to the consumer).
-// While the consumer holds the lock, Flush waits for it. If the holder makes
-// no progress toward the target for FlushStallTimeout — a consumer held by
+// While the consumer holds the lock, or owes the pool a grammar Flush's
+// drain left it, Flush sleeps until the consumer makes progress. If it
+// makes none toward the target for flushStallTimeout — a consumer held by
 // a wedged analysis pool — Flush gives up with an error wrapping
-// ErrFlushStalled instead of spinning forever.
+// ErrFlushStalled instead of waiting forever.
 func (sp *ShardedProfile) Flush() error {
-	start := time.Now()
-	defer func() { sp.obs.FlushLatency.ObserveDuration(time.Since(start)) }()
+	start := sp.clk.Now()
+	defer func() { sp.obs.FlushLatency.ObserveDuration(sp.clk.Now().Sub(start)) }()
 	for i, s := range sp.shards {
 		target := s.pushed.Load()
-		last := s.consumed.Load()
-		lastProgress := time.Now()
-		for {
-			if s.drain.TryLock() {
-				s.drainTo(target)
-				s.drain.Unlock()
-			}
-			c := s.consumed.Load()
-			if c >= target {
-				break
-			}
-			if c != last {
-				last, lastProgress = c, time.Now()
-			} else if time.Since(lastProgress) > sp.cfg.FlushStallTimeout {
+		last, lastProgress := s.consumed.Load(), sp.clk.Now()
+		for last < target {
+			held := false
+			if !s.progress.wait(func() bool {
+				held = !s.owed.Load() && s.drain.TryLock()
+				return held || s.consumed.Load() != last
+			}, sp.clk, lastProgress.Add(flushStallTimeout)) {
 				return fmt.Errorf("shard %d drain stalled at %d/%d references for %v "+
 					"(quiescence contract: Flush only completes the references accepted "+
 					"before it was called; the shard's consumer held its drain without "+
 					"progress): %w",
-					i, c, target, sp.cfg.FlushStallTimeout, ErrFlushStalled)
+					i, last, target, flushStallTimeout, ErrFlushStalled)
 			}
-			runtime.Gosched()
+			if held {
+				s.drainTo(target)
+				s.unlockDrain()
+			}
+			if c := s.consumed.Load(); c != last {
+				last, lastProgress = c, sp.clk.Now()
+			}
 		}
 	}
 	return nil
@@ -1443,13 +1406,12 @@ func (sp *ShardedProfile) Close() {
 	if !sp.closed.CompareAndSwap(false, true) {
 		return
 	}
-	// Fail producers fast first so a Block Add spinning against a full ring
-	// observes the close instead of spinning against a stopped consumer.
+	// Close each shard: its consumer drains and exits, and a Block producer
+	// asleep against its full ring returns ErrClosed.
 	for _, s := range sp.shards {
 		s.closed.Store(true)
-	}
-	for _, s := range sp.shards {
-		close(s.stop)
+		s.work.notify()
+		s.room.notify()
 	}
 	for _, s := range sp.shards {
 		<-s.done
@@ -1464,7 +1426,7 @@ func (sp *ShardedProfile) Close() {
 			s.drain.Lock()
 			s.sendUnsent()
 			s.pooled = false
-			s.drain.Unlock()
+			s.unlockDrain()
 		}
 		close(sp.analysisQ)
 		sp.workersDone.Wait()
@@ -1508,9 +1470,9 @@ func (sp *ShardedProfile) HotStreamsErr(cfg AnalysisConfig) ([]Stream, error) {
 		}(i, s)
 	}
 	wg.Wait()
-	start := time.Now()
+	start := sp.clk.Now()
 	out := mergeStreams(perShard, cfg.MaxStreams)
-	sp.mergeNanos.Add(uint64(time.Since(start)))
+	sp.mergeNanos.Add(uint64(sp.clk.Now().Sub(start)))
 	sp.mergeCount.Add(1)
 	return out, err
 }

@@ -331,8 +331,8 @@ func waitConsumed(s *ProfileShard, timeout time.Duration) bool {
 }
 
 // TestConsumerParksWhenIdle: once a shard's ring drains, its consumer goes
-// to sleep within 100 ms instead of polling, and a later Add wakes it — the
-// reference is consumed with no Flush to drain it.
+// to sleep on the shard's work waitq within 100 ms instead of polling, and a
+// later Add rouses it — the reference is consumed with no Flush to drain it.
 func TestConsumerParksWhenIdle(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 2, MaxGrammarSymbols: 256, AnalysisWorkers: 1})
 	if err != nil {
@@ -348,9 +348,9 @@ func TestConsumerParksWhenIdle(t *testing.T) {
 			t.Fatalf("shard %d: consumer never drained its ring", i)
 		}
 		deadline := time.Now().Add(100 * time.Millisecond)
-		for !s.parked.Load() {
+		for s.work.n.Load() != 1 {
 			if time.Now().After(deadline) {
-				t.Fatalf("shard %d: consumer not parked 100ms after its ring drained", i)
+				t.Fatalf("shard %d: consumer not asleep on work 100ms after its ring drained", i)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -376,10 +376,9 @@ func TestShardedNoLostWakeups(t *testing.T) {
 	)
 	base := runtime.NumGoroutine()
 	sp, err := NewShardedProfileConfig(ShardedConfig{
-		Shards:            shards,
-		Policy:            Drop, // a batch is accepted or rejected whole, so the books stay exact
-		RingCap:           64,
-		FlushStallTimeout: 10 * time.Second,
+		Shards:  shards,
+		Policy:  Drop, // a batch is accepted or rejected whole, so the books stay exact
+		RingCap: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -480,13 +479,14 @@ func TestFlushLeavesFullQueueToConsumer(t *testing.T) {
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
 		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
-		FlushStallTimeout: 20 * time.Millisecond,
 	}) // neither the consumer nor the worker is started yet
+	clk := newFakeClock()
+	sp.clk = clk
 	s := sp.Shard(0)
 	if err := s.AddAll(shardTrace(1, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Flush(); !errors.Is(err, ErrFlushStalled) {
+	if err := verdictAt(t, clk, flushStallTimeout, sp.Flush); !errors.Is(err, ErrFlushStalled) {
 		t.Fatalf("Flush into a full analysis queue = %v, want ErrFlushStalled", err)
 	}
 	if len(s.unsent) == 0 || len(sp.analysisQ) != cap(sp.analysisQ) {

@@ -240,13 +240,13 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 func (s *Supervisor) run() {
 	defer close(s.done)
 	pprof.Do(context.Background(), pprof.Labels("hotprefetch_phase", "supervise"), func(context.Context) {
-		ticker := time.NewTicker(s.cfg.Interval)
-		defer ticker.Stop()
+		tick, stop := s.sp.clk.NewTicker(s.cfg.Interval)
+		defer stop()
 		for {
 			select {
 			case <-s.stop:
 				return
-			case <-ticker.C:
+			case <-tick:
 				if err := s.Poll(); err != nil {
 					s.pollErrors.Add(1)
 				}
