@@ -27,7 +27,7 @@ func BenchmarkAddBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
 			sp, err := NewShardedProfileConfig(ShardedConfig{
 				Shards:  1,
-				Prepass: PrepassOn,
+				prepass: true,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -123,7 +123,6 @@ func benchCycleTurnaround(b *testing.B, workers int) {
 	trace := coreTrace(1 << 16)
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
-		RingCap:           1024,
 		MaxGrammarSymbols: 2048,
 		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.01, MaxStreams: 100},
 		AnalysisWorkers:   workers,

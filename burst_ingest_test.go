@@ -2,13 +2,15 @@ package hotprefetch
 
 // Tests for the bursty-sampling front end (ShardedConfig.Burst): exact
 // shed/push reconciliation across policies under the race detector, the
-// Add/AddBatch admission equivalence the Skip fast path must preserve, and
-// the flag-value parser.
+// admission a one-check-per-reference controller makes, which the Skip fast
+// path must preserve, and the flag-value parser.
 
 import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hotprefetch/internal/burst"
 )
 
 // burstTestConfig is small enough to cross several awake/hibernate phases
@@ -31,10 +33,9 @@ func TestBurstReconciliation(t *testing.T) {
 	for _, pol := range []IngestPolicy{Block, Drop, Sample} {
 		t.Run(pol.String(), func(t *testing.T) {
 			sp, err := NewShardedProfileConfig(ShardedConfig{
-				Shards:  producers,
-				RingCap: 256,
-				Policy:  pol,
-				Burst:   burstTestConfig(),
+				Shards: producers,
+				Policy: pol,
+				Burst:  burstTestConfig(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -95,13 +96,35 @@ func TestBurstReconciliation(t *testing.T) {
 	}
 }
 
-// TestBurstBatchMatchesAdd is the admission-equivalence check for the Skip
-// fast path: the same reference sequence through per-reference Add and
-// through AddBatch in varying chunk sizes must admit exactly the same
-// references (the controller is deterministic), yielding identical push,
-// shed, and grammar accounting.
+// TestBurstBatchMatchesAdd is the admission check for the burst front end's
+// Skip fast path: the same reference sequence through per-reference Add and
+// through AddBatch in varying chunk sizes must admit exactly the references
+// an independent oracle admits — a burst.Controller replayed with one Check
+// per reference, the paper's counter machine run literally (§2.1–2.2) —
+// yielding the oracle's push, shed, and grammar accounting.
 func TestBurstBatchMatchesAdd(t *testing.T) {
 	trace := coreTrace(300000)
+	ctl := burst.New(burstTestConfig().controllerConfig())
+	var admitted []Ref
+	for _, r := range trace {
+		instrumented, phaseEnded := ctl.Check()
+		if instrumented && ctl.Awake() {
+			admitted = append(admitted, r)
+		}
+		if phaseEnded {
+			if ctl.Awake() {
+				ctl.Hibernate()
+			} else {
+				ctl.Wake()
+			}
+		}
+	}
+	oracle := NewProfile()
+	oracle.AddAll(admitted)
+	wantPushed, wantShed := uint64(len(admitted)), uint64(len(trace)-len(admitted))
+	if wantPushed == 0 || wantShed == 0 {
+		t.Fatalf("degenerate oracle: pushed %d, shed %d", wantPushed, wantShed)
+	}
 	run := func(chunk int) Stats {
 		sp, err := NewShardedProfileConfig(ShardedConfig{
 			Shards: 1,
@@ -135,18 +158,14 @@ func TestBurstBatchMatchesAdd(t *testing.T) {
 		}
 		return sp.Stats()
 	}
-	want := run(1)
-	if want.Pushed == 0 || want.BurstShed == 0 {
-		t.Fatalf("degenerate baseline: pushed %d, shed %d", want.Pushed, want.BurstShed)
-	}
-	for _, chunk := range []int{7, 64, 256} {
+	for _, chunk := range []int{1, 7, 64, 256} {
 		got := run(chunk)
-		if got.Pushed != want.Pushed || got.BurstShed != want.BurstShed {
+		if got.Pushed != wantPushed || got.BurstShed != wantShed {
 			t.Errorf("chunk %d: pushed/shed = %d/%d, want %d/%d",
-				chunk, got.Pushed, got.BurstShed, want.Pushed, want.BurstShed)
+				chunk, got.Pushed, got.BurstShed, wantPushed, wantShed)
 		}
-		if got.GrammarSize != want.GrammarSize {
-			t.Errorf("chunk %d: grammar size %d, want %d", chunk, got.GrammarSize, want.GrammarSize)
+		if got.GrammarSize != oracle.GrammarSize() {
+			t.Errorf("chunk %d: grammar size %d, want %d", chunk, got.GrammarSize, oracle.GrammarSize())
 		}
 	}
 }

@@ -183,19 +183,14 @@ func runChaos(t *testing.T, policy IngestPolicy, sc chaosScenario, perShard int)
 	const shards = 4
 	base := runtime.NumGoroutine()
 	inj := fault.NewSeeded(sc.faults)
-	sp, err := NewShardedProfileConfig(ShardedConfig{
+	sp := startProfile(t, ShardedConfig{
 		Shards:            shards,
 		Policy:            policy,
-		RingCap:           256,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   2,
 		AnalysisTimeout:   sc.timeout,
 		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
-		Fault:             inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, realClock{}, inj)
 
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
@@ -261,12 +256,12 @@ func TestChaosBreakerRecovery(t *testing.T) {
 		}
 		return fault.Outcome{}
 	}}
-	sp, clk := fakeClockProfile(t, ShardedConfig{
+	clk := newFakeClock()
+	sp := startProfile(t, ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
-		Fault:             hooks,
-	})
+	}, clk, hooks)
 	defer sp.Close()
 
 	trace := chaosTrace(1, 4096)
@@ -315,16 +310,12 @@ func TestChaosBreakerRecovery(t *testing.T) {
 func TestChaosCloseRacesAnalysis(t *testing.T) {
 	base := runtime.NumGoroutine()
 	inj := fault.NewSeeded(fault.SeededConfig{Seed: 9, DelayRate: 1, Delay: 2 * time.Millisecond})
-	sp, err := NewShardedProfileConfig(ShardedConfig{
+	sp := startProfile(t, ShardedConfig{
 		Shards:            2,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   2,
 		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
-		Fault:             inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, realClock{}, inj)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -363,14 +354,7 @@ func TestChaosCloseRacesAnalysis(t *testing.T) {
 func TestChaosDoubleCloseBlockedProducers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	hooks := &fault.Hooks{RingFullFn: func(int) bool { return true }}
-	sp, err := NewShardedProfileConfig(ShardedConfig{
-		Shards: 2,
-		Policy: Block,
-		Fault:  hooks,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := startProfile(t, ShardedConfig{Shards: 2, Policy: Block}, realClock{}, hooks)
 
 	errs := make(chan error, 4)
 	var wg sync.WaitGroup
@@ -509,14 +493,14 @@ func TestFlushStallsOnWedgedPool(t *testing.T) {
 		<-release
 		return fault.Outcome{}
 	}}
-	sp, clk := fakeClockProfile(t, ShardedConfig{
+	clk := newFakeClock()
+	sp := startProfile(t, ShardedConfig{
 		Shards:            1,
 		Policy:            Drop,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
 		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
-		Fault:             hooks,
-	})
+	}, clk, hooks)
 	// Enough cycles for one to wedge the worker, two to fill the queue, and
 	// more whose enqueue can never complete.
 	if err := sp.AddBatch(0, chaosTrace(1, 4096)); err != nil {
@@ -543,18 +527,11 @@ func TestFlushStallsOnWedgedPool(t *testing.T) {
 // pool, and the grammar left behind is small.
 func oneCycleProfile(t *testing.T, hook func(int) fault.Outcome, clk clock) *ShardedProfile {
 	t.Helper()
-	cfg := ShardedConfig{
+	sp := startProfile(t, ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
-		Fault:             &fault.Hooks{AnalysisFn: hook},
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sp := newShardedProfile(cfg)
-	sp.clk = clk
-	sp.start()
+	}, clk, &fault.Hooks{AnalysisFn: hook})
 	refs := make([]Ref, 100)
 	for i := range refs {
 		refs[i] = Ref{PC: i, Addr: uint64(i) * 64}

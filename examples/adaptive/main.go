@@ -95,9 +95,9 @@ func supervised(windows [][]hotprefetch.Ref) {
 		panic(err)
 	}
 	sup, err := hotprefetch.Supervise(svc, matcher, hotprefetch.SupervisorConfig{
-		// Interval 0: we drive the supervision windows ourselves with Poll,
-		// once per program window. A server would set Interval instead and
-		// let the background loop pace itself.
+		// The supervisor has no loop of its own: we drive its windows with
+		// Poll, once per program window, as a server would from its own
+		// loop (say, after every publish).
 		AccuracyFloor: 0.25,
 		BadWindows:    2,
 	})

@@ -48,7 +48,7 @@ func TestIdleProfileUsesNoCPU(t *testing.T) {
 		Shards:            1,
 		MaxGrammarSymbols: 4096,
 		AnalysisWorkers:   1,
-		Prepass:           PrepassOn,
+		prepass:           true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +93,9 @@ func TestDrainAnalysesSleeps(t *testing.T) {
 	}
 }
 
-// blockedProducer holds s's drain lock, so that its 64-slot ring stays
-// full, and starts publish with 100 references; it returns once the
-// producer sleeps for room. The channel receives publish's error, and
+// blockedProducer holds s's drain lock, so that its ring stays full, and
+// starts publish with more references than the ring holds; it returns once
+// the producer sleeps for room. The channel receives publish's error, and
 // release lets the consumer drain (also at cleanup, ahead of Close).
 func blockedProducer(t *testing.T, s *ProfileShard, publish func([]Ref) error) (res <-chan error, release func()) {
 	t.Helper()
@@ -103,7 +103,7 @@ func blockedProducer(t *testing.T, s *ProfileShard, publish func([]Ref) error) (
 	release = sync.OnceFunc(s.unlockDrain)
 	t.Cleanup(release)
 	c := make(chan error, 1)
-	go func() { c <- publish(shardTrace(1, 100)) }()
+	go func() { c <- publish(shardTrace(1, ringCap/12)) }()
 	eventually(t, "Block producer asleep on a full ring", func() bool { return s.room.n.Load() == 1 })
 	return c, release
 }
@@ -115,7 +115,7 @@ func TestBlockPublishSleepsOnFullRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures half a second of a blocked producer")
 	}
-	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, RingCap: 64})
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestPublishBatchSleepsBehindBlockedPublisher(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures half a second of blocked publishers")
 	}
-	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, RingCap: 64})
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

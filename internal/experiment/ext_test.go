@@ -13,6 +13,7 @@ func TestStaticVsDynamicShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload runs")
 	}
+	t.Parallel()
 	results, err := StaticVsDynamic([]workload.Params{workload.Vpr(), workload.Mcf()})
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +45,7 @@ func TestSchedulingAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload runs")
 	}
+	t.Parallel()
 	results, err := AblationScheduling(workload.Mcf(), []int{0, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +76,7 @@ func TestHybridComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload runs")
 	}
+	t.Parallel()
 	results, err := HybridComparison([]workload.Params{workload.Mcf()})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"sync"
 	"testing"
 
 	"hotprefetch/internal/opt"
@@ -9,8 +10,9 @@ import (
 
 // TestPaperShapeSuite is the repository's headline integration test: it runs
 // every benchmark through every evaluation mode and asserts the qualitative
-// shape of the paper's Figures 11 and 12 and Table 2. It takes ~20s; skipped
-// under -short.
+// shape of the paper's Figures 11 and 12 and Table 2. The benchmarks are
+// independent, so they run as parallel subtests of "run". It takes ~25s of
+// CPU; skipped under -short.
 func TestPaperShapeSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation suite; run without -short")
@@ -20,20 +22,30 @@ func TestPaperShapeSuite(t *testing.T) {
 		opt.ModeNoPref, opt.ModeSeqPref, opt.ModeDynPref,
 	}
 	runs := map[string]*Run{}
-	for _, p := range workload.Catalog() {
-		run, err := RunBenchmark(p, allModes)
-		if err != nil {
-			t.Fatal(err)
+	var mu sync.Mutex
+	if !t.Run("run", func(t *testing.T) {
+		for _, p := range workload.Catalog() {
+			t.Run(p.Name, func(t *testing.T) {
+				t.Parallel()
+				run, err := RunBenchmark(p, allModes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				runs[p.Name] = run
+				mu.Unlock()
+				dyn := run.Results[opt.ModeDynPref]
+				avg := dyn.AvgPerCycle()
+				t.Logf("%-7s base=%5.1f%% prof=%5.1f%% hds=%5.1f%% | nopref=%5.1f%% seq=%6.1f%% dyn=%6.1f%% | cyc=%2d traced=%6d hds=%3d dfsm=<%d,%d> procs=%2d miss=%.2f",
+					p.Name,
+					run.Overhead(opt.ModeBase), run.Overhead(opt.ModeProfile), run.Overhead(opt.ModeHds),
+					run.Overhead(opt.ModeNoPref), run.Overhead(opt.ModeSeqPref), run.Overhead(opt.ModeDynPref),
+					dyn.OptCycles(), avg.TracedRefs, avg.HotStreams, avg.DFSMStates, avg.DFSMTransitions,
+					avg.ProcsModified, dyn.Cache.MissRatio())
+			})
 		}
-		runs[p.Name] = run
-		dyn := run.Results[opt.ModeDynPref]
-		avg := dyn.AvgPerCycle()
-		t.Logf("%-7s base=%5.1f%% prof=%5.1f%% hds=%5.1f%% | nopref=%5.1f%% seq=%6.1f%% dyn=%6.1f%% | cyc=%2d traced=%6d hds=%3d dfsm=<%d,%d> procs=%2d miss=%.2f",
-			p.Name,
-			run.Overhead(opt.ModeBase), run.Overhead(opt.ModeProfile), run.Overhead(opt.ModeHds),
-			run.Overhead(opt.ModeNoPref), run.Overhead(opt.ModeSeqPref), run.Overhead(opt.ModeDynPref),
-			dyn.OptCycles(), avg.TracedRefs, avg.HotStreams, avg.DFSMStates, avg.DFSMTransitions,
-			avg.ProcsModified, dyn.Cache.MissRatio())
+	}) {
+		t.FailNow()
 	}
 
 	for name, run := range runs {

@@ -5,7 +5,7 @@ import (
 )
 
 // FuzzBatchInterleavings drives an SPSC ring through a fuzz-chosen sequence
-// of PushBatch/PopBatch/TryPush/TryPop calls against a plain-slice model:
+// of PushBatch/PopBatch calls against a plain-slice model:
 // every element must come out exactly once, in FIFO order, and the
 // accepted/returned counts and Len must agree with the model at every step.
 // Single-goroutine by design — the SPSC contract allows one producer and one
@@ -27,16 +27,16 @@ func FuzzBatchInterleavings(f *testing.F) {
 			n := int(op & 0x7f)
 			if op&0x80 == 0 {
 				if n == 0 {
-					// TryPush a single element instead.
+					// Push a one-element batch instead.
 					full := len(model) == q.Cap()
-					if q.TryPush(next) {
+					if push1(q, next) {
 						if full {
-							t.Fatalf("TryPush succeeded with %d/%d queued", len(model), q.Cap())
+							t.Fatalf("one-element push succeeded with %d/%d queued", len(model), q.Cap())
 						}
 						model = append(model, next)
 						next++
 					} else if !full {
-						t.Fatalf("TryPush failed with %d/%d queued", len(model), q.Cap())
+						t.Fatalf("one-element push failed with %d/%d queued", len(model), q.Cap())
 					}
 					continue
 				}
@@ -57,13 +57,13 @@ func FuzzBatchInterleavings(f *testing.F) {
 				next += uint64(pushed)
 			} else {
 				if n == 0 {
-					v, ok := q.TryPop()
+					v, ok := pop1(q)
 					if ok != (len(model) > 0) {
-						t.Fatalf("TryPop ok=%v with %d queued", ok, len(model))
+						t.Fatalf("one-element pop ok=%v with %d queued", ok, len(model))
 					}
 					if ok {
 						if v != model[0] {
-							t.Fatalf("TryPop = %d, want %d (FIFO)", v, model[0])
+							t.Fatalf("one-element pop = %d, want %d (FIFO)", v, model[0])
 						}
 						model = model[1:]
 					}
@@ -99,7 +99,7 @@ func FuzzBatchInterleavings(f *testing.F) {
 
 		// Drain: everything still queued must come out in order.
 		for i := 0; len(model) > 0; i++ {
-			v, ok := q.TryPop()
+			v, ok := pop1(q)
 			if !ok {
 				t.Fatalf("ring empty with %d modeled elements left", len(model))
 			}
@@ -108,7 +108,7 @@ func FuzzBatchInterleavings(f *testing.F) {
 			}
 			model = model[1:]
 		}
-		if v, ok := q.TryPop(); ok {
+		if v, ok := pop1(q); ok {
 			t.Fatalf("ring yielded %d after the model drained", v)
 		}
 	})

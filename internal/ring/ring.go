@@ -61,25 +61,10 @@ func (q *SPSC[T]) Len() int {
 	return int(n)
 }
 
-// TryPush enqueues v, reporting false if the ring is full. Producer side
-// only.
-func (q *SPSC[T]) TryPush(v T) bool {
-	t := q.tail.Load()
-	if t-q.headCache == uint64(len(q.buf)) {
-		q.headCache = q.head.Load()
-		if t-q.headCache == uint64(len(q.buf)) {
-			return false
-		}
-	}
-	q.buf[t&q.mask] = v
-	q.tail.Store(t + 1)
-	return true
-}
-
 // PushBatch enqueues up to len(src) elements and returns how many fit,
 // publishing them with a single tail store — the producer-side counterpart
 // of PopBatch, amortizing the release fence and head refresh over a burst.
-// Producer side only.
+// A one-element batch is a single push. Producer side only.
 func (q *SPSC[T]) PushBatch(src []T) int {
 	t := q.tail.Load()
 	free := uint64(len(q.buf)) - (t - q.headCache)
@@ -102,22 +87,6 @@ func (q *SPSC[T]) PushBatch(src []T) int {
 	copy(q.buf, src[first:n])
 	q.tail.Store(t + n)
 	return int(n)
-}
-
-// TryPop dequeues one element, reporting false if the ring is empty.
-// Consumer side only.
-func (q *SPSC[T]) TryPop() (T, bool) {
-	h := q.head.Load()
-	if h == q.tailCache {
-		q.tailCache = q.tail.Load()
-		if h == q.tailCache {
-			var zero T
-			return zero, false
-		}
-	}
-	v := q.buf[h&q.mask]
-	q.head.Store(h + 1)
-	return v, true
 }
 
 // PopBatch dequeues up to len(dst) elements into dst and returns the count.

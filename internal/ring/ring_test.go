@@ -6,26 +6,37 @@ import (
 	"testing"
 )
 
+// push1 pushes v as a one-element batch, reporting whether it fit.
+func push1[T any](q *SPSC[T], v T) bool { return q.PushBatch([]T{v}) == 1 }
+
+// pop1 pops one element through a one-element batch, reporting false if the
+// ring was empty.
+func pop1[T any](q *SPSC[T]) (T, bool) {
+	var b [1]T
+	n := q.PopBatch(b[:])
+	return b[0], n == 1
+}
+
 func TestFIFOOrder(t *testing.T) {
 	q := New[int](8)
 	if q.Cap() != 8 {
 		t.Fatalf("Cap = %d, want 8", q.Cap())
 	}
 	for i := 0; i < 8; i++ {
-		if !q.TryPush(i) {
+		if !push1(q, i) {
 			t.Fatalf("push %d failed on non-full ring", i)
 		}
 	}
-	if q.TryPush(99) {
+	if push1(q, 99) {
 		t.Error("push succeeded on full ring")
 	}
 	for i := 0; i < 8; i++ {
-		v, ok := q.TryPop()
+		v, ok := pop1(q)
 		if !ok || v != i {
 			t.Fatalf("pop = %d,%v, want %d,true", v, ok, i)
 		}
 	}
-	if _, ok := q.TryPop(); ok {
+	if _, ok := pop1(q); ok {
 		t.Error("pop succeeded on empty ring")
 	}
 }
@@ -52,7 +63,7 @@ func TestConcurrentTransfer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < n; i++ {
-			for !q.TryPush(i) {
+			for !push1(q, i) {
 				runtime.Gosched()
 			}
 		}
@@ -62,13 +73,8 @@ func TestConcurrentTransfer(t *testing.T) {
 	for next < n {
 		k := q.PopBatch(buf)
 		if k == 0 {
-			if v, ok := q.TryPop(); ok {
-				buf[0] = v
-				k = 1
-			} else {
-				runtime.Gosched()
-				continue
-			}
+			runtime.Gosched()
+			continue
 		}
 		for i := 0; i < k; i++ {
 			if buf[i] != next {
@@ -89,13 +95,13 @@ func TestLenCounts(t *testing.T) {
 		t.Fatalf("empty Len = %d, want 0", q.Len())
 	}
 	for i := 0; i < 5; i++ {
-		q.TryPush(i)
+		push1(q, i)
 	}
 	if q.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", q.Len())
 	}
-	q.TryPop()
-	q.TryPop()
+	pop1(q)
+	pop1(q)
 	if q.Len() != 3 {
 		t.Fatalf("Len after pops = %d, want 3", q.Len())
 	}
@@ -118,7 +124,7 @@ func TestLenBoundsUnderRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < n; i++ {
-			for !q.TryPush(i) {
+			for !push1(q, i) {
 				runtime.Gosched()
 			}
 		}
@@ -126,7 +132,7 @@ func TestLenBoundsUnderRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for got := uint64(0); got < n; {
-			if _, ok := q.TryPop(); ok {
+			if _, ok := pop1(q); ok {
 				got++
 			} else {
 				runtime.Gosched()
@@ -166,7 +172,7 @@ func TestPushBatch(t *testing.T) {
 		t.Fatalf("PushBatch on full ring = %d, want 0", n)
 	}
 	for i := 0; i < 8; i++ {
-		v, ok := q.TryPop()
+		v, ok := pop1(q)
 		if !ok || v != i {
 			t.Fatalf("pop = %d,%v, want %d,true", v, ok, i)
 		}
@@ -248,18 +254,9 @@ func TestPushBatchConcurrentTransfer(t *testing.T) {
 	wg.Wait()
 }
 
-func BenchmarkPushPop(b *testing.B) {
-	q := New[uint64](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.TryPush(uint64(i))
-		q.TryPop()
-	}
-}
-
-// BenchmarkPushPopBatch is BenchmarkPushPop amortized over 256-element
-// batches: one tail store and one head store per batch instead of per
-// element. ns/op is per element.
+// BenchmarkPushPopBatch moves elements through the ring in 256-element
+// batches: one tail store and one head store per batch. ns/op is per
+// element.
 func BenchmarkPushPopBatch(b *testing.B) {
 	q := New[uint64](1024)
 	src := make([]uint64, 256)

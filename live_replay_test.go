@@ -27,7 +27,7 @@ func liveReplay(t *testing.T, trace []Ref) (cycles, swaps uint64) {
 		Policy:            Block,
 		MaxGrammarSymbols: 4096,
 		AnalysisWorkers:   1,
-		Prepass:           PrepassOn,
+		prepass:           true,
 	})
 	if err != nil {
 		t.Fatal(err)

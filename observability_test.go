@@ -59,9 +59,8 @@ func TestTracerPhaseCycleSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup, err := Supervise(sp, cm, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		BadWindows:            1,
-		MinWindowObservations: 1,
+		AccuracyFloor: 0.5,
+		BadWindows:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +78,7 @@ func TestTracerPhaseCycleSequence(t *testing.T) {
 	if got := sup.State(); got != StateOptimized {
 		t.Fatalf("state after banked cycle = %v, want %v", got, StateOptimized)
 	}
-	observeAll(cm, phaseTrace(2, 4))
+	observeAll(cm, phaseTrace(2, 20))
 	if err := sup.Poll(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +227,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := Supervise(sp, cm, SupervisorConfig{
-		BadWindows:            1,
-		MinWindowObservations: 1,
-	})
+	sup, err := Supervise(sp, cm, SupervisorConfig{BadWindows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,10 +83,7 @@ func TestSnapshotRestoreRebuildEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sup, err := Supervise(warm, cmWarm, SupervisorConfig{
-				AccuracyFloor:         0.5,
-				MinWindowObservations: 1 << 40, // no window judgments mid-replay
-			})
+			sup, err := Supervise(warm, cmWarm, SupervisorConfig{AccuracyFloor: 0.5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +120,7 @@ func TestSnapshotRestoreRebuildEquivalence(t *testing.T) {
 // profiling period (references fed until a cycle banks) before its first
 // optimization, while a warm-started one is Optimized at zero references.
 func TestWarmStartTimeToFirstOptimization(t *testing.T) {
-	cfg := SupervisorConfig{AccuracyFloor: 0.5, MinWindowObservations: 64}
+	cfg := SupervisorConfig{AccuracyFloor: 0.5}
 
 	cold, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,

@@ -157,10 +157,7 @@ func warmStart(t *testing.T, src *ShardedProfile, cfg SupervisorConfig) (*Sharde
 func TestSupervisorWarmStart(t *testing.T) {
 	src := cycledProfile(t, 1)
 	defer src.Close()
-	sp, cm, sup := warmStart(t, src, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		MinWindowObservations: 64,
-	})
+	sp, cm, sup := warmStart(t, src, SupervisorConfig{AccuracyFloor: 0.5})
 	defer sp.Close()
 	defer sup.Close()
 
@@ -192,14 +189,10 @@ func TestSupervisorWarmStart(t *testing.T) {
 func TestSupervisorWarmStartStaleDeoptimizes(t *testing.T) {
 	src := cycledProfile(t, 1)
 	defer src.Close()
-	sp, cm, sup := warmStart(t, src, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		BadWindows:            2,
-		MinWindowObservations: 64,
-		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
-	})
+	sp, cm, sup := warmStart(t, src, SupervisorConfig{AccuracyFloor: 0.5, BadWindows: 2})
 	defer sp.Close()
 	defer sup.Close()
+	sup.inj = &fault.Hooks{MatcherStaleFn: func() bool { return true }}
 
 	trace := phaseTrace(1, 40)
 	for poll := 0; poll < 2; poll++ {
@@ -220,7 +213,7 @@ func TestSupervisorWarmStartStaleDeoptimizes(t *testing.T) {
 }
 
 // TestSupervisorQuietPollsCarryWindow: a supervisor polled faster than
-// MinWindowObservations still judges windows. A forced-stale warm start is
+// minWindowObservations still judges windows. A forced-stale warm start is
 // polled every 100 observations against a 256-observation floor: the quiet
 // polls carry their observations forward, so a window concludes at every
 // third poll and the second bad one deoptimizes the warm start at poll 6. A
@@ -229,14 +222,10 @@ func TestSupervisorWarmStartStaleDeoptimizes(t *testing.T) {
 func TestSupervisorQuietPollsCarryWindow(t *testing.T) {
 	src := cycledProfile(t, 1)
 	defer src.Close()
-	sp, cm, sup := warmStart(t, src, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		BadWindows:            2,
-		MinWindowObservations: 256,
-		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
-	})
+	sp, cm, sup := warmStart(t, src, SupervisorConfig{AccuracyFloor: 0.5, BadWindows: 2})
 	defer sp.Close()
 	defer sup.Close()
+	sup.inj = &fault.Hooks{MatcherStaleFn: func() bool { return true }}
 
 	trace := phaseTrace(1, 40)
 	for poll := 1; poll <= 6; poll++ {
@@ -266,10 +255,7 @@ func TestSupervisorQuietPollsCarryWindow(t *testing.T) {
 func TestSupervisorWarmStartDriftForgotten(t *testing.T) {
 	src := cycledProfile(t, 1)
 	defer src.Close()
-	sp, cm, sup := warmStart(t, src, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		MinWindowObservations: 64,
-	})
+	sp, cm, sup := warmStart(t, src, SupervisorConfig{AccuracyFloor: 0.5})
 	defer sp.Close()
 	defer sup.Close()
 

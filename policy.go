@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hotprefetch/internal/burst"
-	"hotprefetch/internal/fault"
 )
 
 // IngestPolicy selects how a ProfileShard behaves when its ring buffer is
@@ -37,7 +36,10 @@ const (
 	// attempted; the shard leaves degraded mode once a push succeeds with
 	// the ring at most half full. Sheds load like Drop but keeps a uniform
 	// sample flowing, which Sequitur can still compress into the hottest
-	// streams.
+	// streams. Choose it for mild pressure: with a consumer at half the
+	// load it keeps the hot streams that Drop splits at its seams, while
+	// under heavy pressure it never leaves degraded mode and Drop keeps
+	// them instead (TestShedPoliciesUnderPressure).
 	Sample
 )
 
@@ -159,43 +161,6 @@ func ParseBurstConfig(s string) (BurstConfig, error) {
 	return BurstConfig{Enabled: true, NCheck: vals[0], NInstr: vals[1], NAwake: vals[2], NHibernate: vals[3]}, nil
 }
 
-// PrepassMode selects whether shards run the two-level ingest front end
-// (sequitur.Prepass) ahead of grammar compression.
-type PrepassMode int
-
-const (
-	// PrepassAuto defers the decision to the embedding context: a plain
-	// ShardedProfile resolves Auto to Off, preserving the contract that a
-	// one-shard profile compresses bit-identically to a single Profile; the
-	// networked Service resolves Auto to On, since its hot-stream contract
-	// is equivalence-after-expansion, which the front end preserves.
-	PrepassAuto PrepassMode = iota
-
-	// PrepassOn runs every shard's consumer through the front end: immediate
-	// repeats collapse into O(log k) doubling rules and windows matching a
-	// recently minted phrase rule are emitted as that one rule symbol, so
-	// only residual novel symbols pay the digram-table epoch.
-	PrepassOn
-
-	// PrepassOff feeds batches straight to Grammar.AppendRun (the prior
-	// behavior; grammars are bit-identical to sequential Append).
-	PrepassOff
-)
-
-// String returns the mode name used by flags and stats output.
-func (m PrepassMode) String() string {
-	switch m {
-	case PrepassAuto:
-		return "auto"
-	case PrepassOn:
-		return "on"
-	case PrepassOff:
-		return "off"
-	default:
-		return fmt.Sprintf("PrepassMode(%d)", int(m))
-	}
-}
-
 // ErrClosed is returned by ProfileShard.Add and AddAll after the profile has
 // been closed, also to a Block Add that was asleep against a full ring.
 var ErrClosed = errors.New("hotprefetch: Add on closed ShardedProfile")
@@ -225,11 +190,12 @@ var ErrAnalysisTimeout = errors.New("hotprefetch: analysis deadline exceeded")
 // cycle analyses for five seconds (flushStallTimeout).
 var ErrAnalysisStalled = errors.New("hotprefetch: analysis pool stalled")
 
-// Defaults applied by ShardedConfig.withDefaults.
-const (
-	defaultRingCap        = 1 << 12
-	defaultSampleInterval = 16
-)
+// defaultSampleInterval is the Sample policy's 1-in-N rate when
+// ShardedConfig.SampleInterval is zero.
+const defaultSampleInterval = 16
+
+// ringCap is every shard ring's capacity, in references.
+const ringCap = 1 << 12
 
 // flushStallTimeout is how long Flush waits on a drain-lock holder, and
 // HotStreamsErr on the analysis pool, without seeing progress before it
@@ -238,7 +204,7 @@ const flushStallTimeout = 5 * time.Second
 
 // ShardedConfig configures a ShardedProfile beyond the shard count. The zero
 // value (aside from Shards) reproduces NewShardedProfile's behavior: Block
-// policy, 4096-slot rings, no grammar budget.
+// policy, no grammar budget.
 type ShardedConfig struct {
 	// Shards is the number of independent profile shards (< 1 is treated
 	// as 1).
@@ -251,10 +217,6 @@ type ShardedConfig struct {
 	// degrades to under pressure (0 means the default of 16; meaningless
 	// for other policies).
 	SampleInterval int
-
-	// RingCap is the per-shard ring capacity, rounded up to a power of two
-	// (0 means the default of 4096).
-	RingCap int
 
 	// MaxGrammarSymbols, when positive, bounds each shard's Sequitur
 	// grammar: a shard whose grammar reaches the budget extracts its hot
@@ -288,21 +250,10 @@ type ShardedConfig struct {
 	// the background pool. Five failures in a row open a circuit breaker.
 	AnalysisTimeout time.Duration
 
-	// Fault, when non-nil, is consulted at the service's fault-injection
-	// points (cycle-end analysis, producer ring pushes); see internal/fault.
-	// Nil — the default — disables injection entirely.
-	Fault fault.Injector
-
 	// Burst, when enabled, puts the paper's bursty-sampling counter machine
 	// in front of every shard's ingest policy; see BurstConfig. Each shard
 	// gets its own deterministic controller, advanced by its producer.
 	Burst BurstConfig
-
-	// Prepass selects whether shard consumers run the two-level ingest front
-	// end ahead of Sequitur; see PrepassMode and NewPrepassProfile. The zero
-	// value (PrepassAuto) resolves to Off for a plain ShardedProfile and to
-	// On inside the networked Service.
-	Prepass PrepassMode
 
 	// RefQuota, when positive, caps the total references this profile will
 	// admit across all shards over its lifetime — the per-tenant budget the
@@ -312,6 +263,13 @@ type ShardedConfig struct {
 	// counted in Stats.QuotaShed; like Drop shedding it is never an error.
 	// Zero means unlimited.
 	RefQuota uint64
+
+	// prepass runs every shard's consumer through the two-level ingest front
+	// end (see NewPrepassProfile). The Service sets it for every tenant: its
+	// hot-stream contract is equivalence after expansion, which the front
+	// end preserves. A plain ShardedProfile leaves it off, so one shard
+	// compresses bit-identically to a single Profile.
+	prepass bool
 }
 
 // withDefaults returns the configuration with zero fields replaced by their
@@ -322,9 +280,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = defaultSampleInterval
-	}
-	if c.RingCap == 0 {
-		c.RingCap = defaultRingCap
 	}
 	if c.CycleAnalysis == (AnalysisConfig{}) {
 		c.CycleAnalysis = DefaultAnalysisConfig()
@@ -342,9 +297,6 @@ func (c ShardedConfig) Validate() error {
 	if c.SampleInterval < 0 {
 		return fmt.Errorf("hotprefetch: negative SampleInterval %d", c.SampleInterval)
 	}
-	if c.RingCap < 0 {
-		return fmt.Errorf("hotprefetch: negative RingCap %d", c.RingCap)
-	}
 	if c.MaxGrammarSymbols < 0 {
 		return fmt.Errorf("hotprefetch: negative MaxGrammarSymbols %d", c.MaxGrammarSymbols)
 	}
@@ -359,11 +311,6 @@ func (c ShardedConfig) Validate() error {
 	}
 	if err := c.Burst.Validate(); err != nil {
 		return fmt.Errorf("Burst: %w", err)
-	}
-	switch c.Prepass {
-	case PrepassAuto, PrepassOn, PrepassOff:
-	default:
-		return fmt.Errorf("hotprefetch: unknown Prepass mode %d", int(c.Prepass))
 	}
 	if err := c.CycleAnalysis.Validate(); err != nil {
 		return fmt.Errorf("CycleAnalysis: %w", err)

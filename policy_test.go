@@ -5,9 +5,13 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"hotprefetch/internal/workload"
 )
 
 // rawShard builds a single shard whose consumer is NOT running, so the
@@ -49,9 +53,7 @@ func TestAddAfterCloseReturnsError(t *testing.T) {
 func TestAddRacingClose(t *testing.T) {
 	for _, policy := range []IngestPolicy{Block, Drop, Sample} {
 		t.Run(policy.String(), func(t *testing.T) {
-			sp, err := NewShardedProfileConfig(ShardedConfig{
-				Shards: 2, Policy: policy, RingCap: 16,
-			})
+			sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 2, Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,17 +86,36 @@ func TestAddRacingClose(t *testing.T) {
 	}
 }
 
+// TestShardAddAllocatesNothing: Add is AddBatch over a one-element array on
+// its own stack, so it allocates nothing under any policy, with the burst
+// front end off or on.
+func TestShardAddAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's bookkeeping")
+	}
+	for _, policy := range []IngestPolicy{Block, Drop, Sample} {
+		for _, bc := range []BurstConfig{{}, burstTestConfig()} {
+			s := rawShard(t, ShardedConfig{Policy: policy, Burst: bc})
+			r := Ref{PC: 1, Addr: 64}
+			// 1001 runs leave the ring short of full, so Block never waits.
+			if a := testing.AllocsPerRun(1000, func() { s.Add(r) }); a != 0 {
+				t.Errorf("%v, burst %v: Add allocates %.1f times per call, want 0", policy, bc.Enabled, a)
+			}
+		}
+	}
+}
+
 func TestDropPolicyDeterministicAccounting(t *testing.T) {
-	s := rawShard(t, ShardedConfig{Policy: Drop, RingCap: 4})
-	const attempts = 1000
+	s := rawShard(t, ShardedConfig{Policy: Drop})
+	const attempts = ringCap + 1000
 	for i := 0; i < attempts; i++ {
 		if err := s.Add(Ref{PC: i, Addr: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pushed, dropped := s.pushed.Load(), s.dropped.Load()
-	if pushed != 4 {
-		t.Errorf("pushed = %d, want 4 (ring capacity, consumer never drains)", pushed)
+	if pushed != ringCap {
+		t.Errorf("pushed = %d, want %d (ring capacity, consumer never drains)", pushed, ringCap)
 	}
 	if pushed+dropped != attempts {
 		t.Errorf("pushed %d + dropped %d != attempts %d", pushed, dropped, attempts)
@@ -109,7 +130,7 @@ func TestDropPolicyStressAccounting(t *testing.T) {
 	if testing.Short() {
 		attempts = 20000
 	}
-	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, Policy: Drop, RingCap: 8})
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, Policy: Drop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +155,7 @@ func TestDropPolicyStressAccounting(t *testing.T) {
 
 func TestSamplePolicyDegradation(t *testing.T) {
 	const n = 4
-	s := rawShard(t, ShardedConfig{Policy: Sample, RingCap: 4, SampleInterval: n})
+	s := rawShard(t, ShardedConfig{Policy: Sample, SampleInterval: n})
 	add := func() {
 		t.Helper()
 		if err := s.Add(Ref{PC: 1, Addr: 1}); err != nil {
@@ -142,11 +163,11 @@ func TestSamplePolicyDegradation(t *testing.T) {
 		}
 	}
 	// Ring fills at full acceptance.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < ringCap; i++ {
 		add()
 	}
-	if got := s.pushed.Load(); got != 4 {
-		t.Fatalf("pushed = %d, want 4", got)
+	if got := s.pushed.Load(); got != ringCap {
+		t.Fatalf("pushed = %d, want %d", got, ringCap)
 	}
 	// First rejection: dropped, and the shard degrades.
 	add()
@@ -167,12 +188,12 @@ func TestSamplePolicyDegradation(t *testing.T) {
 	if got := s.dropped.Load(); got != 3 {
 		t.Errorf("dropped = %d, want 3 (initial + one per degraded attempt)", got)
 	}
-	if got := s.pushed.Load(); got != 4 {
-		t.Errorf("pushed = %d, want 4 (ring still full)", got)
+	if got := s.pushed.Load(); got != ringCap {
+		t.Errorf("pushed = %d, want %d (ring still full)", got, ringCap)
 	}
 	// Drain below half capacity; the next attempted push succeeds and the
 	// shard recovers to full acceptance.
-	var buf [3]Ref
+	var buf [ringCap/2 + 1]Ref
 	s.q.PopBatch(buf[:])
 	for i := 0; i < n; i++ {
 		add()
@@ -180,8 +201,8 @@ func TestSamplePolicyDegradation(t *testing.T) {
 	if s.degraded {
 		t.Error("shard should have recovered after the backlog receded")
 	}
-	if got := s.pushed.Load(); got != 5 {
-		t.Errorf("pushed = %d, want 5 after recovery push", got)
+	if got := s.pushed.Load(); got != ringCap+1 {
+		t.Errorf("pushed = %d, want %d after recovery push", got, ringCap+1)
 	}
 }
 
@@ -309,7 +330,7 @@ func TestGrammarResetRacesObservers(t *testing.T) {
 // pushed counter forever. Now it snapshots its target on entry and must
 // return promptly.
 func TestFlushBoundedUnderActiveProducers(t *testing.T) {
-	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 2, RingCap: 16})
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +479,6 @@ func TestShardedConfigValidate(t *testing.T) {
 	bad := []ShardedConfig{
 		{Policy: IngestPolicy(42)},
 		{SampleInterval: -1},
-		{RingCap: -4},
 		{MaxGrammarSymbols: -1},
 		{MaxGrammarSymbols: 4},
 		{CycleAnalysis: AnalysisConfig{MinLen: -1}},
@@ -527,8 +547,8 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 // reference in a batch is either pushed or counted dropped, never silently
 // lost.
 func TestAddBatchDropAccounting(t *testing.T) {
-	s := rawShard(t, ShardedConfig{Policy: Drop, RingCap: 4})
-	const attempts = 1000
+	s := rawShard(t, ShardedConfig{Policy: Drop})
+	const attempts = ringCap + 1000
 	refs := make([]Ref, attempts)
 	for i := range refs {
 		refs[i] = Ref{PC: i, Addr: uint64(i)}
@@ -537,8 +557,8 @@ func TestAddBatchDropAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	pushed, dropped := s.pushed.Load(), s.dropped.Load()
-	if pushed != 4 {
-		t.Errorf("pushed = %d, want 4 (ring capacity, consumer never drains)", pushed)
+	if pushed != ringCap {
+		t.Errorf("pushed = %d, want %d (ring capacity, consumer never drains)", pushed, ringCap)
 	}
 	if pushed+dropped != attempts {
 		t.Errorf("pushed %d + dropped %d != attempts %d", pushed, dropped, attempts)
@@ -555,7 +575,7 @@ func TestAddBatchDropAccounting(t *testing.T) {
 func TestAddBatchRacingClose(t *testing.T) {
 	for _, policy := range []IngestPolicy{Block, Drop, Sample} {
 		t.Run(policy.String(), func(t *testing.T) {
-			sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, Policy: policy, RingCap: 64})
+			sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -748,5 +768,100 @@ func TestGrammarSwapRacesAddStats(t *testing.T) {
 	sp.Close()
 	if st := sp.Stats(); st.AnalysisQueueDepth != 0 {
 		t.Errorf("AnalysisQueueDepth = %d after Close, want 0", st.AnalysisQueueDepth)
+	}
+}
+
+// shedRecall feeds trace through a Drop or Sample shard with no running
+// consumer, draining one drainBatch of references after each run of every
+// produced ones (a consumer that keeps up with drainBatch/every of the
+// load), and returns the fraction of want's streams that the shed profile's
+// hot streams rediscover.
+func shedRecall(t *testing.T, policy IngestPolicy, trace []Ref, every int, want []Stream) float64 {
+	t.Helper()
+	sp := newShardedProfile(ShardedConfig{Shards: 1, Policy: policy}) // consumers intentionally not started
+	s := sp.Shard(0)
+	var batch [drainBatch]Ref
+	for lo := 0; lo < len(trace); lo += every {
+		if err := s.AddBatch(trace[lo:min(lo+every, len(trace))]); err != nil {
+			t.Fatal(err)
+		}
+		s.drain.Lock()
+		if n := s.pop(batch[:]); n > 0 {
+			s.apply(batch[:n], false)
+		}
+		s.unlockDrain()
+	}
+	got := sp.HotStreams(DefaultAnalysisConfig())
+	found := 0
+	for _, w := range want {
+		for _, g := range got {
+			if sameStreamShape(w, g) {
+				found++
+				break
+			}
+		}
+	}
+	return float64(found) / float64(len(want))
+}
+
+// pcSig renders the pcs of refs, reps times over, with full-token
+// delimiters (",1,12,"), so substring containment never matches across
+// token boundaries.
+func pcSig(refs []Ref, reps int) string {
+	var b strings.Builder
+	b.WriteByte(',')
+	for i := 0; i < reps; i++ {
+		for _, r := range refs {
+			b.WriteString(strconv.Itoa(r.PC))
+			b.WriteByte(',')
+		}
+	}
+	return b.String()
+}
+
+// sameStreamShape reports whether got rediscovers the lossless stream want:
+// got's pc sequence is a cyclic fragment of want's (a contiguous window of
+// its repetition, any phase, up to two periods long) or contains want's
+// whole sequence.
+func sameStreamShape(want, got Stream) bool {
+	return strings.Contains(pcSig(want.Refs, 2), pcSig(got.Refs, 1)) ||
+		strings.Contains(pcSig(got.Refs, 1), pcSig(want.Refs, 1))
+}
+
+// TestShedPoliciesUnderPressure is the evidence each shedding policy is
+// kept for: vpr's trace (600,000 references) goes through a shard whose
+// drain keeps up with one reference in two (N = 512) or one in sixteen
+// (N = 4096), and the hot streams it finds are matched against a lossless
+// Profile's. Under mild pressure Drop keeps the first 256 references of
+// every 512 and splits the streams at the seams, while Sample's 1-in-16
+// spells let the ring drain, after which it accepts long unbroken runs:
+// Sample must recover at least 90% of the lossless streams. Under heavy
+// pressure Sample never leaves its 1-in-16 spell, which no stream survives,
+// while the 256 references Drop keeps of every 4096 are contiguous: Drop
+// must recover at least 90%.
+func TestShedPoliciesUnderPressure(t *testing.T) {
+	trace, err := workload.Build(workload.Vpr()).Capture(600000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossless := NewProfile()
+	lossless.AddAll(trace)
+	want := lossless.HotStreams(DefaultAnalysisConfig())
+	if len(want) == 0 {
+		t.Fatal("the lossless profile found no hot streams")
+	}
+	for _, tc := range []struct {
+		every int
+		keep  IngestPolicy
+	}{{512, Sample}, {4096, Drop}} {
+		recall := map[IngestPolicy]float64{}
+		for _, pol := range []IngestPolicy{Drop, Sample} {
+			recall[pol] = shedRecall(t, pol, trace, tc.every, want)
+		}
+		t.Logf("N=%d: of %d lossless streams, drop recovers %.2f, sample %.2f",
+			tc.every, len(want), recall[Drop], recall[Sample])
+		if recall[tc.keep] < 0.9 {
+			t.Errorf("N=%d: %v recovers %.2f of the lossless streams, want >= 0.9", tc.every, tc.keep, recall[tc.keep])
+		}
 	}
 }

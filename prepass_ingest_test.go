@@ -1,13 +1,12 @@
 package hotprefetch
 
 // Tests for the two-level ingest front end wired through ShardedProfile
-// (ShardedConfig.Prepass): banked hot-stream equivalence against the
-// lossless path, grammar-budget safety under the front end's deferred
-// symbol expansion, exact collapse accounting on every exit path, burst
-// composition, and the flag-value parser.
+// (ShardedConfig.prepass, which the Service sets for every tenant): banked
+// hot-stream equivalence against the lossless path, grammar-budget safety
+// under the front end's deferred symbol expansion, exact collapse
+// accounting on every exit path, burst composition, and where it is on.
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -40,12 +39,12 @@ func TestPrepassBankedStreamsEquivalence(t *testing.T) {
 	}
 	trace := coreTrace(n)
 	cycleCfg := AnalysisConfig{MinLen: 10, MaxLen: 100, MinUnique: 10, MinCoverage: 0.01, MaxStreams: 100}
-	run := func(mode PrepassMode) ([]Stream, Stats) {
+	run := func(prepass bool) ([]Stream, Stats) {
 		sp, err := NewShardedProfileConfig(ShardedConfig{
 			Shards:            1,
 			MaxGrammarSymbols: 4096,
 			CycleAnalysis:     cycleCfg,
-			Prepass:           mode,
+			prepass:           prepass,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -60,8 +59,8 @@ func TestPrepassBankedStreamsEquivalence(t *testing.T) {
 		return sp.BankedStreams(0), sp.Stats()
 	}
 
-	lossless, offStats := run(PrepassOff)
-	banked, onStats := run(PrepassOn)
+	lossless, offStats := run(false)
+	banked, onStats := run(true)
 	if offStats.Collapsed != 0 || offStats.PrepassMinted != 0 {
 		t.Errorf("lossless run reports collapse accounting: collapsed %d, minted %d",
 			offStats.Collapsed, offStats.PrepassMinted)
@@ -115,7 +114,7 @@ func TestPrepassPeakUnderBudget(t *testing.T) {
 		Shards:            1,
 		MaxGrammarSymbols: budget,
 		CycleAnalysis:     AnalysisConfig{MinLen: 10, MaxLen: 100, MinUnique: 10, MinCoverage: 0.01, MaxStreams: 100},
-		Prepass:           PrepassOn,
+		prepass:           true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +174,8 @@ func TestPrepassReconciliation(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			sp, err := NewShardedProfileConfig(ShardedConfig{
 				Shards:  producers,
-				RingCap: 256,
 				Policy:  pol,
-				Prepass: PrepassOn,
+				prepass: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +245,7 @@ func TestPrepassBurstComposition(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:  1,
 		Burst:   BurstConfig{Enabled: true, NCheck: 190, NInstr: 10, NAwake: 5, NHibernate: 5},
-		Prepass: PrepassOn,
+		prepass: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,20 +277,12 @@ func TestPrepassBurstComposition(t *testing.T) {
 	}
 }
 
-// TestPrepassAutoResolution: a plain ShardedProfile resolves Auto to Off
-// (bit-identity with a single Profile is preserved), while On engages the
-// front end over the identical trace.
+// TestPrepassAutoResolution: a plain ShardedProfile stays lossless (its one
+// shard compresses bit-identically to a single Profile), while a Service
+// tenant's profile runs the front end over the identical trace.
 func TestPrepassAutoResolution(t *testing.T) {
 	trace := prepassTrace(1, 3000)
-	run := func(mode PrepassMode) Stats {
-		sp, err := NewShardedProfileConfig(ShardedConfig{
-			Shards:  1,
-			Prepass: mode,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sp.Close()
+	run := func(sp *ShardedProfile) Stats {
 		if err := sp.Shard(0).AddAll(trace); err != nil {
 			t.Fatal(err)
 		}
@@ -301,26 +291,22 @@ func TestPrepassAutoResolution(t *testing.T) {
 		}
 		return sp.Stats()
 	}
-	if st := run(PrepassAuto); st.Collapsed != 0 || st.PrepassMinted != 0 {
-		t.Errorf("Auto engaged the front end on a plain ShardedProfile: collapsed %d, minted %d",
+	plain := NewShardedProfile(1)
+	defer plain.Close()
+	if st := run(plain); st.Collapsed != 0 || st.PrepassMinted != 0 {
+		t.Errorf("a plain ShardedProfile engaged the front end: collapsed %d, minted %d",
 			st.Collapsed, st.PrepassMinted)
 	}
-	if st := run(PrepassOn); st.Collapsed == 0 {
-		t.Error("On collapsed nothing over the same trace")
+	svc, err := NewService(ServiceConfig{Tenant: ShardedConfig{Shards: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPrepassConfigValidate(t *testing.T) {
-	for _, m := range []PrepassMode{PrepassAuto, PrepassOn, PrepassOff} {
-		if err := (ShardedConfig{Shards: 1, Prepass: m}).Validate(); err != nil {
-			t.Errorf("Validate(Prepass %v): %v", m, err)
-		}
+	defer svc.Close()
+	tn, err := svc.Tenant("t1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (ShardedConfig{Shards: 1, Prepass: PrepassMode(7)}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "Prepass") {
-		t.Errorf("ShardedConfig.Validate did not surface prepass error: %v", err)
-	}
-	if PrepassAuto.String() != "auto" || PrepassOn.String() != "on" || PrepassOff.String() != "off" {
-		t.Error("PrepassMode.String mismatch")
+	if st := run(tn.Profile()); st.Collapsed == 0 {
+		t.Error("a Service tenant collapsed nothing over the same trace")
 	}
 }

@@ -104,14 +104,11 @@ type ServiceConfig struct {
 }
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
-	// The service resolves PrepassAuto to On: its hot-stream contract is
-	// equivalence-after-expansion (BankedStreams from grammar cycles), which
-	// the two-level ingest front end preserves, and the networked path is
-	// exactly where the per-reference compression cost compounds. Tenants
-	// that need bit-identical grammars set Prepass to PrepassOff explicitly.
-	if c.Tenant.Prepass == PrepassAuto {
-		c.Tenant.Prepass = PrepassOn
-	}
+	// Every tenant runs the two-level ingest front end: the service's
+	// hot-stream contract is equivalence after expansion (BankedStreams from
+	// grammar cycles), which the front end preserves, and the networked path
+	// is exactly where the per-reference compression cost compounds.
+	c.Tenant.prepass = true
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = defaultMaxTenants
 	}

@@ -54,6 +54,11 @@ type ShardedProfile struct {
 
 	clk clock // the profile's one time source; see clock
 
+	// inj, when non-nil, is consulted at the fault-injection points
+	// (cycle-end analysis, producer ring pushes; see internal/fault).
+	// In-package tests set it between newShardedProfile and start.
+	inj fault.Injector
+
 	// analysisQ feeds full profiles to the background analysis pool; nil
 	// when AnalysisWorkers == 0 (inline cycling).
 	analysisQ   chan analysisJob
@@ -304,19 +309,17 @@ type ProfileShard struct {
 
 	sp  *ShardedProfile // owner; reaches the analysis pool and its stats
 	idx int             // shard index, used by fault injection and errors
-	inj fault.Injector  // nil unless ShardedConfig.Fault was set
 
 	policy     IngestPolicy
 	sampleN    int
 	maxSymbols int
 	cycleCfg   AnalysisConfig
 
-	// prepassOn mirrors the resolved ShardedConfig.Prepass mode for the
-	// consumer's fast path: when set, the shard's profiles run the two-level
-	// ingest front end and the consumer tracks collapse deltas. collapsed
-	// and minted accumulate across grammar cycles (the per-profile counters
-	// die with each cycle's Reset); both are written under drain and read by
-	// Stats.
+	// prepassOn mirrors ShardedConfig.prepass for the consumer's fast path:
+	// when set, the shard's profiles run the two-level ingest front end and
+	// the consumer tracks collapse deltas. collapsed and minted accumulate
+	// across grammar cycles (the per-profile counters die with each cycle's
+	// Reset); both are written under drain and read by Stats.
 	prepassOn bool
 	collapsed atomic.Uint64 // references absorbed by the front end
 	minted    atomic.Uint64 // phrase/run rules minted by the front end
@@ -387,9 +390,8 @@ type ProfileShard struct {
 }
 
 // NewShardedProfile returns a profile with n shards (n < 1 is treated as 1)
-// using the default configuration: Block ingestion, 4096-slot rings, no
-// grammar budget. Call Close to stop the consumers when the profile is no
-// longer needed.
+// using the default configuration: Block ingestion, no grammar budget. Call
+// Close to stop the consumers when the profile is no longer needed.
 func NewShardedProfile(n int) *ShardedProfile {
 	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: n})
 	if err != nil {
@@ -425,7 +427,7 @@ func (sp *ShardedProfile) start() {
 
 // newShardedProfile builds the shard set without starting consumers; tests
 // use it to exercise producer-side policies deterministically, or to set
-// the clock before start.
+// the clock or the fault injector before start.
 func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 	cfg = cfg.withDefaults()
 	sp := &ShardedProfile{shards: make([]*ProfileShard, cfg.Shards), cfg: cfg, clk: realClock{}, obs: obs.New()}
@@ -437,16 +439,15 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 	}
 	for i := range sp.shards {
 		s := &ProfileShard{
-			q:          ring.New[Ref](cfg.RingCap),
+			q:          ring.New[Ref](ringCap),
 			p:          sp.newProfile(),
 			sp:         sp,
 			idx:        i,
-			inj:        cfg.Fault,
 			policy:     cfg.Policy,
 			sampleN:    cfg.SampleInterval,
 			maxSymbols: cfg.MaxGrammarSymbols,
 			cycleCfg:   cfg.CycleAnalysis,
-			prepassOn:  cfg.Prepass == PrepassOn,
+			prepassOn:  cfg.prepass,
 			done:       make(chan struct{}),
 		}
 		s.brk = breaker{backoff: breakerBackoff, rng: uint64(i)*0x9e3779b97f4a7c15 + 1}
@@ -476,12 +477,10 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 	return sp
 }
 
-// newProfile builds one shard profile under the profile-wide prepass mode.
-// A plain ShardedProfile resolves PrepassAuto to Off, preserving the
-// contract that NumShards == 1 compresses bit-identically to a single
-// Profile; the networked Service resolves Auto to On before construction.
+// newProfile builds one shard profile, with the ingest front end when the
+// configuration asks for it (see ShardedConfig.prepass).
 func (sp *ShardedProfile) newProfile() *Profile {
-	if sp.cfg.Prepass == PrepassOn {
+	if sp.cfg.prepass {
 		return NewPrepassProfile()
 	}
 	return NewProfile()
@@ -493,10 +492,10 @@ func (sp *ShardedProfile) newProfile() *Profile {
 // because every failure mode completes the job (panic recovered, deadline
 // abandoned, breaker skipped), a failing analysis path can never wedge the
 // pool.
-// Analysis workers, shard consumers, and the supervisor loop run under
-// runtime/pprof profiler labels so a CPU profile attributes time to the
-// paper's phases directly: filter on hotprefetch_phase=analysis to see what
-// cycle-end hot-stream extraction costs, ingest for Sequitur compression.
+// Analysis workers and shard consumers run under runtime/pprof profiler
+// labels so a CPU profile attributes time to the paper's phases directly:
+// filter on hotprefetch_phase=analysis to see what cycle-end hot-stream
+// extraction costs, ingest for Sequitur compression.
 func (sp *ShardedProfile) analysisWorker() {
 	defer sp.workersDone.Done()
 	pprof.Do(context.Background(), pprof.Labels("hotprefetch_phase", "analysis"), func(context.Context) {
@@ -516,8 +515,8 @@ func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, err error) {
 			err = fmt.Errorf("hotprefetch: shard %d %w: %v", s.idx, ErrAnalysisPanic, r)
 		}
 	}()
-	if s.inj != nil {
-		f := s.inj.Analysis(s.idx)
+	if inj := s.sp.inj; inj != nil {
+		f := inj.Analysis(s.idx)
 		if f.Delay > 0 {
 			slept := make(chan struct{})
 			s.sp.clk.AfterFunc(f.Delay, func() { close(slept) })
@@ -988,24 +987,11 @@ func (s *ProfileShard) noteCycleStall(d time.Duration) {
 	}
 }
 
-// tryPush pushes one reference, treating the ring as full when the fault
-// injector simulates pressure, and notifies the consumer on success.
-func (s *ProfileShard) tryPush(r Ref) bool {
-	if s.inj != nil && s.inj.RingFull(s.idx) {
-		return false
-	}
-	if !s.q.TryPush(r) {
-		return false
-	}
-	s.work.notify()
-	return true
-}
-
 // tryPushBatch pushes a run of references, treating the ring as full when
 // the fault injector simulates pressure, and notifies the consumer when
 // any landed.
 func (s *ProfileShard) tryPushBatch(refs []Ref) int {
-	if s.inj != nil && s.inj.RingFull(s.idx) {
+	if inj := s.sp.inj; inj != nil && inj.RingFull(s.idx) {
 		return 0
 	}
 	n := s.q.PushBatch(refs)
@@ -1048,26 +1034,6 @@ type burstGate struct {
 	phase         atomic.Int32 // mirrors ctl.Phase() for Stats readers
 }
 
-// admitBurst runs one reference through the bursty-sampling controller and
-// reports whether it should reach the ingest policy: only references landing
-// in an awake-phase instrumented burst are admitted (§2.2; hibernation
-// bursts are discarded to avoid trace contamination, §2.4).
-func (s *ProfileShard) admitBurst() bool {
-	bg := s.burst
-	instrumented, phaseEnded := bg.ctl.Check()
-	admit := instrumented && bg.ctl.Awake()
-	if admit {
-		bg.sampled++
-	} else {
-		bg.shed++
-		s.burstShed.Add(1)
-	}
-	if phaseEnded {
-		s.burstPhaseEnd()
-	}
-	return admit
-}
-
 // burstPhaseEnd observes the ended phase's sampling duty, emits the phase
 // event, and flips the controller between awake and hibernating — the
 // self-clocked profile/hibernate alternation of the paper's Figure 3,
@@ -1089,94 +1055,33 @@ func (s *ProfileShard) burstPhaseEnd() {
 	bg.checksAtStart = bg.ctl.Stats().Checks
 }
 
-// Add appends one data reference to the shard. When the shard's ring is full
-// the configured IngestPolicy decides whether Add waits (Block), sheds the
-// reference (Drop), or degrades to sampled acceptance (Sample); shed
-// references are counted in Stats, never silently lost from the books. With
-// bursty sampling enabled (ShardedConfig.Burst), the reference first passes
-// the burst controller, and the full-rate common case is one counter
-// decrement with no ring traffic at all.
+// Add appends one data reference to the shard: AddBatch over a run of one.
+// When the shard's ring is full the configured IngestPolicy decides whether
+// Add waits (Block), sheds the reference (Drop), or degrades to sampled
+// acceptance (Sample); shed references are counted in Stats, never silently
+// lost from the books. With bursty sampling enabled (ShardedConfig.Burst),
+// the reference first passes the burst controller, and the full-rate common
+// case is one counter decrement with no ring traffic at all.
 //
 // Add returns ErrClosed once the profile has been closed — including for a
 // Block Add asleep against a full ring when Close lands.
 func (s *ProfileShard) Add(r Ref) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if q := s.sp.cfg.RefQuota; q > 0 {
-		if s.sp.quotaUsed.Add(1) > q {
-			s.quotaShed.Add(1)
-			return nil
-		}
-	}
-	if s.burst != nil && !s.admitBurst() {
-		return nil
-	}
-	return s.addPolicy(r)
+	one := [1]Ref{r}
+	return s.AddBatch(one[:])
 }
 
-// addPolicy routes one burst-admitted reference through the shard's ingest
-// policy. The caller has already checked closed (Block re-checks while it
-// waits).
-func (s *ProfileShard) addPolicy(r Ref) error {
-	switch s.policy {
-	case Drop:
-		if !s.tryPush(r) {
-			s.dropped.Add(1)
-			return nil
-		}
-	case Sample:
-		if s.degraded {
-			s.skip++
-			if s.skip < s.sampleN {
-				s.sampledOut.Add(1)
-				return nil
-			}
-			s.skip = 0
-		}
-		if !s.tryPush(r) {
-			s.degraded = true
-			s.skip = 0
-			s.dropped.Add(1)
-			return nil
-		}
-		// Leave degraded mode only once the backlog has visibly receded;
-		// exiting on the first successful push would thrash between full
-		// speed and 1-in-N at the boundary.
-		if s.degraded && s.q.Len() <= s.q.Cap()/2 {
-			s.degraded = false
-		}
-	default: // Block
-		for !s.tryPush(r) {
-			if err := s.awaitRoom(); err != nil {
-				return err
-			}
-		}
-	}
-	s.pushed.Add(1)
-	return nil
-}
-
-// AddAll appends each reference in order, stopping at the first error.
-func (s *ProfileShard) AddAll(refs []Ref) error {
-	for _, r := range refs {
-		if err := s.Add(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// AddAll appends each reference in order; it is AddBatch.
+func (s *ProfileShard) AddAll(refs []Ref) error { return s.AddBatch(refs) }
 
 // AddBatch appends a run of references in order, amortizing the ring's
 // release fence and head refresh over the whole run (one tail store per
-// PushBatch instead of one per reference). Policy semantics match Add:
-// Block pushes every reference (returning ErrClosed if the profile closes
-// mid-batch), Drop sheds whatever does not fit the ring, and Sample falls
-// back to per-reference admission because its degradation decisions are made
-// reference by reference. With bursty sampling enabled the batch first runs
-// through the burst controller: checking-phase spans are shed in one O(1)
-// counter subtraction (burst.Controller.Skip), and only the sampled spans
-// touch the ring.
+// PushBatch instead of one per reference). Block pushes every reference
+// (returning ErrClosed if the profile closes mid-batch), Drop sheds whatever
+// does not fit the ring, and Sample admits reference by reference, because
+// its degradation decisions are made per reference. With bursty sampling
+// enabled the batch first runs through the burst controller: checking-phase
+// spans are shed in one O(1) counter subtraction (burst.Controller.Skip),
+// and only the sampled spans touch the ring.
 func (s *ProfileShard) AddBatch(refs []Ref) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -1226,13 +1131,30 @@ func (s *ProfileShard) pushBatchPolicy(refs []Ref) error {
 			s.dropped.Add(uint64(len(refs) - n))
 		}
 	case Sample:
-		for _, r := range refs {
+		// The first full-ring rejection degrades the shard to attempting
+		// only every sampleN-th reference; it recovers once a push leaves
+		// the ring at most half full. Exiting on the first successful push
+		// would thrash between full speed and 1-in-N at the boundary.
+		for i := range refs {
 			if s.closed.Load() {
 				return ErrClosed
 			}
-			if err := s.addPolicy(r); err != nil {
-				return err
+			if s.degraded {
+				if s.skip++; s.skip < s.sampleN {
+					s.sampledOut.Add(1)
+					continue
+				}
+				s.skip = 0
 			}
+			if s.tryPushBatch(refs[i:i+1]) == 0 {
+				s.degraded, s.skip = true, 0
+				s.dropped.Add(1)
+				continue
+			}
+			if s.degraded && s.q.Len() <= s.q.Cap()/2 {
+				s.degraded = false
+			}
+			s.pushed.Add(1)
 		}
 	default: // Block
 		pushed := 0

@@ -376,9 +376,8 @@ func TestShardedNoLostWakeups(t *testing.T) {
 	)
 	base := runtime.NumGoroutine()
 	sp, err := NewShardedProfileConfig(ShardedConfig{
-		Shards:  shards,
-		Policy:  Drop, // a batch is accepted or rejected whole, so the books stay exact
-		RingCap: 64,
+		Shards: shards,
+		Policy: Drop, // a batch is accepted or rejected whole, so the books stay exact
 	})
 	if err != nil {
 		t.Fatal(err)

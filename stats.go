@@ -34,7 +34,7 @@ type ShardStats struct {
 	QuotaShed  uint64 `json:"quota_shed"`
 
 	// Collapsed counts consumed references the two-level ingest front end
-	// (ShardedConfig.Prepass) absorbed without a digram-table epoch — run
+	// (on for every Service tenant) absorbed without a digram-table epoch — run
 	// collapses plus phrase-rule replays. Unlike the shed counters it is
 	// consumer-side accounting over references already in Consumed (always
 	// Collapsed <= Consumed), so it does not enter the producer ledger.
@@ -155,8 +155,8 @@ type Stats struct {
 
 	// PrepassCollapse is the distribution of per-batch collapse ratios —
 	// references the ingest front end absorbed over references in the batch
-	// (raw unit permille, batches of 8+ references); all-zero unless
-	// ShardedConfig.Prepass is on.
+	// (raw unit permille, batches of 8+ references); all-zero unless the
+	// front end is on, as it is for every Service tenant.
 	PrepassCollapse HistogramSnapshot `json:"prepass_collapse"`
 
 	// MaxCycleStall is the worst per-shard ingest stall charged to a grammar

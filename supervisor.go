@@ -1,14 +1,11 @@
 package hotprefetch
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hotprefetch/internal/fault"
 	"hotprefetch/internal/obs"
@@ -49,16 +46,10 @@ func (s SupervisorState) String() string {
 }
 
 // SupervisorConfig tunes the accuracy-driven deoptimization loop. The zero
-// value is usable: manual polling, a 25% accuracy floor, and three bad
-// windows to deoptimize. What the supervisor builds is fixed by its inputs:
-// the matcher's head length and the profile's CycleAnalysis.
+// value is usable: a 25% accuracy floor and three bad windows to
+// deoptimize. What the supervisor builds is fixed by its inputs: the
+// matcher's head length and the profile's CycleAnalysis.
 type SupervisorConfig struct {
-	// Interval is the sampling period of the background supervision loop.
-	// Zero means no background goroutine: the caller drives the state
-	// machine by calling Poll — the deterministic mode tests and examples
-	// use.
-	Interval time.Duration
-
 	// AccuracyFloor is the sliding-window prefetch accuracy (hits/issued)
 	// below which a window counts as bad. Zero means 0.25.
 	AccuracyFloor float64
@@ -66,20 +57,14 @@ type SupervisorConfig struct {
 	// BadWindows is the number of consecutive bad windows that trigger
 	// deoptimization. Zero means 3.
 	BadWindows int
-
-	// MinWindowObservations is the number of matcher observations a window
-	// must contain to be judged at all. A poll that finds fewer leaves the
-	// bad-window count unchanged and keeps the window open: its
-	// observations carry into the next poll's window, so a supervisor
-	// polled faster than this still judges one window per this many
-	// observations. Zero means 256.
-	MinWindowObservations uint64
-
-	// Fault, when non-nil, lets the injector force accuracy windows stale
-	// (fault.Injector.MatcherStale), driving the deoptimization path on
-	// demand in chaos tests.
-	Fault fault.Injector
 }
+
+// minWindowObservations is the number of matcher observations a window must
+// contain to be judged at all. A poll that finds fewer leaves the bad-window
+// count unchanged and keeps the window open: its observations carry into the
+// next poll's window, so a supervisor polled faster than this still judges
+// one window per this many observations.
+const minWindowObservations = 256
 
 // withDefaults returns the configuration with zero fields replaced.
 func (c SupervisorConfig) withDefaults() SupervisorConfig {
@@ -89,17 +74,11 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.BadWindows == 0 {
 		c.BadWindows = 3
 	}
-	if c.MinWindowObservations == 0 {
-		c.MinWindowObservations = 256
-	}
 	return c
 }
 
 // Validate reports whether the configuration is well-formed.
 func (c SupervisorConfig) Validate() error {
-	if c.Interval < 0 {
-		return fmt.Errorf("hotprefetch: negative supervisor Interval %v", c.Interval)
-	}
 	if c.AccuracyFloor < 0 || c.AccuracyFloor > 1 {
 		return fmt.Errorf("hotprefetch: supervisor AccuracyFloor %g outside [0, 1]", c.AccuracyFloor)
 	}
@@ -131,8 +110,8 @@ type SupervisorStats struct {
 	PrefetchesIssued uint64 `json:"prefetches_issued"`
 	PrefetchesHit    uint64 `json:"prefetches_hit"`
 
-	// PollErrors counts Poll ticks that failed: a retrain or teardown whose
-	// matcher build returned an error or panicked.
+	// PollErrors counts the errors Poll returned: a retrain or teardown
+	// whose matcher build returned an error or panicked.
 	PollErrors uint64 `json:"poll_errors"`
 }
 
@@ -143,8 +122,9 @@ type SupervisorStats struct {
 // from fresh cycles — with no manual Swap calls anywhere.
 //
 // Lifecycle: Supervise attaches a Supervisor to a ShardedProfile and a
-// ConcurrentMatcher; Close detaches and stops the background loop (if any).
-// The Supervisor never closes the profile or matcher it supervises.
+// ConcurrentMatcher; the host drives it by calling Poll from its own loop,
+// and Close detaches it. The Supervisor starts no goroutine and never
+// closes the profile or matcher it supervises.
 type Supervisor struct {
 	sp  *ShardedProfile
 	cm  *ConcurrentMatcher
@@ -168,15 +148,15 @@ type Supervisor struct {
 	// deoptimization: the next optimization waits for fresh cycles past it.
 	bankedBase uint64
 
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	// inj, when non-nil, can force accuracy windows stale
+	// (fault.Injector.MatcherStale), driving the deoptimization path on
+	// demand. In-package tests set it after Supervise returns.
+	inj fault.Injector
 }
 
 // Supervise wires a Supervisor over the profile and matcher: it enables
-// accuracy tracking on the matcher, registers both with the profile's Stats,
-// and — when cfg.Interval > 0 — starts the background supervision loop.
-// With Interval == 0 the caller drives the loop by calling Poll.
+// accuracy tracking on the matcher and registers both with the profile's
+// Stats. The caller then drives the state machine by calling Poll.
 //
 // The profile must have a grammar budget (MaxGrammarSymbols): every retrain
 // reads the cycle streams banked since the last one, and without a budget no
@@ -189,13 +169,7 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 		return nil, errors.New("hotprefetch: Supervise requires a profile with MaxGrammarSymbols set (every retrain reads banked cycle streams)")
 	}
 	cfg = cfg.withDefaults()
-	s := &Supervisor{
-		sp:   sp,
-		cm:   cm,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	s := &Supervisor{sp: sp, cm: cm, cfg: cfg}
 	cm.EnableAccuracyTracking(0)
 	if restored, base := sp.restored(); len(restored) > 0 {
 		// Warm start: a snapshot was restored into the profile, so optimize
@@ -227,44 +201,12 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 	s.lastIssued, s.lastHits = cm.AccuracyCounters()
 	sp.AttachMatcher(cm)
 	sp.supervisor.Store(s)
-	if cfg.Interval > 0 {
-		go s.run()
-	} else {
-		close(s.done)
-	}
 	return s, nil
 }
 
-// run is the background supervision loop, labeled for profile attribution
-// (see DESIGN.md §9).
-func (s *Supervisor) run() {
-	defer close(s.done)
-	pprof.Do(context.Background(), pprof.Labels("hotprefetch_phase", "supervise"), func(context.Context) {
-		tick, stop := s.sp.clk.NewTicker(s.cfg.Interval)
-		defer stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-tick:
-				if err := s.Poll(); err != nil {
-					s.pollErrors.Add(1)
-				}
-			}
-		}
-	})
-}
-
-// Close stops the background loop and detaches the supervisor from the
-// profile's Stats. Idempotent; the supervised profile and matcher are left
-// running.
-func (s *Supervisor) Close() {
-	s.stopOnce.Do(func() {
-		close(s.stop)
-		s.sp.supervisor.CompareAndSwap(s, nil)
-	})
-	<-s.done
-}
+// Close detaches the supervisor from the profile's Stats. Idempotent; the
+// supervised profile and matcher are left running.
+func (s *Supervisor) Close() { s.sp.supervisor.CompareAndSwap(s, nil) }
 
 // State returns the current phase.
 func (s *Supervisor) State() SupervisorState { return SupervisorState(s.state.Load()) }
@@ -290,31 +232,35 @@ func (s *Supervisor) Snapshot() SupervisorStats {
 // Poll advances the state machine by one supervision window: in
 // StateOptimized it judges the accuracy window and deoptimizes after
 // cfg.BadWindows consecutive bad ones; in StateProfiling/StateHibernating
-// it re-optimizes once enough fresh evidence has banked. Poll is what the
-// background loop calls every Interval; with Interval == 0 the embedding
-// application calls it directly (it is safe to call concurrently, but
-// windows are only meaningful when polled at a roughly steady cadence).
+// it re-optimizes once enough fresh evidence has banked. The embedding
+// application calls it from its own loop, for instance once per batch of
+// references it publishes (it is safe to call concurrently, but windows are
+// only meaningful when polled at a roughly steady cadence). Every error Poll
+// returns is counted in SupervisorStats.PollErrors.
 func (s *Supervisor) Poll() error {
 	s.pollMu.Lock()
 	defer s.pollMu.Unlock()
-	switch s.State() {
-	case StateOptimized:
-		s.judgeWindow()
-		return nil
-	default:
-		return s.tryOptimize()
+	var err error
+	if s.State() == StateOptimized {
+		err = s.judgeWindow()
+	} else {
+		err = s.tryOptimize()
 	}
+	if err != nil {
+		s.pollErrors.Add(1)
+	}
+	return err
 }
 
 // judgeWindow evaluates the accuracy of the observations since the last
 // concluded window and deoptimizes after a run of bad windows.
-func (s *Supervisor) judgeWindow() {
+func (s *Supervisor) judgeWindow() error {
 	observed := s.cm.Observations()
-	if observed-s.lastObserved < s.cfg.MinWindowObservations {
+	if observed-s.lastObserved < minWindowObservations {
 		// Too quiet to judge yet; neither a strike nor an acquittal. The
 		// window stays open, so the next poll judges these observations
 		// together with its own.
-		return
+		return nil
 	}
 	issued, hits := s.cm.AccuracyCounters()
 	dIssued := issued - s.lastIssued
@@ -328,18 +274,19 @@ func (s *Supervisor) judgeWindow() {
 	// An optimized matcher that sees traffic but issues nothing is stale by
 	// definition (its heads no longer occur), so acc stays 0 and the window
 	// is bad. Forced staleness injection overrides a healthy measurement.
-	if s.cfg.Fault != nil && s.cfg.Fault.MatcherStale() {
+	if s.inj != nil && s.inj.MatcherStale() {
 		acc = 0
 	}
 	s.accBits.Store(math.Float64bits(acc))
 	s.sp.obs.AccuracyWindow.ObserveRatio(acc)
 	if acc >= s.cfg.AccuracyFloor {
 		s.badRun.Store(0)
-		return
+		return nil
 	}
 	if int(s.badRun.Add(1)) >= s.cfg.BadWindows {
-		s.deoptimize()
+		return s.deoptimize()
 	}
+	return nil
 }
 
 // safeSwap retrains the matcher's predictor on streams, converting a
@@ -359,12 +306,11 @@ func (s *Supervisor) safeSwap(streams []Stream) (err error) {
 // comparisons and no prefetch ever fires) and the profile re-enters its
 // evidence-gathering phase. The paper's §5 de-optimization, triggered by
 // measured accuracy decay instead of an external call.
-func (s *Supervisor) deoptimize() {
+func (s *Supervisor) deoptimize() error {
 	if err := s.safeSwap(nil); err != nil {
 		// Building the empty machine cannot fail with a valid head length;
-		// treat a failure as a poll error rather than wedging the loop.
-		s.pollErrors.Add(1)
-		return
+		// report a failure as a poll error rather than wedging the loop.
+		return err
 	}
 	s.bankedBase = s.sp.banked.Load()
 	s.badRun.Store(0)
@@ -373,6 +319,7 @@ func (s *Supervisor) deoptimize() {
 	s.state.Store(int32(StateHibernating))
 	// Value carries the run of bad windows that triggered the teardown.
 	s.sp.obs.Emit(obs.KindPhaseHibernating, -1, uint64(s.cfg.BadWindows))
+	return nil
 }
 
 // minFreshCycles is how many grammar-budget cycles must have landed in the
@@ -388,8 +335,8 @@ const minFreshCycles = 1
 // so a retrain never runs on the evidence that just went stale. Its training
 // set then becomes the profile's base set, and the banks restart from the
 // cycles that landed while the machine was building. That read is safe while
-// producers are running, which is what lets the background loop retrain
-// under live traffic.
+// producers are running, which is what lets a host retrain under live
+// traffic.
 func (s *Supervisor) tryOptimize() error {
 	if s.sp.banked.Load()-s.bankedBase < minFreshCycles {
 		return nil

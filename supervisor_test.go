@@ -76,9 +76,8 @@ func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup, err := Supervise(sp, cm, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		BadWindows:            2,
-		MinWindowObservations: 64,
+		AccuracyFloor: 0.5,
+		BadWindows:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,15 +221,14 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup, err := Supervise(sp, cm, SupervisorConfig{
-		AccuracyFloor:         0.25,
-		BadWindows:            3,
-		MinWindowObservations: 64,
-		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
+		AccuracyFloor: 0.25,
+		BadWindows:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
+	sup.inj = &fault.Hooks{MatcherStaleFn: func() bool { return true }}
 	if got := sup.State(); got != StateOptimized {
 		t.Fatalf("supervising a trained matcher starts in %v, want %v", got, StateOptimized)
 	}
@@ -252,10 +250,11 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 	}
 }
 
-// TestSupervisorBackgroundLoop runs the supervisor on its own ticker: with
-// no Poll calls at all, a profiled workload must get optimized in the
-// background, and Close must stop the loop idempotently and detach the
-// supervisor from Stats.
+// TestSupervisorBackgroundLoop drives the supervisor from the host's own
+// loop, as a server would: each publish is followed by a Poll and no
+// Flush, so the profiled workload must get optimized from the cycles the
+// shard consumer banks in the background, and Close must detach the
+// supervisor from Stats idempotently.
 func TestSupervisorBackgroundLoop(t *testing.T) {
 	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
 	sp, err := NewShardedProfileConfig(ShardedConfig{
@@ -271,9 +270,7 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := Supervise(sp, cm, SupervisorConfig{
-		Interval: time.Millisecond,
-	})
+	sup, err := Supervise(sp, cm, SupervisorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,15 +279,18 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for sup.State() != StateOptimized {
 		if time.Now().After(deadline) {
-			t.Fatalf("background loop never optimized; state=%v stats=%v", sup.State(), sp.Stats())
+			t.Fatalf("host loop never optimized; state=%v stats=%v", sup.State(), sp.Stats())
 		}
 		if err := sp.Shard(0).AddAll(trace); err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.Poll(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	if cm.Swaps() == 0 {
-		t.Fatal("background loop reported Optimized without swapping the matcher")
+		t.Fatal("host loop reported Optimized without swapping the matcher")
 	}
 
 	sup.Close()
@@ -302,7 +302,6 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 
 func TestSupervisorConfigValidate(t *testing.T) {
 	bad := []SupervisorConfig{
-		{Interval: -time.Second},
 		{AccuracyFloor: -0.1},
 		{AccuracyFloor: 1.5},
 		{BadWindows: -1},
@@ -318,8 +317,8 @@ func TestSupervisorConfigValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Supervise(sp, cm, SupervisorConfig{Interval: -time.Second}); err == nil {
-		t.Fatal("Supervise accepted a negative interval")
+	if _, err := Supervise(sp, cm, SupervisorConfig{BadWindows: -1}); err == nil {
+		t.Fatal("Supervise accepted a negative BadWindows")
 	}
 	if sp.Stats().Supervisor != nil {
 		t.Fatal("failed Supervise still attached a supervisor")
@@ -459,10 +458,7 @@ func TestSupervisorABChaosPanicDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := Supervise(sp, cm, SupervisorConfig{
-		AccuracyFloor:         0.25,
-		MinWindowObservations: 64,
-	})
+	sup, err := Supervise(sp, cm, SupervisorConfig{AccuracyFloor: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,6 +483,9 @@ func TestSupervisorABChaosPanicDemotes(t *testing.T) {
 	}
 	if got := cm.Swaps(); got != 0 {
 		t.Fatalf("Swaps = %d after the failed build, want 0 (nothing published)", got)
+	}
+	if got := sup.Snapshot().PollErrors; got != 1 {
+		t.Fatalf("PollErrors = %d after the failed Poll, want 1", got)
 	}
 	for i, r := range trace {
 		if pf, _ := cm.Observe(r); len(pf) != 0 {
@@ -599,9 +598,8 @@ func TestSupervisorRetrainForgetsStalePhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup, err := Supervise(sp, cm, SupervisorConfig{
-		AccuracyFloor:         0.5,
-		BadWindows:            2,
-		MinWindowObservations: 64,
+		AccuracyFloor: 0.5,
+		BadWindows:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -657,21 +655,17 @@ func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
 	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
 	var hold, stale atomic.Bool
 	release := make(chan struct{})
-	sp, err := NewShardedProfileConfig(ShardedConfig{
+	sp := startProfile(t, ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
 		CycleAnalysis:     analysis,
-		Fault: &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
-			if hold.Load() {
-				<-release
-			}
-			return fault.Outcome{}
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, realClock{}, &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
+		if hold.Load() {
+			<-release
+		}
+		return fault.Outcome{}
+	}})
 	defer sp.Close()
 	defer func() {
 		if hold.Load() {
@@ -682,15 +676,12 @@ func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := Supervise(sp, cm, SupervisorConfig{
-		BadWindows:            1,
-		MinWindowObservations: 64,
-		Fault:                 &fault.Hooks{MatcherStaleFn: stale.Load},
-	})
+	sup, err := Supervise(sp, cm, SupervisorConfig{BadWindows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
+	sup.inj = &fault.Hooks{MatcherStaleFn: stale.Load}
 
 	feedUntilReset(t, sp, 1)
 	if err := sp.drainAnalyses(); err != nil {
@@ -793,15 +784,12 @@ func TestSupervisorRetrainKeepsCycleBankedDuringBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stale atomic.Bool
-	sup, err := Supervise(sp, cm, SupervisorConfig{
-		BadWindows:            1,
-		MinWindowObservations: 64,
-		Fault:                 &fault.Hooks{MatcherStaleFn: stale.Load},
-	})
+	sup, err := Supervise(sp, cm, SupervisorConfig{BadWindows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
+	sup.inj = &fault.Hooks{MatcherStaleFn: stale.Load}
 	lateMu.Lock()
 	lateRecord, lateBuilds = true, nil
 	lateBank = func() { feedUntilReset(t, sp, 2) }
@@ -875,7 +863,7 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	cfg := SupervisorConfig{BadWindows: 1, MinWindowObservations: 64}
+	cfg := SupervisorConfig{BadWindows: 1}
 	cm1, err := NewConcurrentMatcher(nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -894,7 +882,6 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 	sup1.Close()
 
 	var stale atomic.Bool
-	cfg.Fault = &fault.Hooks{MatcherStaleFn: stale.Load}
 	cm2, err := NewConcurrentMatcher(nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -904,6 +891,7 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sup2.Close()
+	sup2.inj = &fault.Hooks{MatcherStaleFn: stale.Load}
 	if snap := sup2.Snapshot(); snap.State != "profiling" {
 		t.Fatalf("supervisor over a leftover base: %+v, want a cold start", snap)
 	}
@@ -949,15 +937,12 @@ func TestRebaseSeenWholeByConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every window is stale, so each round optimizes and then deoptimizes.
-	sup, err := Supervise(sp, cm, SupervisorConfig{
-		BadWindows:            1,
-		MinWindowObservations: 1,
-		Fault:                 &fault.Hooks{MatcherStaleFn: func() bool { return true }},
-	})
+	sup, err := Supervise(sp, cm, SupervisorConfig{BadWindows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
+	sup.inj = &fault.Hooks{MatcherStaleFn: func() bool { return true }}
 	feedUntilReset(t, sp, 1)
 	if err := sp.drainAnalyses(); err != nil {
 		t.Fatal(err)
@@ -990,7 +975,7 @@ func TestRebaseSeenWholeByConcurrentReaders(t *testing.T) {
 		if err := sup.Poll(); err != nil { // optimize on what banked
 			t.Fatal(err)
 		}
-		observeAll(cm, phaseTrace(1+round%3, 4))
+		observeAll(cm, phaseTrace(1+round%3, 20))
 		if err := sup.Poll(); err != nil { // a stale window deoptimizes
 			t.Fatal(err)
 		}

@@ -62,8 +62,8 @@ func (q *waitq) notify() {
 	}
 }
 
-// clock is the one time source of a ShardedProfile and of a Supervisor over
-// it. Profiles run on realClock; in-package tests substitute a fake they
+// clock is the one time source of a ShardedProfile. Profiles run on
+// realClock; in-package tests substitute a fake they
 // advance, so every stall and breaker verdict is tested at its production
 // constant, in virtual time.
 type clock interface {
@@ -71,9 +71,6 @@ type clock interface {
 	// AfterFunc calls f on its own goroutine once d has passed, unless the
 	// returned function stops it first.
 	AfterFunc(d time.Duration, f func()) (stop func() bool)
-	// NewTicker returns a channel that receives every d, and a function
-	// that stops the ticker.
-	NewTicker(d time.Duration) (<-chan time.Time, func())
 }
 
 // realClock is the wall clock.
@@ -82,8 +79,3 @@ type realClock struct{}
 func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) AfterFunc(d time.Duration, f func()) func() bool { return time.AfterFunc(d, f).Stop }
-
-func (realClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
-	t := time.NewTicker(d)
-	return t.C, t.Stop
-}

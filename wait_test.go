@@ -7,24 +7,24 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hotprefetch/internal/fault"
 )
 
 // fakeClock is a clock that moves only when a test advances it. Its timers
-// and tickers fire inside Advance, so a verdict that sleeps on the clock
-// lands exactly when virtual time passes its deadline, never before.
+// fire inside Advance, so a verdict that sleeps on the clock lands exactly
+// when virtual time passes its deadline, never before.
 type fakeClock struct {
 	mu     sync.Mutex
 	now    time.Time
 	timers []*fakeTimer
-	added  *sync.Cond // broadcast whenever a timer or ticker is added
+	added  *sync.Cond // broadcast whenever a timer is added
 }
 
-// fakeTimer is one pending AfterFunc (f set) or ticker (c and period set).
+// fakeTimer is one pending AfterFunc.
 type fakeTimer struct {
-	at     time.Time
-	f      func()
-	c      chan time.Time
-	period time.Duration
+	at time.Time
+	f  func()
 }
 
 func newFakeClock() *fakeClock {
@@ -48,11 +48,6 @@ func (f *fakeClock) AfterFunc(d time.Duration, fn func()) func() bool {
 	return func() bool { return f.remove(t) }
 }
 
-func (f *fakeClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
-	t := f.add(&fakeTimer{at: f.Now().Add(d), c: make(chan time.Time, 1), period: d})
-	return t.c, func() { f.remove(t) }
-}
-
 func (f *fakeClock) add(t *fakeTimer) *fakeTimer {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -72,28 +67,18 @@ func (f *fakeClock) remove(t *fakeTimer) bool {
 	return true
 }
 
-// Advance moves the clock forward by d, fires every ticker that falls due,
-// and runs every AfterFunc that falls due before it returns.
+// Advance moves the clock forward by d and runs every AfterFunc that falls
+// due before it returns.
 func (f *fakeClock) Advance(d time.Duration) {
 	f.mu.Lock()
 	f.now = f.now.Add(d)
 	var due []func()
 	kept := f.timers[:0]
 	for _, t := range f.timers {
-		switch {
-		case t.at.After(f.now):
+		if t.at.After(f.now) {
 			kept = append(kept, t)
-		case t.f != nil:
+		} else {
 			due = append(due, t.f)
-		default:
-			select {
-			case t.c <- f.now:
-			default:
-			}
-			for !t.at.After(f.now) {
-				t.at = t.at.Add(t.period)
-			}
-			kept = append(kept, t)
 		}
 	}
 	clear(f.timers[len(kept):])
@@ -104,8 +89,8 @@ func (f *fakeClock) Advance(d time.Duration) {
 	}
 }
 
-// awaitTimers blocks until at least n timers or tickers are pending, that
-// is, until that many goroutines wait on the clock.
+// awaitTimers blocks until at least n timers are pending, that is, until
+// that many goroutines wait on the clock.
 func (f *fakeClock) awaitTimers(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -114,25 +99,24 @@ func (f *fakeClock) awaitTimers(n int) {
 	}
 }
 
-// pending returns how many timers and tickers have yet to fire.
+// pending returns how many timers have yet to fire.
 func (f *fakeClock) pending() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.timers)
 }
 
-// fakeClockProfile returns a started profile configured by cfg whose clock
-// is a fake the test advances.
-func fakeClockProfile(t *testing.T, cfg ShardedConfig) (*ShardedProfile, *fakeClock) {
+// startProfile returns a profile configured by cfg, started on clock clk
+// with its fault-injection points consulting inj (nil for none).
+func startProfile(t *testing.T, cfg ShardedConfig, clk clock, inj fault.Injector) *ShardedProfile {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	sp := newShardedProfile(cfg)
-	clk := newFakeClock()
-	sp.clk = clk
+	sp.clk, sp.inj = clk, inj
 	sp.start()
-	return sp, clk
+	return sp
 }
 
 // verdictAt runs call on its own goroutine, where it must come to sleep on
