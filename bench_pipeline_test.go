@@ -124,7 +124,7 @@ func benchCycleTurnaround(b *testing.B, workers int) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 2048,
-		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.01, MaxStreams: 100},
+		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.01, MaxStreams: 100},
 		AnalysisWorkers:   workers,
 	})
 	if err != nil {

@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite the golden CSV files from a fre
 // when the simulator, analysis defaults, or optimizer change), so they are
 // held only to being well-formed finite floats — run with -update to bless
 // an intentional shift; a structural change must come with a new golden
-// file in the same commit.
+// file in the same commit. The two figures run as parallel subtests.
 func TestFigureCSVGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full Figure 11/12 simulations (~20s)")
@@ -55,6 +55,7 @@ func TestFigureCSVGolden(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			got, err := tc.got()
 			if err != nil {
 				t.Fatal(err)

@@ -266,15 +266,15 @@ func main() {
 		// Producers are done (budget exhausted or signal): drain the rings
 		// and the analysis pool so the report and stats below are final.
 		// Close is bounded — a stalled consumer or analysis pool surfaces
-		// through HotStreamsErr instead of hanging shutdown.
+		// through HotStreams instead of hanging shutdown.
 		svc.Close()
 		var err error
-		streams, err = svc.HotStreamsErr(cfg)
+		streams, err = svc.HotStreams(cfg)
 		if err != nil {
 			log.Printf("partial analysis: %v", err)
 		}
-		traceLen = svc.Len()
-		grammarSize = svc.Stats().GrammarSize
+		st := svc.Stats()
+		traceLen, grammarSize = st.Consumed, st.GrammarSize
 	case *precise:
 		streams = profile.HotStreamsPrecise(cfg)
 		traceLen = profile.Len()

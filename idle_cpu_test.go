@@ -65,7 +65,7 @@ func TestIdleProfileUsesNoCPU(t *testing.T) {
 	}
 }
 
-// TestDrainAnalysesSleeps: a HotStreamsErr caller waiting for a slow
+// TestDrainAnalysesSleeps: a HotStreams caller waiting for a slow
 // background analysis sleeps until the analysis settles. Polling the
 // pending count with scheduler yields costs about one core for the whole
 // wait.
@@ -77,16 +77,16 @@ func TestDrainAnalysesSleeps(t *testing.T) {
 	sp := oneCycleProfile(t, func(int) fault.Outcome { return fault.Outcome{Delay: delay} }, realClock{})
 	defer sp.Close()
 	cpu0, t0 := processCPU(t), time.Now()
-	if _, err := sp.HotStreamsErr(DefaultAnalysisConfig()); err != nil {
+	if _, err := sp.HotStreams(DefaultAnalysisConfig()); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(t0)
 	cores := float64(processCPU(t)-cpu0) / float64(elapsed)
 	if elapsed < delay/2 {
-		t.Fatalf("HotStreamsErr returned after %v, before the %v analysis could settle", elapsed, delay)
+		t.Fatalf("HotStreams returned after %v, before the %v analysis could settle", elapsed, delay)
 	}
 	if got := sp.Stats().CyclesAnalyzed; got != 1 {
-		t.Errorf("HotStreamsErr returned with %d cycles analyzed, want 1", got)
+		t.Errorf("HotStreams returned with %d cycles analyzed, want 1", got)
 	}
 	if cores > 0.1 {
 		t.Errorf("waiting %v for an analysis used %.2f cores, want about 0", elapsed, cores)

@@ -19,8 +19,7 @@ import (
 )
 
 // Outcome is one analysis-point decision: delay the job, make it panic, or
-// both (the delay is applied first, so a delayed panic also exercises the
-// deadline path when the delay exceeds it).
+// both (the delay is applied first, so a delayed panic is a slow failure).
 type Outcome struct {
 	Delay time.Duration
 	Panic bool
@@ -81,9 +80,9 @@ type SeededConfig struct {
 	PanicRate float64
 
 	// DelayRate is the fraction of analyses delayed by Delay before they
-	// run (set Delay above the service's AnalysisTimeout to force deadline
-	// failures). The profile sleeps the delay on its own clock, so a test
-	// that substitutes a fake clock must advance it past Delay.
+	// run: a slow analysis, not a failed one. The profile sleeps the delay
+	// on its own clock, so a test that substitutes a fake clock must advance
+	// it past Delay.
 	DelayRate float64
 	Delay     time.Duration
 

@@ -50,9 +50,9 @@ const (
 	// retained set. Value is the number of streams banked.
 	KindCycleBanked
 
-	// KindAnalysisFailed marks a cycle-end analysis that panicked or blew
-	// its deadline; KindAnalysisSkipped marks a cycle degraded to
-	// ingest-and-recycle by an open circuit breaker. Value is unused.
+	// KindAnalysisFailed marks a cycle-end analysis that panicked;
+	// KindAnalysisSkipped marks a cycle degraded to ingest-and-recycle by an
+	// open circuit breaker. Value is unused.
 	KindAnalysisFailed
 	KindAnalysisSkipped
 

@@ -246,9 +246,9 @@ func TestWritePrometheusObserver(t *testing.T) {
 		"hotprefetch_accuracy_window_ratio_count 0",
 		`hotprefetch_phase_events_total{kind="cycle_start"} 1`,
 		`hotprefetch_phase_events_total{kind="matcher_swap"} 0`,
-		`hotprefetch_supervisor_phase_transitions_total{phase="optimized"} 1`,
-		`hotprefetch_supervisor_phase_transitions_total{phase="profiling"} 1`,
-		`hotprefetch_supervisor_phase_transitions_total{phase="hibernating"} 0`,
+		`hotprefetch_phase_events_total{kind="phase_optimized"} 1`,
+		`hotprefetch_phase_events_total{kind="phase_profiling"} 1`,
+		`hotprefetch_phase_events_total{kind="phase_hibernating"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

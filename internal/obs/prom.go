@@ -95,12 +95,6 @@ func (o *Observer) WritePrometheus(w io.Writer) {
 	}
 	WriteCounterVec(w, "hotprefetch_phase_events_total",
 		"Structured phase events emitted, by kind.", "kind", events)
-	WriteCounterVec(w, "hotprefetch_supervisor_phase_transitions_total",
-		"Supervisor phase transitions, by phase entered.", "phase", map[string]uint64{
-			"profiling":   o.counts[KindPhaseProfiling].Load(),
-			"optimized":   o.counts[KindPhaseOptimized].Load(),
-			"hibernating": o.counts[KindPhaseHibernating].Load(),
-		})
 }
 
 func writeHeader(w io.Writer, name, help, typ string) {

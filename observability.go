@@ -78,10 +78,9 @@ func (sp *ShardedProfile) WriteMetrics(w io.Writer) {
 	}
 	obs.WriteCounter(w, "hotprefetch_grammar_resets_total", "Grammar budget cycles across shards.", st.Resets)
 	obs.WriteCounter(w, "hotprefetch_cycles_analyzed_total", "Cycle-end analyses completed.", st.CyclesAnalyzed)
-	obs.WriteCounter(w, "hotprefetch_analyses_failed_total", "Cycle-end analyses that panicked or timed out.", st.AnalysesFailed)
+	obs.WriteCounter(w, "hotprefetch_analyses_failed_total", "Cycle-end analyses that panicked.", st.AnalysesFailed)
 	obs.WriteCounter(w, "hotprefetch_analyses_skipped_total", "Cycles degraded to ingest-and-recycle by open breakers.", st.AnalysesSkipped)
 	obs.WriteCounter(w, "hotprefetch_breaker_transitions_total", "Circuit-breaker state changes across shards.", st.BreakerTransitions)
-	obs.WriteCounter(w, "hotprefetch_flush_stalls_total", "Lossy HotStreams calls that returned a partial merge.", st.FlushStalls)
 	obs.WriteGauge(w, "hotprefetch_grammar_symbols", "Live grammar size summed across shards.", float64(st.GrammarSize))
 	obs.WriteGauge(w, "hotprefetch_analysis_queue_depth", "Full grammars waiting for a background analysis worker.", float64(st.AnalysisQueueDepth))
 	obs.WriteCounter(w, "hotprefetch_snapshot_writes_total", "Durable snapshots encoded.", st.SnapshotWrites)

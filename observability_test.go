@@ -44,7 +44,7 @@ func TestTracerPhaseCycleSequence(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +265,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`hotprefetch_ingest_stall_seconds_bucket{le="+Inf"}`,
 		"# TYPE hotprefetch_flush_duration_seconds histogram",
 		"# TYPE hotprefetch_accuracy_window_ratio histogram",
-		"# TYPE hotprefetch_supervisor_phase_transitions_total counter",
-		`hotprefetch_supervisor_phase_transitions_total{phase="profiling"} 1`,
-		`hotprefetch_supervisor_phase_transitions_total{phase="optimized"} 1`,
-		`hotprefetch_supervisor_phase_transitions_total{phase="hibernating"} 0`,
+		"# TYPE hotprefetch_phase_events_total counter",
+		`hotprefetch_phase_events_total{kind="phase_profiling"} 1`,
+		`hotprefetch_phase_events_total{kind="phase_optimized"} 1`,
+		`hotprefetch_phase_events_total{kind="phase_hibernating"} 0`,
 		`hotprefetch_phase_events_total{kind="cycle_start"}`,
 		"hotprefetch_refs_consumed_total",
 		"hotprefetch_grammar_resets_total",
@@ -308,7 +308,7 @@ func TestStatsInvariantUnderLoad(t *testing.T) {
 		Shards:            4,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   2,
-		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100},
+		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestStatsInvariantUnderLoad(t *testing.T) {
 
 	// Drain: HotStreams waits out the rings and the analysis pool, after
 	// which the books must balance exactly.
-	sp.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100})
+	hotStreams(t, sp, AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100})
 	st := sp.Stats()
 	if st.Resets == 0 {
 		t.Fatal("no grammar cycles ran; the hammer exercised nothing")

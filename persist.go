@@ -57,7 +57,6 @@ func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
 	if err := snapshot.Write(w, p); err != nil {
 		return err
 	}
-	sp.snapWrites.Add(1)
 	sp.obs.Emit(obs.KindSnapshotWritten, -1, uint64(len(streams)))
 	return nil
 }
@@ -83,7 +82,6 @@ func (sp *ShardedProfile) WriteSnapshot(w io.Writer, generation uint64) error {
 func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 	p, err := snapshot.Read(r)
 	if err != nil {
-		sp.snapLoadFailures.Add(1)
 		sp.obs.Emit(obs.KindSnapshotLoadFailed, -1, 0)
 		return RestoreInfo{}, err
 	}
@@ -97,7 +95,6 @@ func (sp *ShardedProfile) RestoreSnapshot(r io.Reader) (RestoreInfo, error) {
 	sp.restoredGen = p.Generation
 	sp.restoredBaseline = p.Baseline
 	sp.baseMu.Unlock()
-	sp.snapRestores.Add(1)
 	sp.obs.Emit(obs.KindSnapshotRestored, -1, uint64(len(streams)))
 	if m := sp.matcher.Load(); m != nil && len(streams) > 0 {
 		// Pre-compile the DFSM so prefetching starts before any supervisor

@@ -23,7 +23,7 @@ func equivProfileConfig() ShardedConfig {
 	return ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 512,
-		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.01},
+		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.01},
 	}
 }
 
@@ -125,7 +125,7 @@ func TestWarmStartTimeToFirstOptimization(t *testing.T) {
 	cold, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func cycledProfile(t *testing.T, phase int) *ShardedProfile {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func warmStart(t *testing.T, src *ShardedProfile, cfg SupervisorConfig) (*Sharde
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -177,15 +177,7 @@ var ErrFlushStalled = errors.New("hotprefetch: flush stalled")
 // the shard's circuit breaker.
 var ErrAnalysisPanic = errors.New("hotprefetch: analysis panicked")
 
-// ErrAnalysisTimeout is the failure recorded for a background analysis that
-// exceeded ShardedConfig.AnalysisTimeout. The runaway analysis goroutine is
-// abandoned (its profile is discarded, never reused) so the worker pool
-// keeps draining. An analysis whose result arrives after the deadline
-// fails the same way, but its goroutine has finished, so its profile is
-// recycled.
-var ErrAnalysisTimeout = errors.New("hotprefetch: analysis deadline exceeded")
-
-// ErrAnalysisStalled is returned (wrapped) by HotStreamsErr when the
+// ErrAnalysisStalled is returned (wrapped) by HotStreams when the
 // background analysis pool makes no progress toward draining the pending
 // cycle analyses for five seconds (flushStallTimeout).
 var ErrAnalysisStalled = errors.New("hotprefetch: analysis pool stalled")
@@ -198,7 +190,7 @@ const defaultSampleInterval = 16
 const ringCap = 1 << 12
 
 // flushStallTimeout is how long Flush waits on a drain-lock holder, and
-// HotStreamsErr on the analysis pool, without seeing progress before it
+// HotStreams on the analysis pool, without seeing progress before it
 // gives up with ErrFlushStalled or ErrAnalysisStalled.
 const flushStallTimeout = 5 * time.Second
 
@@ -220,16 +212,11 @@ type ShardedConfig struct {
 
 	// MaxGrammarSymbols, when positive, bounds each shard's Sequitur
 	// grammar: a shard whose grammar reaches the budget extracts its hot
-	// streams (using CycleAnalysis), retains them, and resets the grammar —
-	// the paper's profile/optimize/hibernate cycle-end deallocation (§5)
-	// turned into a hard per-shard memory ceiling for long-running
-	// services. Zero means the grammar grows without bound.
+	// streams (with DefaultAnalysisConfig), retains them, and resets the
+	// grammar — the paper's profile/optimize/hibernate cycle-end
+	// deallocation (§5) turned into a hard per-shard memory ceiling for
+	// long-running services. Zero means the grammar grows without bound.
 	MaxGrammarSymbols int
-
-	// CycleAnalysis is the analysis configuration used to extract hot
-	// streams at each grammar reset. Its MaxStreams also caps the retained
-	// stream set per shard. The zero value means DefaultAnalysisConfig.
-	CycleAnalysis AnalysisConfig
 
 	// AnalysisWorkers, when positive, pipelines grammar budget cycles: each
 	// shard keeps a pre-warmed spare grammar, and hitting MaxGrammarSymbols
@@ -239,16 +226,6 @@ type ShardedConfig struct {
 	// goroutine draining the shard: its consumer, or a Flush caller. Has no
 	// effect without a grammar budget.
 	AnalysisWorkers int
-
-	// AnalysisTimeout, when positive, bounds each background cycle-end
-	// analysis: a job that has not finished within the deadline is recorded
-	// as failed (ErrAnalysisTimeout), its runaway goroutine is abandoned
-	// with its profile, and the worker moves on — a slow analysis can no
-	// longer back up the pool. Zero means no deadline. Inline cycles
-	// (AnalysisWorkers == 0) run on the goroutine draining the shard, which
-	// must retain ownership of its grammar, so the deadline applies only to
-	// the background pool. Five failures in a row open a circuit breaker.
-	AnalysisTimeout time.Duration
 
 	// Burst, when enabled, puts the paper's bursty-sampling counter machine
 	// in front of every shard's ingest policy; see BurstConfig. Each shard
@@ -270,6 +247,13 @@ type ShardedConfig struct {
 	// end preserves. A plain ShardedProfile leaves it off, so one shard
 	// compresses bit-identically to a single Profile.
 	prepass bool
+
+	// cycleAnalysis extracts hot streams at each grammar reset; its
+	// MaxStreams also caps the retained stream set per shard. The zero
+	// value, which every deployment uses, means DefaultAnalysisConfig;
+	// in-package tests pick shorter lengths or lower coverage so that short
+	// traces show streams.
+	cycleAnalysis AnalysisConfig
 }
 
 // withDefaults returns the configuration with zero fields replaced by their
@@ -281,8 +265,8 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	if c.SampleInterval == 0 {
 		c.SampleInterval = defaultSampleInterval
 	}
-	if c.CycleAnalysis == (AnalysisConfig{}) {
-		c.CycleAnalysis = DefaultAnalysisConfig()
+	if c.cycleAnalysis == (AnalysisConfig{}) {
+		c.cycleAnalysis = DefaultAnalysisConfig()
 	}
 	return c
 }
@@ -306,14 +290,8 @@ func (c ShardedConfig) Validate() error {
 	if c.AnalysisWorkers < 0 {
 		return fmt.Errorf("hotprefetch: negative AnalysisWorkers %d", c.AnalysisWorkers)
 	}
-	if c.AnalysisTimeout < 0 {
-		return fmt.Errorf("hotprefetch: negative AnalysisTimeout %v", c.AnalysisTimeout)
-	}
 	if err := c.Burst.Validate(); err != nil {
 		return fmt.Errorf("Burst: %w", err)
-	}
-	if err := c.CycleAnalysis.Validate(); err != nil {
-		return fmt.Errorf("CycleAnalysis: %w", err)
 	}
 	return nil
 }

@@ -148,8 +148,8 @@ func TestDropPolicyStressAccounting(t *testing.T) {
 	if consumed != pushed {
 		t.Errorf("consumed %d != pushed %d after Close", consumed, pushed)
 	}
-	if sp.Len() != pushed {
-		t.Errorf("Len = %d, want %d", sp.Len(), pushed)
+	if got := flushedLen(t, sp); got != pushed {
+		t.Errorf("consumed %d references after Flush, want %d", got, pushed)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestGrammarBudgetCycling(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: budget,
-		CycleAnalysis:     cycleCfg,
+		cycleAnalysis:     cycleCfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestGrammarBudgetCycling(t *testing.T) {
 		t.Errorf("consumed %d, want %d", st.Consumed, added)
 	}
 
-	streams := sp.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100})
+	streams := hotStreams(t, sp, AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100})
 	found := false
 	for _, hs := range streams {
 		for _, r := range hs.Refs {
@@ -285,7 +285,7 @@ func TestGrammarResetRacesObservers(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 256,
-		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.05, MaxStreams: 20},
+		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.05, MaxStreams: 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +396,7 @@ func TestFlushDrainsWithoutRunningConsumer(t *testing.T) {
 	cfg := ShardedConfig{
 		Shards:            2,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
+		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -438,7 +438,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if err := sp.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	streams := sp.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1})
+	streams := hotStreams(t, sp, AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1})
 	if len(streams) == 0 {
 		t.Fatal("no hot streams")
 	}
@@ -481,9 +481,7 @@ func TestShardedConfigValidate(t *testing.T) {
 		{SampleInterval: -1},
 		{MaxGrammarSymbols: -1},
 		{MaxGrammarSymbols: 4},
-		{CycleAnalysis: AnalysisConfig{MinLen: -1}},
 		{AnalysisWorkers: -1},
-		{AnalysisTimeout: -time.Second},
 	}
 	for i, cfg := range bad {
 		if _, err := NewShardedProfileConfig(cfg); err == nil {
@@ -534,10 +532,10 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got, want := batched.Len(), single.Len(); got != want {
-		t.Fatalf("batched Len = %d, per-ref Len = %d", got, want)
+	if got, want := flushedLen(t, batched), flushedLen(t, single); got != want {
+		t.Fatalf("batched consumed %d references, per-ref %d", got, want)
 	}
-	got, want := batched.HotStreams(cfg), single.HotStreams(cfg)
+	got, want := hotStreams(t, batched, cfg), hotStreams(t, single, cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("batched HotStreams diverge from per-ref:\n got %v\nwant %v", got, want)
 	}
@@ -623,7 +621,7 @@ func TestPipelinedMatchesInline(t *testing.T) {
 		sp, err := NewShardedProfileConfig(ShardedConfig{
 			Shards:            1,
 			MaxGrammarSymbols: 256,
-			CycleAnalysis:     cycleCfg,
+			cycleAnalysis:     cycleCfg,
 			AnalysisWorkers:   workers,
 		})
 		if err != nil {
@@ -633,7 +631,7 @@ func TestPipelinedMatchesInline(t *testing.T) {
 		if err := sp.AddBatch(0, trace); err != nil {
 			t.Fatal(err)
 		}
-		streams := sp.HotStreams(cycleCfg)
+		streams := hotStreams(t, sp, cycleCfg)
 		if st := sp.Stats(); st.Resets == 0 {
 			t.Fatalf("workers=%d: no grammar cycles ran; differential test needs cycling", workers)
 		} else if workers > 0 && st.CyclesAnalyzed == 0 {
@@ -705,7 +703,7 @@ func TestGrammarSwapRacesAddStats(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            shards,
 		MaxGrammarSymbols: 256,
-		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.05, MaxStreams: 20},
+		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.05, MaxStreams: 20},
 		AnalysisWorkers:   2,
 	})
 	if err != nil {
@@ -745,7 +743,7 @@ func TestGrammarSwapRacesAddStats(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	streams := sp.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100})
+	streams := hotStreams(t, sp, AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.001, MaxStreams: 100})
 	if len(streams) == 0 {
 		t.Error("no hot streams survived pipelined cycling")
 	}
@@ -791,7 +789,7 @@ func shedRecall(t *testing.T, policy IngestPolicy, trace []Ref, every int, want 
 		}
 		s.unlockDrain()
 	}
-	got := sp.HotStreams(DefaultAnalysisConfig())
+	got := hotStreams(t, sp, DefaultAnalysisConfig())
 	found := 0
 	for _, w := range want {
 		for _, g := range got {

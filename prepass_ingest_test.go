@@ -43,7 +43,7 @@ func TestPrepassBankedStreamsEquivalence(t *testing.T) {
 		sp, err := NewShardedProfileConfig(ShardedConfig{
 			Shards:            1,
 			MaxGrammarSymbols: 4096,
-			CycleAnalysis:     cycleCfg,
+			cycleAnalysis:     cycleCfg,
 			prepass:           prepass,
 		})
 		if err != nil {
@@ -113,7 +113,7 @@ func TestPrepassPeakUnderBudget(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: budget,
-		CycleAnalysis:     AnalysisConfig{MinLen: 10, MaxLen: 100, MinUnique: 10, MinCoverage: 0.01, MaxStreams: 100},
+		cycleAnalysis:     AnalysisConfig{MinLen: 10, MaxLen: 100, MinUnique: 10, MinCoverage: 0.01, MaxStreams: 100},
 		prepass:           true,
 	})
 	if err != nil {

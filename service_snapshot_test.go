@@ -22,7 +22,7 @@ func snapshotServiceConfig(dir string) ServiceConfig {
 		Tenant: ShardedConfig{
 			Shards:            1,
 			MaxGrammarSymbols: 64,
-			CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+			cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 		},
 		SnapshotDir:      dir,
 		SnapshotInterval: -1, // checkpoints driven explicitly by the tests

@@ -256,7 +256,7 @@ func TestServiceHotStreamsEndpoint(t *testing.T) {
 	svc, err := NewService(ServiceConfig{
 		Tenant: ShardedConfig{
 			MaxGrammarSymbols: 64,
-			CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+			cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 		},
 	})
 	if err != nil {

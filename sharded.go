@@ -73,12 +73,10 @@ type ShardedProfile struct {
 	// once).
 	quotaUsed atomic.Uint64
 
-	mergeCount  atomic.Uint64 // HotStreams merge passes
-	mergeNanos  atomic.Uint64 // cumulative time spent merging
-	cycles      atomic.Uint64 // cycle analyses completed (inline + background)
-	flushStalls atomic.Uint64 // lossy HotStreams calls that hit a stall
-	matcher     atomic.Pointer[ConcurrentMatcher]
-	supervisor  atomic.Pointer[Supervisor]
+	mergeCount atomic.Uint64 // HotStreams merge passes
+	mergeNanos atomic.Uint64 // cumulative time spent merging
+	matcher    atomic.Pointer[ConcurrentMatcher]
+	supervisor atomic.Pointer[Supervisor]
 
 	// The base set (see persist.go) is the evidence BankedStreams serves
 	// beneath the shard banks. RestoreSnapshot fills it with a warm-start
@@ -97,13 +95,10 @@ type ShardedProfile struct {
 	// bank, hot or not: the supervisor's readiness signal.
 	banked atomic.Uint64
 
-	// Snapshot lifecycle counters, mirrored into Stats and WriteMetrics.
-	snapWrites       atomic.Uint64
-	snapRestores     atomic.Uint64
-	snapLoadFailures atomic.Uint64
-
 	// obs is the observability hub (never nil): phase events, latency
-	// histograms, and the Prometheus exporter's source. See Observer.
+	// histograms, and the Prometheus exporter's source. Its per-kind event
+	// counts are the profile's counts of completed analyses and snapshot
+	// writes, restores and load failures. See Observer.
 	obs *obs.Observer
 }
 
@@ -139,9 +134,9 @@ const (
 )
 
 // breaker is a per-shard circuit breaker over cycle-end analyses: after
-// breakerThreshold consecutive failures (panics or deadline overruns) it
-// opens and the shard degrades to ingest-and-recycle without analysis,
-// instead of feeding a failing analysis path forever. After a jittered
+// breakerThreshold consecutive failed (panicking) analyses it opens and the
+// shard degrades to ingest-and-recycle without analysis, instead of feeding
+// a failing analysis path forever. After a jittered
 // exponential backoff from breakerBackoff it half-opens and admits exactly
 // one probe analysis; success closes it (resetting the backoff), failure
 // reopens it with a doubled backoff, up to breakerMaxBackoff.
@@ -446,7 +441,7 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			policy:     cfg.Policy,
 			sampleN:    cfg.SampleInterval,
 			maxSymbols: cfg.MaxGrammarSymbols,
-			cycleCfg:   cfg.CycleAnalysis,
+			cycleCfg:   cfg.cycleAnalysis,
 			prepassOn:  cfg.prepass,
 			done:       make(chan struct{}),
 		}
@@ -487,11 +482,10 @@ func (sp *ShardedProfile) newProfile() *Profile {
 }
 
 // analysisWorker drains the analysis queue: each job is one shard's full,
-// detached profile, run with panic isolation, an optional deadline, and the
-// shard's circuit breaker consulted first. Runs until the queue is closed;
-// because every failure mode completes the job (panic recovered, deadline
-// abandoned, breaker skipped), a failing analysis path can never wedge the
-// pool.
+// detached profile, run with panic isolation and the shard's circuit
+// breaker consulted first. Runs until the queue is closed; because a failing
+// analysis completes its job (panic recovered, breaker skipped), a failing
+// analysis path can never wedge the pool.
 // Analysis workers and shard consumers run under runtime/pprof profiler
 // labels so a CPU profile attributes time to the paper's phases directly:
 // filter on hotprefetch_phase=analysis to see what cycle-end hot-stream
@@ -529,60 +523,6 @@ func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, err error) {
 	return p.HotStreams(s.cycleCfg), nil
 }
 
-// analysisResult is what an isolated analysis helper reports: its streams
-// or error, and how long the analysis took.
-type analysisResult struct {
-	streams []Stream
-	err     error
-	elapsed time.Duration
-}
-
-// analyzeIsolated runs safeAnalyze, enforcing timeout when positive by
-// running the analysis on a helper goroutine; awaitAnalysis gives the
-// verdict.
-func (s *ProfileShard) analyzeIsolated(p *Profile, timeout time.Duration) (streams []Stream, err error, abandoned bool) {
-	if timeout <= 0 {
-		streams, err = s.safeAnalyze(p)
-		return streams, err, false
-	}
-	done := make(chan analysisResult, 1)
-	go func() {
-		start := s.sp.clk.Now()
-		st, err := s.safeAnalyze(p)
-		done <- analysisResult{st, err, s.sp.clk.Now().Sub(start)}
-	}()
-	deadline := make(chan time.Time, 1)
-	stop := s.sp.clk.AfterFunc(timeout, func() { deadline <- s.sp.clk.Now() })
-	defer stop()
-	return s.awaitAnalysis(done, deadline, timeout)
-}
-
-// awaitAnalysis waits for an isolated analysis' result or its deadline.
-// The verdict rests on the helper's own elapsed time, never on which of
-// the two a select happens to pick when both are ready: a result that took
-// longer than timeout is an ErrAnalysisTimeout failure. Such a helper has
-// finished, so its profile may be recycled. Only when the deadline passes
-// with no result is the helper abandoned together with the profile
-// (abandoned == true): the runaway analysis still reads p, so p must never
-// be recycled; when the helper eventually finishes, its send lands in the
-// buffered channel and both are garbage collected.
-func (s *ProfileShard) awaitAnalysis(done <-chan analysisResult, deadline <-chan time.Time, timeout time.Duration) (streams []Stream, err error, abandoned bool) {
-	var r analysisResult
-	select {
-	case r = <-done:
-	case <-deadline:
-		select {
-		case r = <-done:
-		default:
-			abandoned = true
-		}
-	}
-	if abandoned || r.elapsed > timeout {
-		return nil, fmt.Errorf("hotprefetch: shard %d analysis exceeded %v: %w", s.idx, timeout, ErrAnalysisTimeout), abandoned
-	}
-	return r.streams, r.err, false
-}
-
 // recycle resets a detached profile and offers it back as a spare.
 func (s *ProfileShard) recycle(p *Profile) {
 	p.Reset()
@@ -593,10 +533,9 @@ func (s *ProfileShard) recycle(p *Profile) {
 }
 
 // runAnalysis executes one background analysis job end to end: the cycle's
-// analysis (analyzeCycle) under AnalysisTimeout, then profile recycling
-// unless the analysis was abandoned. It always completes the job (pending
-// is decremented on every path), which is the liveness contract
-// drainAnalyses and Close rely on.
+// analysis (analyzeCycle), then profile recycling. It always completes the
+// job (pending is decremented on every path), which is the liveness
+// contract drainAnalyses and Close rely on.
 func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 	s := job.shard
 	// Last on every path: drainAnalyses readers must see the retained
@@ -605,37 +544,32 @@ func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 		s.pending.Add(-1)
 		sp.retired.notify()
 	}()
-	if !s.analyzeCycle(job.p, sp.clk.Now(), sp.cfg.AnalysisTimeout) {
-		s.recycle(job.p)
-	}
+	s.analyzeCycle(job.p, sp.clk.Now())
+	s.recycle(job.p)
 }
 
 // analyzeCycle is the one cycle-end analysis path, inline and pooled: the
-// breaker check (an open breaker skips the analysis), the isolated analysis
-// of p with timeout when positive, then failure accounting or banking.
-// start is when the cycle's analysis began, for the breaker and the
-// latency histogram. It reports whether the analysis was abandoned at its
-// deadline, in which case a runaway goroutine still reads p and the caller
-// must not reuse it.
-func (s *ProfileShard) analyzeCycle(p *Profile, start time.Time, timeout time.Duration) (abandoned bool) {
+// breaker check (an open breaker skips the analysis), the analysis of p
+// under recover (safeAnalyze) on the calling goroutine, then failure
+// accounting or banking. start is when the cycle's analysis began, for the
+// breaker and the latency histogram. The caller resets or recycles p.
+func (s *ProfileShard) analyzeCycle(p *Profile, start time.Time) {
 	if !s.brk.allow(start) {
-		// Breaker open: degrade to ingest without analysis; the caller
-		// still resets or recycles p.
+		// Breaker open: degrade to ingest without analysis.
 		s.analysesSkipped.Add(1)
 		s.sp.obs.Emit(obs.KindAnalysisSkipped, s.idx, 0)
-		return false
+		return
 	}
-	streams, err, abandoned := s.analyzeIsolated(p, timeout)
+	streams, err := s.safeAnalyze(p)
 	if err != nil {
 		s.analysesFailed.Add(1)
 		s.sp.obs.Emit(obs.KindAnalysisFailed, s.idx, 0)
 		s.brk.failure(s.sp.clk.Now())
-		return abandoned
+		return
 	}
 	s.brk.success()
 	s.sp.noteAnalysis(s, s.sp.clk.Now().Sub(start))
 	s.bank(streams)
-	return false
 }
 
 // bank merges one completed cycle's hot streams into the shard's bank, then
@@ -653,8 +587,8 @@ func (s *ProfileShard) bank(streams []Stream) {
 	s.sp.banked.Add(1)
 }
 
-// noteAnalysis records one completed cycle analysis: the counter feeding
-// the Resets invariant, the latency histogram, and the phase event.
+// noteAnalysis records one completed cycle analysis: the latency histogram,
+// and the phase event, whose count is Stats.CyclesAnalyzed.
 //
 // Counter-ordering contract (see Stats): a cycle's reset is counted before
 // its analysis reaches a terminal state, and Stats reads the terminal
@@ -662,7 +596,6 @@ func (s *ProfileShard) bank(streams []Stream) {
 // CyclesAnalyzed + AnalysesFailed + AnalysesSkipped <= Resets, with
 // equality at quiescence.
 func (sp *ShardedProfile) noteAnalysis(s *ProfileShard, d time.Duration) {
-	sp.cycles.Add(1)
 	sp.obs.AnalysisLatency.ObserveDuration(d)
 	sp.obs.Emit(obs.KindCycleAnalyzed, s.idx, uint64(d))
 }
@@ -671,21 +604,17 @@ func (sp *ShardedProfile) noteAnalysis(s *ProfileShard, d time.Duration) {
 // (completed, failed, or skipped) — the progress measure drainAnalyses
 // watches.
 func (sp *ShardedProfile) analysesDone() uint64 {
-	n := sp.cycles.Load()
-	for _, s := range sp.shards {
-		n += s.analysesFailed.Load() + s.analysesSkipped.Load()
-	}
-	return n
+	return sp.obs.Count(obs.KindCycleAnalyzed) + sp.obs.Count(obs.KindAnalysisFailed) +
+		sp.obs.Count(obs.KindAnalysisSkipped)
 }
 
 // drainAnalyses blocks until no shard has a cycle analysis queued or
 // running, so the retained sets are complete up to the analyses enqueued
 // before the call. Failed and breaker-skipped analyses count as drained —
 // the isolation contract is that every job terminates — but if the pool
-// makes no progress for flushStallTimeout (e.g. a hung analysis with no
-// AnalysisTimeout configured), drainAnalyses gives up with an error
-// wrapping ErrAnalysisStalled instead of waiting forever. It sleeps on
-// retired between checks.
+// makes no progress for flushStallTimeout (e.g. a hung analysis),
+// drainAnalyses gives up with an error wrapping ErrAnalysisStalled instead
+// of waiting forever. It sleeps on retired between checks.
 func (sp *ShardedProfile) drainAnalyses() error {
 	if sp.analysisQ == nil {
 		return nil
@@ -946,10 +875,9 @@ func (s *ProfileShard) cycle(wait bool) {
 		return
 	}
 	// Inline: the drain owns s.p throughout, so the analysis runs here on
-	// the pool's path (AnalysisTimeout does not apply — the grammar cannot
-	// be abandoned to a runaway goroutine when the drain must reuse it).
+	// the pool's path.
 	s.resets.Add(1)
-	s.analyzeCycle(s.p, start, 0)
+	s.analyzeCycle(s.p, start)
 	s.p.Reset()
 	s.noteCycleStall(s.sp.clk.Now().Sub(start))
 }
@@ -1077,8 +1005,9 @@ func (s *ProfileShard) AddAll(refs []Ref) error { return s.AddBatch(refs) }
 // release fence and head refresh over the whole run (one tail store per
 // PushBatch instead of one per reference). Block pushes every reference
 // (returning ErrClosed if the profile closes mid-batch), Drop sheds whatever
-// does not fit the ring, and Sample admits reference by reference, because
-// its degradation decisions are made per reference. With bursty sampling
+// does not fit the ring, and Sample pushes like Drop until a reference does
+// not fit, then admits reference by reference while degraded, because its
+// degradation decisions are made per reference. With bursty sampling
 // enabled the batch first runs through the burst controller: checking-phase
 // spans are shed in one O(1) counter subtraction (burst.Controller.Skip),
 // and only the sampled spans touch the ring.
@@ -1134,26 +1063,33 @@ func (s *ProfileShard) pushBatchPolicy(refs []Ref) error {
 		// The first full-ring rejection degrades the shard to attempting
 		// only every sampleN-th reference; it recovers once a push leaves
 		// the ring at most half full. Exiting on the first successful push
-		// would thrash between full speed and 1-in-N at the boundary.
-		for i := range refs {
+		// would thrash between full speed and 1-in-N at the boundary. An
+		// undegraded shard pushes the rest of its run at once, as Drop does;
+		// the first reference that does not fit degrades it and is dropped.
+		for i := 0; i < len(refs); i++ {
 			if s.closed.Load() {
 				return ErrClosed
 			}
-			if s.degraded {
-				if s.skip++; s.skip < s.sampleN {
-					s.sampledOut.Add(1)
-					continue
+			if !s.degraded {
+				n := s.tryPushBatch(refs[i:])
+				s.pushed.Add(uint64(n))
+				if i += n; i == len(refs) {
+					return nil
 				}
-				s.skip = 0
-			}
-			if s.tryPushBatch(refs[i:i+1]) == 0 {
 				s.degraded, s.skip = true, 0
 				s.dropped.Add(1)
 				continue
 			}
-			if s.degraded && s.q.Len() <= s.q.Cap()/2 {
-				s.degraded = false
+			if s.skip++; s.skip < s.sampleN {
+				s.sampledOut.Add(1)
+				continue
 			}
+			s.skip = 0
+			if s.tryPushBatch(refs[i:i+1]) == 0 {
+				s.dropped.Add(1)
+				continue
+			}
+			s.degraded = s.q.Len() > s.q.Cap()/2
 			s.pushed.Add(1)
 		}
 	default: // Block
@@ -1309,21 +1245,9 @@ func (sp *ShardedProfile) Flush() error {
 	return nil
 }
 
-// Len returns the total number of references ingested across all shards
-// (flushing first so in-flight references are counted). Shed references
-// (Drop/Sample policies) are not ingested and do not count.
-func (sp *ShardedProfile) Len() uint64 {
-	sp.Flush()
-	var n uint64
-	for _, s := range sp.shards {
-		n += s.consumed.Load()
-	}
-	return n
-}
-
 // Close stops the consumer goroutines after draining in-flight references.
-// The profile remains readable (HotStreams, Len, Stats) but Add returns
-// ErrClosed afterwards. Close is idempotent.
+// The profile remains readable (HotStreams, BankedStreams, Stats) but Add
+// returns ErrClosed afterwards. Close is idempotent.
 func (sp *ShardedProfile) Close() {
 	if !sp.closed.CompareAndSwap(false, true) {
 		return
@@ -1355,7 +1279,7 @@ func (sp *ShardedProfile) Close() {
 	}
 }
 
-// HotStreamsErr flushes all shards, extracts each shard's hot data streams
+// HotStreams flushes all shards, extracts each shard's hot data streams
 // in parallel, and merges them — together with the streams the shard banks
 // hold (every grammar budget cycle's, unless a supervised retrain has
 // rebased the profile since; the base set is not included) — deduplicating
@@ -1369,10 +1293,10 @@ func (sp *ShardedProfile) Close() {
 // this faithful. Producers should be quiescent, as for Flush.
 //
 // If a shard's consumer stalls (ErrFlushStalled) or the background analysis
-// pool stops progressing (ErrAnalysisStalled), HotStreamsErr still merges
-// and returns what it can see, together with the non-nil error — a partial
+// pool stops progressing (ErrAnalysisStalled), HotStreams still merges and
+// returns what it can see, together with the non-nil error — a partial
 // merge is never silently presented as complete.
-func (sp *ShardedProfile) HotStreamsErr(cfg AnalysisConfig) ([]Stream, error) {
+func (sp *ShardedProfile) HotStreams(cfg AnalysisConfig) ([]Stream, error) {
 	err := sp.Flush()
 	// Pipelined cycling: Flush only guarantees the references were consumed;
 	// the cycles they triggered may still be in the analysis pool. Wait for
@@ -1399,30 +1323,18 @@ func (sp *ShardedProfile) HotStreamsErr(cfg AnalysisConfig) ([]Stream, error) {
 	return out, err
 }
 
-// HotStreams is the lossy convenience wrapper over HotStreamsErr: a flush
-// or analysis-pool stall is recorded in Stats.FlushStalls and the (possibly
-// partial) merge is returned anyway. Callers that must distinguish a
-// partial merge from a complete one use HotStreamsErr.
-func (sp *ShardedProfile) HotStreams(cfg AnalysisConfig) []Stream {
-	out, err := sp.HotStreamsErr(cfg)
-	if err != nil {
-		sp.flushStalls.Add(1)
-	}
-	return out
-}
-
 // BankedStreams merges the base set with the streams every shard banked
 // since, capped at maxStreams (<= 0 for the analysis default), without
 // touching the live grammars. The base set is what RestoreSnapshot loaded
 // or, once a Supervisor has (re)optimized, the set its published matcher
 // trained on; an unsupervised, unrestored profile has none, so there
-// BankedStreams is every grammar-budget cycle's streams. Unlike HotStreams
-// and HotStreamsErr — whose live-grammar analysis requires producer
-// quiescence — BankedStreams reads the base and each shard's bank under
-// their locks and is safe while producers and consumers are running; it is
-// what /hotstreams and WriteSnapshot serve. Cycles whose background analysis
-// has not landed yet are simply not visible; callers needing a complete cut
-// use HotStreamsErr at quiescence instead.
+// BankedStreams is every grammar-budget cycle's streams. Unlike HotStreams —
+// whose live-grammar analysis requires producer quiescence — BankedStreams
+// reads the base and each shard's bank under their locks and is safe while
+// producers and consumers are running; it is what /hotstreams and
+// WriteSnapshot serve. Cycles whose background analysis has not landed yet
+// are simply not visible; callers needing a complete cut use HotStreams at
+// quiescence instead.
 // The base set participates in the merge like one more shard's bank —
 // sorted and duplicate-free, so a restore followed by a snapshot of an
 // otherwise idle profile round-trips the stream set bit-identically. Banked

@@ -26,6 +26,27 @@ func shardTrace(producer, reps int) []Ref {
 	return trace
 }
 
+// hotStreams is ShardedProfile.HotStreams for a test that expects its
+// profile to reach quiescence: a stall fails the test.
+func hotStreams(t *testing.T, sp *ShardedProfile, cfg AnalysisConfig) []Stream {
+	t.Helper()
+	streams, err := sp.HotStreams(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return streams
+}
+
+// flushedLen flushes sp, failing the test on a stall, and returns how many
+// references its shards have compressed.
+func flushedLen(t *testing.T, sp *ShardedProfile) uint64 {
+	t.Helper()
+	if err := sp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return sp.Stats().Consumed
+}
+
 func TestShardedProfileConcurrentProducers(t *testing.T) {
 	const shards = 4
 	sp := NewShardedProfile(shards)
@@ -45,12 +66,12 @@ func TestShardedProfileConcurrentProducers(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := sp.Len(); got != total {
-		t.Fatalf("Len = %d, want %d", got, total)
+	if got := flushedLen(t, sp); got != total {
+		t.Fatalf("consumed %d references, want %d", got, total)
 	}
 
 	cfg := AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1}
-	streams := sp.HotStreams(cfg)
+	streams := hotStreams(t, sp, cfg)
 	if len(streams) < shards {
 		t.Fatalf("got %d hot streams, want at least %d (one per shard)", len(streams), shards)
 	}
@@ -83,11 +104,11 @@ func TestShardedProfileSingleShardEquivalence(t *testing.T) {
 	sp.Shard(0).AddAll(trace)
 	sp.Flush()
 
-	if got, w := sp.Len(), want.Len(); got != w {
-		t.Fatalf("Len = %d, want %d", got, w)
+	if got, w := flushedLen(t, sp), want.Len(); got != w {
+		t.Fatalf("consumed %d references, want %d", got, w)
 	}
 	cfg := AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.01, MaxStreams: 50}
-	gotStreams := sp.HotStreams(cfg)
+	gotStreams := hotStreams(t, sp, cfg)
 	wantStreams := want.HotStreams(cfg)
 	if !reflect.DeepEqual(gotStreams, wantStreams) {
 		t.Errorf("N=1 sharded HotStreams diverge from single Profile:\n got %v\nwant %v", gotStreams, wantStreams)
@@ -128,8 +149,8 @@ func TestShardedProfileCloseDrains(t *testing.T) {
 	sp.Shard(1).AddAll(trace)
 	sp.Close()
 	sp.Close() // idempotent
-	if got, want := sp.Len(), uint64(2*len(trace)); got != want {
-		t.Fatalf("Len after Close = %d, want %d", got, want)
+	if got, want := flushedLen(t, sp), uint64(2*len(trace)); got != want {
+		t.Fatalf("consumed %d references after Close, want %d", got, want)
 	}
 }
 
@@ -477,7 +498,7 @@ func TestFlushLeavesFullQueueToConsumer(t *testing.T) {
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
-		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
+		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
 	}) // neither the consumer nor the worker is started yet
 	clk := newFakeClock()
 	sp.clk = clk
@@ -516,7 +537,7 @@ func TestFlushAfterCloseCyclesInline(t *testing.T) {
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
-		CycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
+		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)

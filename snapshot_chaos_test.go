@@ -59,7 +59,7 @@ func TestSnapshotChaosMatrix(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hotprefetch/internal/burst"
+	"hotprefetch/internal/obs"
 )
 
 // ShardStats is one shard's ingestion and memory counters at a moment in
@@ -73,9 +74,9 @@ type ShardStats struct {
 	// grammar swap when pipelined.
 	MaxCycleStall time.Duration `json:"max_cycle_stall_ns"`
 
-	// AnalysesFailed counts cycle-end analyses that panicked or exceeded
-	// AnalysisTimeout; AnalysesSkipped counts cycles degraded to
-	// ingest-and-recycle by an open circuit breaker. At quiescence
+	// AnalysesFailed counts cycle-end analyses that panicked;
+	// AnalysesSkipped counts cycles degraded to ingest-and-recycle by an
+	// open circuit breaker. At quiescence
 	// Resets == CyclesAnalyzed + AnalysesFailed + AnalysesSkipped.
 	AnalysesFailed  uint64 `json:"analyses_failed"`
 	AnalysesSkipped uint64 `json:"analyses_skipped"`
@@ -163,14 +164,11 @@ type Stats struct {
 	// cycle (max over shards of ShardStats.MaxCycleStall).
 	MaxCycleStall time.Duration `json:"max_cycle_stall_ns"`
 
-	// Failure-containment totals across shards: analyses failed (panic or
-	// deadline), analyses skipped by open breakers, and breaker state
-	// transitions. FlushStalls counts lossy HotStreams calls that hit a
-	// consumer or analysis-pool stall and returned a partial merge.
+	// Failure-containment totals across shards: analyses failed (panicked),
+	// analyses skipped by open breakers, and breaker state transitions.
 	AnalysesFailed     uint64 `json:"analyses_failed"`
 	AnalysesSkipped    uint64 `json:"analyses_skipped"`
 	BreakerTransitions uint64 `json:"breaker_transitions"`
-	FlushStalls        uint64 `json:"flush_stalls"`
 
 	// MatcherObservations is the number of references observed by the
 	// ConcurrentMatcher registered with AttachMatcher, if any;
@@ -221,8 +219,7 @@ func (sp *ShardedProfile) Stats() Stats {
 		Shards:          make([]ShardStats, len(sp.shards)),
 		MergeCount:      sp.mergeCount.Load(),
 		MergeTime:       time.Duration(sp.mergeNanos.Load()),
-		CyclesAnalyzed:  sp.cycles.Load(),
-		FlushStalls:     sp.flushStalls.Load(),
+		CyclesAnalyzed:  sp.obs.Count(obs.KindCycleAnalyzed),
 		AnalysisLatency: sp.obs.AnalysisLatency.Snapshot(),
 		IngestStall:     sp.obs.IngestStall.Snapshot(),
 		FlushLatency:    sp.obs.FlushLatency.Snapshot(),
@@ -290,9 +287,9 @@ func (sp *ShardedProfile) Stats() Stats {
 	}
 	st.SnapshotGeneration = sp.restoredGen
 	sp.baseMu.Unlock()
-	st.SnapshotWrites = sp.snapWrites.Load()
-	st.SnapshotRestores = sp.snapRestores.Load()
-	st.SnapshotLoadFailures = sp.snapLoadFailures.Load()
+	st.SnapshotWrites = sp.obs.Count(obs.KindSnapshotWritten)
+	st.SnapshotRestores = sp.obs.Count(obs.KindSnapshotRestored)
+	st.SnapshotLoadFailures = sp.obs.Count(obs.KindSnapshotLoadFailed)
 	if m := sp.matcher.Load(); m != nil {
 		st.MatcherObservations = m.Observations()
 		st.MatcherSwaps = m.Swaps()

@@ -48,7 +48,8 @@ func (s SupervisorState) String() string {
 // SupervisorConfig tunes the accuracy-driven deoptimization loop. The zero
 // value is usable: a 25% accuracy floor and three bad windows to
 // deoptimize. What the supervisor builds is fixed by its inputs: the
-// matcher's head length and the profile's CycleAnalysis.
+// matcher's head length and the profile's cycle analysis
+// (DefaultAnalysisConfig).
 type SupervisorConfig struct {
 	// AccuracyFloor is the sliding-window prefetch accuracy (hits/issued)
 	// below which a window counts as bad. Zero means 0.25.
@@ -331,7 +332,7 @@ const minFreshCycles = 1
 // tryOptimize retrains once minFreshCycles cycles have banked since the last
 // transition. A retrain trains only on the streams banked since the previous
 // successful optimization (ShardedProfile.rebase), capped at the profile's
-// CycleAnalysis.MaxStreams: the evidence the matcher it replaces never saw,
+// cycle analysis' MaxStreams: the evidence the matcher it replaces never saw,
 // so a retrain never runs on the evidence that just went stale. Its training
 // set then becomes the profile's base set, and the banks restart from the
 // cycles that landed while the machine was building. That read is safe while
@@ -341,7 +342,7 @@ func (s *Supervisor) tryOptimize() error {
 	if s.sp.banked.Load()-s.bankedBase < minFreshCycles {
 		return nil
 	}
-	streams, err := s.sp.rebase(s.sp.cfg.CycleAnalysis.MaxStreams, s.safeSwap)
+	streams, err := s.sp.rebase(s.sp.cfg.cycleAnalysis.MaxStreams, s.safeSwap)
 	if err != nil {
 		return err
 	}

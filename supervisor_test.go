@@ -65,7 +65,7 @@ func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 	if err := sp.Shard(0).AddAll(trace); err != nil {
 		t.Fatal(err)
 	}
-	streams, err := sp.HotStreamsErr(analysis)
+	streams, err := sp.HotStreams(analysis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func TestSupervisorRetrainKeepsHeadLen(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestSupervisorABChaosPanicDemotes(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -587,7 +587,7 @@ func TestSupervisorRetrainForgetsStalePhase(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -659,7 +659,7 @@ func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	}, realClock{}, &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
 		if hold.Load() {
 			<-release
@@ -773,7 +773,7 @@ func TestSupervisorRetrainKeepsCycleBankedDuringBuild(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -857,7 +857,7 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -926,7 +926,7 @@ func TestRebaseSeenWholeByConcurrentReaders(t *testing.T) {
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
-		CycleAnalysis:     analysis,
+		cycleAnalysis:     analysis,
 	})
 	if err != nil {
 		t.Fatal(err)

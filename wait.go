@@ -8,7 +8,7 @@ import (
 
 // waitq is the one way the ingest pipeline waits for a condition: a shard's
 // consumer for references, a Block producer for ring room, Flush for the
-// progress of a drain-lock holder, and HotStreamsErr for the analysis pool.
+// progress of a drain-lock holder, and HotStreams for the analysis pool.
 // Any number of goroutines may wait on one waitq, each for its own
 // condition; whoever makes a condition true calls notify afterwards.
 //
