@@ -47,12 +47,16 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // checkCycleInvariant asserts the failure-containment accounting contract:
-// at quiescence every budget cycle reached exactly one terminal state.
+// at quiescence every budget cycle reached its analysis, which either
+// completed or failed, and no cycle skipped it.
 func checkCycleInvariant(t *testing.T, st Stats) {
 	t.Helper()
-	if st.Resets != st.CyclesAnalyzed+st.AnalysesFailed+st.AnalysesSkipped {
-		t.Errorf("cycle accounting broken: Resets=%d != CyclesAnalyzed=%d + AnalysesFailed=%d + AnalysesSkipped=%d",
-			st.Resets, st.CyclesAnalyzed, st.AnalysesFailed, st.AnalysesSkipped)
+	if st.Resets != st.CyclesAnalyzed+st.AnalysesFailed {
+		t.Errorf("cycle accounting broken: Resets=%d != CyclesAnalyzed=%d + AnalysesFailed=%d",
+			st.Resets, st.CyclesAnalyzed, st.AnalysesFailed)
+	}
+	if st.AnalysesSkipped != 0 {
+		t.Errorf("AnalysesSkipped=%d, want 0: no cycle skips its analysis", st.AnalysesSkipped)
 	}
 }
 
@@ -66,9 +70,9 @@ type chaosScenario struct {
 }
 
 // TestChaosPolicyFaultMatrix drives every ingest policy through every fault
-// scenario with workers, budgets, and breakers enabled, under -race, and
-// asserts liveness (all calls return, goroutines return to baseline) plus
-// exact shed and failure accounting.
+// scenario with workers and budgets enabled, under -race, and asserts
+// liveness (all calls return, goroutines return to baseline) plus exact shed
+// and failure accounting.
 func TestChaosPolicyFaultMatrix(t *testing.T) {
 	perShard := 300_000
 	if testing.Short() {
@@ -79,8 +83,8 @@ func TestChaosPolicyFaultMatrix(t *testing.T) {
 			name:   "panic-sometimes",
 			faults: fault.SeededConfig{Seed: 1, PanicRate: 0.2},
 			verify: func(t *testing.T, st Stats, inj *fault.Seeded) {
-				// Every injected panic is one recorded failure: skipped jobs
-				// never reach the injector, and no other fault is armed.
+				// Every injected panic is one recorded failure, and no other
+				// fault is armed.
 				if st.AnalysesFailed != inj.Panics() {
 					t.Errorf("AnalysesFailed=%d, want exactly injected panics %d",
 						st.AnalysesFailed, inj.Panics())
@@ -98,14 +102,11 @@ func TestChaosPolicyFaultMatrix(t *testing.T) {
 					t.Errorf("AnalysesFailed=%d, want exactly injected panics %d",
 						st.AnalysesFailed, inj.Panics())
 				}
-				// Breakers are per shard and trip on consecutive failures;
-				// with PanicRate 1 every failure run is consecutive, so any
-				// shard that failed threshold times must have tripped.
-				for i, ss := range st.Shards {
-					if ss.AnalysesFailed >= breakerThreshold && ss.BreakerTransitions == 0 {
-						t.Errorf("shard %d: %d consecutive failures but breaker never tripped",
-							i, ss.AnalysesFailed)
-					}
+				// However long the failures run, every cycle still reaches
+				// its analysis.
+				if st.AnalysesFailed != st.Resets {
+					t.Errorf("AnalysesFailed=%d, want every cycle (Resets=%d) analyzed and failed",
+						st.AnalysesFailed, st.Resets)
 				}
 			},
 		},
@@ -128,9 +129,8 @@ func TestChaosPolicyFaultMatrix(t *testing.T) {
 			name:   "ring-pressure",
 			faults: fault.SeededConfig{Seed: 4, RingFullRate: 0.05},
 			verify: func(t *testing.T, st Stats, inj *fault.Seeded) {
-				if st.AnalysesFailed != 0 || st.AnalysesSkipped != 0 {
-					t.Errorf("failures recorded with no analysis faults armed: failed=%d skipped=%d",
-						st.AnalysesFailed, st.AnalysesSkipped)
+				if st.AnalysesFailed != 0 {
+					t.Errorf("AnalysesFailed=%d with no analysis faults armed, want 0", st.AnalysesFailed)
 				}
 				if inj.RingFulls() == 0 {
 					t.Error("ring pressure scenario injected no full-ring events")
@@ -223,66 +223,44 @@ func runChaos(t *testing.T, policy IngestPolicy, sc chaosScenario, perShard int)
 	waitGoroutines(t, base)
 }
 
-// TestChaosBreakerRecovery walks one shard's breaker through its full
-// closed → open → half-open → closed cycle at its production schedule, in
-// virtual time: the first breakerThreshold failures trip it, cycles during
-// the backoff are skipped without analysis, and once the clock passes the
-// jittered backoff, in [breakerBackoff/2, breakerBackoff], the half-open
-// probe's success restores full service.
-func TestChaosBreakerRecovery(t *testing.T) {
-	var analyses atomic.Int64
+// TestChaosAnalysisResumesAfterPanics: a panicked cycle analysis costs only
+// its own cycle. With the clock standing, the first ten analyses of one
+// shard panic, and the next cycle analyzes and banks: every cycle reaches
+// its analysis, and none is skipped.
+func TestChaosAnalysisResumesAfterPanics(t *testing.T) {
+	const panics = 10
+	var analyses atomic.Uint64
 	hooks := &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
-		// Exactly the first breakerThreshold analyses panic; everything
-		// after succeeds, so the probe must close the breaker.
-		if analyses.Add(1) <= breakerThreshold {
-			return fault.Outcome{Panic: true}
-		}
-		return fault.Outcome{}
+		return fault.Outcome{Panic: analyses.Add(1) <= panics}
 	}}
-	clk := newFakeClock()
 	sp := startProfile(t, ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
-	}, clk, hooks)
+	}, newFakeClock(), hooks)
 	defer sp.Close()
 
 	trace := chaosTrace(1, 4096)
-	feed := func() Stats {
-		t.Helper()
+	var st Stats
+	for st.Resets <= panics {
 		if err := sp.Shard(0).AddAll(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return sp.Stats()
+		st = sp.Stats()
 	}
-	st := feed()
-	for st.AnalysesFailed < breakerThreshold {
-		st = feed()
+	if st.AnalysesFailed != panics || st.CyclesAnalyzed != st.Resets-panics || st.AnalysesSkipped != 0 {
+		t.Fatalf("after %d cycles: %d failed, %d analyzed, %d skipped; want %d failed, the rest analyzed, none skipped",
+			st.Resets, st.AnalysesFailed, st.CyclesAnalyzed, st.AnalysesSkipped, panics)
 	}
-	st = feed()
-	if ss := st.Shards[0]; ss.BreakerState != "open" || ss.AnalysesSkipped == 0 || st.CyclesAnalyzed != 0 {
-		t.Fatalf("after %d failures with the clock standing: breaker %s, %d skipped, %d analyzed; want open, skipping, none analyzed",
-			st.AnalysesFailed, ss.BreakerState, ss.AnalysesSkipped, st.CyclesAnalyzed)
+	if analyses.Load() != st.Resets {
+		t.Errorf("%d analyses ran for %d cycles, want one per cycle", analyses.Load(), st.Resets)
 	}
-	clk.Advance(breakerBackoff/2 - time.Nanosecond)
-	skipped := st.AnalysesSkipped
-	if st = feed(); st.Shards[0].BreakerState != "open" || st.AnalysesSkipped == skipped || st.CyclesAnalyzed != 0 {
-		t.Fatalf("%v into the backoff: breaker %s, %d skipped (%d before), %d analyzed; want still open and skipping",
-			breakerBackoff/2-time.Nanosecond, st.Shards[0].BreakerState, st.AnalysesSkipped, skipped, st.CyclesAnalyzed)
-	}
-	clk.Advance(breakerBackoff/2 + time.Nanosecond)
-	st = feed()
-	if st.Shards[0].BreakerState != "closed" || st.CyclesAnalyzed == 0 {
-		t.Fatalf("past the %v backoff: breaker %s, %d analyzed; want closed and analyzing", breakerBackoff,
-			st.Shards[0].BreakerState, st.CyclesAnalyzed)
-	}
-	// Trip (closed→open), probe (open→half-open), and restore
-	// (half-open→closed) are three recorded transitions.
-	if st.BreakerTransitions != 3 {
-		t.Fatalf("BreakerTransitions=%d after one recovery cycle, want 3", st.BreakerTransitions)
+	if banked := sp.banked.Load(); banked != st.CyclesAnalyzed || st.Shards[0].Retained == 0 {
+		t.Errorf("%d cycles banked, %d streams retained; want every analyzed cycle (%d) banked and a hot stream retained",
+			banked, st.Shards[0].Retained, st.CyclesAnalyzed)
 	}
 	checkCycleInvariant(t, st)
 }

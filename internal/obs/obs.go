@@ -50,17 +50,14 @@ const (
 	// retained set. Value is the number of streams banked.
 	KindCycleBanked
 
-	// KindAnalysisFailed marks a cycle-end analysis that panicked;
-	// KindAnalysisSkipped marks a cycle degraded to ingest-and-recycle by an
-	// open circuit breaker. Value is unused.
+	// KindAnalysisFailed marks a cycle-end analysis that panicked. Value is
+	// unused.
 	KindAnalysisFailed
-	KindAnalysisSkipped
 
-	// KindBreakerOpen, KindBreakerHalfOpen, and KindBreakerClosed mark a
-	// shard's circuit breaker changing state. Value is unused.
-	KindBreakerOpen
-	KindBreakerHalfOpen
-	KindBreakerClosed
+	// KindAnalysisSkipped is emitted by nothing: no cycle skips its
+	// analysis. It stays only because the perfbench harness still reads its
+	// count.
+	KindAnalysisSkipped
 
 	// KindMatcherSwap marks a ConcurrentMatcher publishing a retrained (or
 	// pass-through) DFSM. Value is the new machine's stream count: zero
@@ -111,12 +108,6 @@ func (k Kind) String() string {
 		return "analysis_failed"
 	case KindAnalysisSkipped:
 		return "analysis_skipped"
-	case KindBreakerOpen:
-		return "breaker_open"
-	case KindBreakerHalfOpen:
-		return "breaker_half_open"
-	case KindBreakerClosed:
-		return "breaker_closed"
 	case KindMatcherSwap:
 		return "matcher_swap"
 	case KindBurstAwake:

@@ -44,10 +44,6 @@ const (
 	EventCycleAnalyzed    = obs.KindCycleAnalyzed
 	EventCycleBanked      = obs.KindCycleBanked
 	EventAnalysisFailed   = obs.KindAnalysisFailed
-	EventAnalysisSkipped  = obs.KindAnalysisSkipped
-	EventBreakerOpen      = obs.KindBreakerOpen
-	EventBreakerHalfOpen  = obs.KindBreakerHalfOpen
-	EventBreakerClosed    = obs.KindBreakerClosed
 	EventMatcherSwap      = obs.KindMatcherSwap
 	EventBurstAwake       = obs.KindBurstAwake
 	EventBurstHibernate   = obs.KindBurstHibernate
@@ -76,16 +72,8 @@ func (sp *ShardedProfile) WriteMetrics(w io.Writer) {
 		obs.WriteGauge(w, "hotprefetch_burst_sampling_rate", "Configured awake-phase burst sampling rate.", bc.SamplingRate())
 		obs.WriteGauge(w, "hotprefetch_burst_overall_rate", "Configured long-run sampling rate including hibernation.", bc.OverallRate())
 	}
-	obs.WriteCounter(w, "hotprefetch_grammar_resets_total", "Grammar budget cycles across shards.", st.Resets)
-	obs.WriteCounter(w, "hotprefetch_cycles_analyzed_total", "Cycle-end analyses completed.", st.CyclesAnalyzed)
-	obs.WriteCounter(w, "hotprefetch_analyses_failed_total", "Cycle-end analyses that panicked.", st.AnalysesFailed)
-	obs.WriteCounter(w, "hotprefetch_analyses_skipped_total", "Cycles degraded to ingest-and-recycle by open breakers.", st.AnalysesSkipped)
-	obs.WriteCounter(w, "hotprefetch_breaker_transitions_total", "Circuit-breaker state changes across shards.", st.BreakerTransitions)
 	obs.WriteGauge(w, "hotprefetch_grammar_symbols", "Live grammar size summed across shards.", float64(st.GrammarSize))
 	obs.WriteGauge(w, "hotprefetch_analysis_queue_depth", "Full grammars waiting for a background analysis worker.", float64(st.AnalysisQueueDepth))
-	obs.WriteCounter(w, "hotprefetch_snapshot_writes_total", "Durable snapshots encoded.", st.SnapshotWrites)
-	obs.WriteCounter(w, "hotprefetch_snapshot_restores_total", "Snapshots restored for warm start.", st.SnapshotRestores)
-	obs.WriteCounter(w, "hotprefetch_snapshot_load_failures_total", "Snapshot loads rejected by the format validator.", st.SnapshotLoadFailures)
 	obs.WriteGauge(w, "hotprefetch_restored_streams", "Warm-start streams currently merged into the banked set.", float64(st.RestoredStreams))
 	obs.WriteCounter(w, "hotprefetch_matcher_observations_total", "References observed by the attached matcher.", st.MatcherObservations)
 	obs.WriteCounter(w, "hotprefetch_matcher_swaps_total", "Matcher retraining swaps published.", st.MatcherSwaps)

@@ -171,12 +171,6 @@ var ErrClosed = errors.New("hotprefetch: Add on closed ShardedProfile")
 // consumer blocked on the queue of a wedged analysis pool.
 var ErrFlushStalled = errors.New("hotprefetch: flush stalled")
 
-// ErrAnalysisPanic wraps the recovered value of a cycle-end analysis that
-// panicked. The panic is contained to that one analysis: the shard keeps
-// ingesting, the failure is counted in Stats, and repeated failures open
-// the shard's circuit breaker.
-var ErrAnalysisPanic = errors.New("hotprefetch: analysis panicked")
-
 // ErrAnalysisStalled is returned (wrapped) by HotStreams when the
 // background analysis pool makes no progress toward draining the pending
 // cycle analyses for five seconds (flushStallTimeout).

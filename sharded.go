@@ -73,8 +73,6 @@ type ShardedProfile struct {
 	// once).
 	quotaUsed atomic.Uint64
 
-	mergeCount atomic.Uint64 // HotStreams merge passes
-	mergeNanos atomic.Uint64 // cumulative time spent merging
 	matcher    atomic.Pointer[ConcurrentMatcher]
 	supervisor atomic.Pointer[Supervisor]
 
@@ -106,162 +104,6 @@ type ShardedProfile struct {
 // the phase-event timeline, or read the latency histograms directly. The
 // same hub is what MetricsHandler exposes in Prometheus text format.
 func (sp *ShardedProfile) Observer() *obs.Observer { return sp.obs }
-
-// Breaker states; see breaker.
-const (
-	breakerClosed int32 = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breakerStateName maps a breaker state to its Stats string.
-func breakerStateName(s int32) string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// The breaker's schedule; see breaker.
-const (
-	breakerThreshold  = 5
-	breakerBackoff    = 50 * time.Millisecond
-	breakerMaxBackoff = 5 * time.Second
-)
-
-// breaker is a per-shard circuit breaker over cycle-end analyses: after
-// breakerThreshold consecutive failed (panicking) analyses it opens and the
-// shard degrades to ingest-and-recycle without analysis, instead of feeding
-// a failing analysis path forever. After a jittered
-// exponential backoff from breakerBackoff it half-opens and admits exactly
-// one probe analysis; success closes it (resetting the backoff), failure
-// reopens it with a doubled backoff, up to breakerMaxBackoff.
-type breaker struct {
-	mu          sync.Mutex
-	backoff     time.Duration // next open duration (pre-jitter)
-	state       int32
-	consecFails int
-	openUntil   time.Time
-	probing     bool   // a half-open probe is in flight
-	rng         uint64 // splitmix64 state for backoff jitter
-	transitions atomic.Uint64
-
-	// onTransition, when non-nil, is called with the new state after every
-	// state change — outside the breaker lock, so the callback may emit
-	// phase events (whose tracers must never be invoked under an internal
-	// lock they could want to read through).
-	onTransition func(newState int32)
-}
-
-// notify invokes onTransition for state; call only with b.mu released.
-func (b *breaker) notify(state int32) {
-	if b.onTransition != nil {
-		b.onTransition(state)
-	}
-}
-
-func (b *breaker) nextRand() uint64 {
-	b.rng += 0x9e3779b97f4a7c15
-	x := b.rng
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// allow reports whether an analysis may run now. A true return from the
-// open state admits the half-open probe; the caller must report the outcome
-// via success or failure.
-func (b *breaker) allow(now time.Time) bool {
-	b.mu.Lock()
-	switch b.state {
-	case breakerClosed:
-		b.mu.Unlock()
-		return true
-	case breakerOpen:
-		if now.Before(b.openUntil) {
-			b.mu.Unlock()
-			return false
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		b.transitions.Add(1)
-		b.mu.Unlock()
-		b.notify(breakerHalfOpen)
-		return true
-	default: // half-open
-		if b.probing {
-			b.mu.Unlock()
-			return false
-		}
-		b.probing = true
-		b.mu.Unlock()
-		return true
-	}
-}
-
-func (b *breaker) success() {
-	b.mu.Lock()
-	b.consecFails = 0
-	b.probing = false
-	closed := b.state != breakerClosed
-	if closed {
-		b.state = breakerClosed
-		b.backoff = breakerBackoff
-		b.transitions.Add(1)
-	}
-	b.mu.Unlock()
-	if closed {
-		b.notify(breakerClosed)
-	}
-}
-
-func (b *breaker) failure(now time.Time) {
-	b.mu.Lock()
-	b.consecFails++
-	wasProbe := b.probing
-	b.probing = false
-	switch b.state {
-	case breakerClosed:
-		if b.consecFails < breakerThreshold {
-			b.mu.Unlock()
-			return
-		}
-	case breakerHalfOpen:
-		if !wasProbe {
-			b.mu.Unlock()
-			return
-		}
-	case breakerOpen:
-		// A job admitted before the trip failed late; the breaker is
-		// already open, leave its backoff schedule alone.
-		b.mu.Unlock()
-		return
-	}
-	b.state = breakerOpen
-	b.transitions.Add(1)
-	// Jittered backoff in [backoff/2, backoff], doubled per reopen up to
-	// the cap, so shards that tripped together do not probe in lockstep.
-	d := b.backoff
-	if half := d / 2; half > 0 {
-		d = half + time.Duration(b.nextRand()%uint64(half+1))
-	}
-	b.openUntil = now.Add(d)
-	b.backoff = min(2*b.backoff, breakerMaxBackoff)
-	b.mu.Unlock()
-	b.notify(breakerOpen)
-}
-
-// snapshot returns the state name and transition count for Stats.
-func (b *breaker) snapshot() (string, uint64) {
-	b.mu.Lock()
-	s := b.state
-	b.mu.Unlock()
-	return breakerStateName(s), b.transitions.Load()
-}
 
 // analysisJob is one detached full profile awaiting background analysis.
 type analysisJob struct {
@@ -319,13 +161,9 @@ type ProfileShard struct {
 	collapsed atomic.Uint64 // references absorbed by the front end
 	minted    atomic.Uint64 // phrase/run rules minted by the front end
 
-	// brk degrades this shard to ingest-and-recycle when its cycle-end
-	// analyses keep failing; analysesFailed/analysesSkipped account every
-	// cycle that did not complete an analysis, so resets ==
-	// completed + failed + skipped at quiescence.
-	brk             breaker
-	analysesFailed  atomic.Uint64
-	analysesSkipped atomic.Uint64
+	// analysesFailed counts the cycles whose analysis panicked, so resets ==
+	// completed + failed at quiescence.
+	analysesFailed atomic.Uint64
 
 	// spare holds reset profiles for double buffering (pipelined cycling):
 	// the consumer swaps one in at a cycle instead of analyzing inline, and
@@ -445,18 +283,6 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			prepassOn:  cfg.prepass,
 			done:       make(chan struct{}),
 		}
-		s.brk = breaker{backoff: breakerBackoff, rng: uint64(i)*0x9e3779b97f4a7c15 + 1}
-		shard := i
-		s.brk.onTransition = func(newState int32) {
-			switch newState {
-			case breakerOpen:
-				sp.obs.Emit(obs.KindBreakerOpen, shard, 0)
-			case breakerHalfOpen:
-				sp.obs.Emit(obs.KindBreakerHalfOpen, shard, 0)
-			default:
-				sp.obs.Emit(obs.KindBreakerClosed, shard, 0)
-			}
-		}
 		if cfg.Burst.Enabled {
 			s.burst = &burstGate{ctl: burst.New(cfg.Burst.controllerConfig())}
 		}
@@ -482,10 +308,9 @@ func (sp *ShardedProfile) newProfile() *Profile {
 }
 
 // analysisWorker drains the analysis queue: each job is one shard's full,
-// detached profile, run with panic isolation and the shard's circuit
-// breaker consulted first. Runs until the queue is closed; because a failing
-// analysis completes its job (panic recovered, breaker skipped), a failing
-// analysis path can never wedge the pool.
+// detached profile, run with panic isolation. Runs until the queue is
+// closed; because a failing analysis completes its job (panic recovered and
+// counted), a failing analysis path can never wedge the pool.
 // Analysis workers and shard consumers run under runtime/pprof profiler
 // labels so a CPU profile attributes time to the paper's phases directly:
 // filter on hotprefetch_phase=analysis to see what cycle-end hot-stream
@@ -500,15 +325,11 @@ func (sp *ShardedProfile) analysisWorker() {
 }
 
 // safeAnalyze runs one cycle-end hot-stream analysis on the calling
-// goroutine with panic isolation and fault injection. A recovered panic is
-// returned as an error wrapping ErrAnalysisPanic.
-func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			streams = nil
-			err = fmt.Errorf("hotprefetch: shard %d %w: %v", s.idx, ErrAnalysisPanic, r)
-		}
-	}()
+// goroutine with panic isolation and fault injection. ok is false when the
+// analysis panicked: the panic unwinds past the return, and the recover
+// contains it to this one analysis.
+func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, ok bool) {
+	defer func() { recover() }()
 	if inj := s.sp.inj; inj != nil {
 		f := inj.Analysis(s.idx)
 		if f.Delay > 0 {
@@ -520,7 +341,7 @@ func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, err error) {
 			panic("fault: injected analysis panic")
 		}
 	}
-	return p.HotStreams(s.cycleCfg), nil
+	return p.HotStreams(s.cycleCfg), true
 }
 
 // recycle resets a detached profile and offers it back as a spare.
@@ -549,25 +370,17 @@ func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 }
 
 // analyzeCycle is the one cycle-end analysis path, inline and pooled: the
-// breaker check (an open breaker skips the analysis), the analysis of p
-// under recover (safeAnalyze) on the calling goroutine, then failure
-// accounting or banking. start is when the cycle's analysis began, for the
-// breaker and the latency histogram. The caller resets or recycles p.
+// analysis of p under recover (safeAnalyze) on the calling goroutine, then
+// failure accounting or banking. A failed analysis costs only its own cycle:
+// the next cycle analyzes afresh. start is when the cycle's analysis began,
+// for the latency histogram. The caller resets or recycles p.
 func (s *ProfileShard) analyzeCycle(p *Profile, start time.Time) {
-	if !s.brk.allow(start) {
-		// Breaker open: degrade to ingest without analysis.
-		s.analysesSkipped.Add(1)
-		s.sp.obs.Emit(obs.KindAnalysisSkipped, s.idx, 0)
-		return
-	}
-	streams, err := s.safeAnalyze(p)
-	if err != nil {
+	streams, ok := s.safeAnalyze(p)
+	if !ok {
 		s.analysesFailed.Add(1)
 		s.sp.obs.Emit(obs.KindAnalysisFailed, s.idx, 0)
-		s.brk.failure(s.sp.clk.Now())
 		return
 	}
-	s.brk.success()
 	s.sp.noteAnalysis(s, s.sp.clk.Now().Sub(start))
 	s.bank(streams)
 }
@@ -593,28 +406,25 @@ func (s *ProfileShard) bank(streams []Stream) {
 // Counter-ordering contract (see Stats): a cycle's reset is counted before
 // its analysis reaches a terminal state, and Stats reads the terminal
 // counters before the resets, so every snapshot satisfies
-// CyclesAnalyzed + AnalysesFailed + AnalysesSkipped <= Resets, with
-// equality at quiescence.
+// CyclesAnalyzed + AnalysesFailed <= Resets, with equality at quiescence.
 func (sp *ShardedProfile) noteAnalysis(s *ProfileShard, d time.Duration) {
 	sp.obs.AnalysisLatency.ObserveDuration(d)
 	sp.obs.Emit(obs.KindCycleAnalyzed, s.idx, uint64(d))
 }
 
 // analysesDone totals the cycle analyses that have reached a terminal state
-// (completed, failed, or skipped) — the progress measure drainAnalyses
-// watches.
+// (completed or failed) — the progress measure drainAnalyses watches.
 func (sp *ShardedProfile) analysesDone() uint64 {
-	return sp.obs.Count(obs.KindCycleAnalyzed) + sp.obs.Count(obs.KindAnalysisFailed) +
-		sp.obs.Count(obs.KindAnalysisSkipped)
+	return sp.obs.Count(obs.KindCycleAnalyzed) + sp.obs.Count(obs.KindAnalysisFailed)
 }
 
 // drainAnalyses blocks until no shard has a cycle analysis queued or
 // running, so the retained sets are complete up to the analyses enqueued
-// before the call. Failed and breaker-skipped analyses count as drained —
-// the isolation contract is that every job terminates — but if the pool
-// makes no progress for flushStallTimeout (e.g. a hung analysis),
-// drainAnalyses gives up with an error wrapping ErrAnalysisStalled instead
-// of waiting forever. It sleeps on retired between checks.
+// before the call. Failed analyses count as drained — the isolation
+// contract is that every job terminates — but if the pool makes no progress
+// for flushStallTimeout (e.g. a hung analysis), drainAnalyses gives up with
+// an error wrapping ErrAnalysisStalled instead of waiting forever. It sleeps
+// on retired between checks.
 func (sp *ShardedProfile) drainAnalyses() error {
 	if sp.analysisQ == nil {
 		return nil
@@ -847,9 +657,9 @@ func (s *ProfileShard) apply(refs []Ref, wait bool) {
 // recycle the grammar before returning, stalling ingestion for the whole
 // analysis (the paper §5's cycle-end deallocation, run synchronously).
 // In both modes the shard's reset is counted before the cycle's analysis
-// can reach a terminal state (analyzed, failed, or skipped), so a Stats
-// snapshot taken mid-cycle never sees the terminal counters ahead of
-// Resets — the snapshot invariant documented on Stats.
+// can reach a terminal state (analyzed or failed), so a Stats snapshot
+// taken mid-cycle never sees the terminal counters ahead of Resets — the
+// snapshot invariant documented on Stats.
 func (s *ProfileShard) cycle(wait bool) {
 	start := s.sp.clk.Now()
 	s.sp.obs.Emit(obs.KindCycleStart, s.idx, uint64(s.p.GrammarSize()))
@@ -1316,11 +1126,7 @@ func (sp *ShardedProfile) HotStreams(cfg AnalysisConfig) ([]Stream, error) {
 		}(i, s)
 	}
 	wg.Wait()
-	start := sp.clk.Now()
-	out := mergeStreams(perShard, cfg.MaxStreams)
-	sp.mergeNanos.Add(uint64(sp.clk.Now().Sub(start)))
-	sp.mergeCount.Add(1)
-	return out, err
+	return mergeStreams(perShard, cfg.MaxStreams), err
 }
 
 // BankedStreams merges the base set with the streams every shard banked

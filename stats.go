@@ -74,23 +74,15 @@ type ShardStats struct {
 	// grammar swap when pipelined.
 	MaxCycleStall time.Duration `json:"max_cycle_stall_ns"`
 
-	// AnalysesFailed counts cycle-end analyses that panicked;
-	// AnalysesSkipped counts cycles degraded to ingest-and-recycle by an
-	// open circuit breaker. At quiescence
-	// Resets == CyclesAnalyzed + AnalysesFailed + AnalysesSkipped.
-	AnalysesFailed  uint64 `json:"analyses_failed"`
-	AnalysesSkipped uint64 `json:"analyses_skipped"`
-
-	// BreakerState is the shard's circuit-breaker state ("closed", "open",
-	// or "half-open"); BreakerTransitions counts its state changes.
-	BreakerState       string `json:"breaker_state"`
-	BreakerTransitions uint64 `json:"breaker_transitions"`
+	// AnalysesFailed counts cycle-end analyses that panicked. At quiescence
+	// Resets == CyclesAnalyzed + AnalysesFailed.
+	AnalysesFailed uint64 `json:"analyses_failed"`
 }
 
 // Stats is a point-in-time snapshot of a ShardedProfile's service counters:
-// per-shard ingestion accounting plus profile-wide totals, merge timings,
-// and the observation count of an attached ConcurrentMatcher. The snapshot
-// is approximate under concurrency (each counter is read atomically, but not
+// per-shard ingestion accounting plus profile-wide totals and the
+// observation count of an attached ConcurrentMatcher. The snapshot is
+// approximate under concurrency (each counter is read atomically, but not
 // all at the same instant).
 //
 // Stats marshals to JSON and its String method returns that JSON, so a
@@ -114,22 +106,17 @@ type Stats struct {
 	// GrammarSize sums the live per-shard grammar sizes.
 	GrammarSize int `json:"grammar_size"`
 
-	// MergeCount and MergeTime account the HotStreams merge passes run so
-	// far and the cumulative wall time they took.
-	MergeCount uint64        `json:"merge_count"`
-	MergeTime  time.Duration `json:"merge_time_ns"`
-
 	// Pipeline counters (all zero when AnalysisWorkers == 0 and no budget
 	// cycles have run): AnalysisQueueDepth is the number of full grammars
 	// waiting for a background worker right now; CyclesAnalyzed counts
 	// cycle-end analyses completed (inline or background).
 	//
 	// At every snapshot — not just at quiescence —
-	// CyclesAnalyzed + AnalysesFailed + AnalysesSkipped <= Resets: a
-	// cycle's reset is counted before its analysis can reach a terminal
-	// state, and the snapshot reads the terminal counters before the
-	// resets, so the books can run behind (cycles still in flight) but
-	// never ahead. At quiescence the two sides are equal.
+	// CyclesAnalyzed + AnalysesFailed <= Resets: a cycle's reset is counted
+	// before its analysis can reach a terminal state, and the snapshot reads
+	// the terminal counters before the resets, so the books can run behind
+	// (cycles still in flight) but never ahead. At quiescence the two sides
+	// are equal.
 	AnalysisQueueDepth int    `json:"analysis_queue_depth"`
 	CyclesAnalyzed     uint64 `json:"cycles_analyzed"`
 
@@ -164,11 +151,11 @@ type Stats struct {
 	// cycle (max over shards of ShardStats.MaxCycleStall).
 	MaxCycleStall time.Duration `json:"max_cycle_stall_ns"`
 
-	// Failure-containment totals across shards: analyses failed (panicked),
-	// analyses skipped by open breakers, and breaker state transitions.
-	AnalysesFailed     uint64 `json:"analyses_failed"`
-	AnalysesSkipped    uint64 `json:"analyses_skipped"`
-	BreakerTransitions uint64 `json:"breaker_transitions"`
+	// AnalysesFailed totals the cycle-end analyses that panicked, across
+	// shards. AnalysesSkipped is always zero: no cycle skips its analysis.
+	// It stays only because the perfbench harness still reads it.
+	AnalysesFailed  uint64 `json:"analyses_failed"`
+	AnalysesSkipped uint64 `json:"analyses_skipped"`
 
 	// MatcherObservations is the number of references observed by the
 	// ConcurrentMatcher registered with AttachMatcher, if any;
@@ -212,13 +199,10 @@ func (st Stats) String() string {
 // flush: the snapshot reflects ingestion as it stands, backlog included.
 func (sp *ShardedProfile) Stats() Stats {
 	// CyclesAnalyzed must be read before any shard's resets counter so the
-	// snapshot invariant CyclesAnalyzed + AnalysesFailed + AnalysesSkipped
-	// <= Resets holds at every sample; see noteAnalysis for the writer side
-	// of the contract.
+	// snapshot invariant CyclesAnalyzed + AnalysesFailed <= Resets holds at
+	// every sample; see noteAnalysis for the writer side of the contract.
 	st := Stats{
 		Shards:          make([]ShardStats, len(sp.shards)),
-		MergeCount:      sp.mergeCount.Load(),
-		MergeTime:       time.Duration(sp.mergeNanos.Load()),
 		CyclesAnalyzed:  sp.obs.Count(obs.KindCycleAnalyzed),
 		AnalysisLatency: sp.obs.AnalysisLatency.Snapshot(),
 		IngestStall:     sp.obs.IngestStall.Snapshot(),
@@ -235,9 +219,9 @@ func (sp *ShardedProfile) Stats() Stats {
 		s.mu.Lock()
 		retained := len(s.retained)
 		s.mu.Unlock()
-		// Terminal analysis counters before resets, per the snapshot
-		// invariant's read ordering.
-		failed, skipped := s.analysesFailed.Load(), s.analysesSkipped.Load()
+		// The failed count before resets, per the snapshot invariant's
+		// read ordering.
+		failed := s.analysesFailed.Load()
 		ss := ShardStats{
 			Pushed:          s.pushed.Load(),
 			Consumed:        s.consumed.Load(),
@@ -253,7 +237,6 @@ func (sp *ShardedProfile) Stats() Stats {
 			SpareMisses:     s.spareMisses.Load(),
 			MaxCycleStall:   time.Duration(s.maxCycleStallNanos.Load()),
 			AnalysesFailed:  failed,
-			AnalysesSkipped: skipped,
 			BurstShed:       s.burstShed.Load(),
 			QuotaShed:       s.quotaShed.Load(),
 			Collapsed:       s.collapsed.Load(),
@@ -262,7 +245,6 @@ func (sp *ShardedProfile) Stats() Stats {
 		if s.burst != nil {
 			ss.BurstPhase = burst.Phase(s.burst.phase.Load()).String()
 		}
-		ss.BreakerState, ss.BreakerTransitions = s.brk.snapshot()
 		st.Shards[i] = ss
 		st.Pushed += ss.Pushed
 		st.Consumed += ss.Consumed
@@ -275,8 +257,6 @@ func (sp *ShardedProfile) Stats() Stats {
 		st.Resets += ss.Resets
 		st.GrammarSize += ss.GrammarSize
 		st.AnalysesFailed += ss.AnalysesFailed
-		st.AnalysesSkipped += ss.AnalysesSkipped
-		st.BreakerTransitions += ss.BreakerTransitions
 		if ss.MaxCycleStall > st.MaxCycleStall {
 			st.MaxCycleStall = ss.MaxCycleStall
 		}

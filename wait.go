@@ -64,8 +64,8 @@ func (q *waitq) notify() {
 
 // clock is the one time source of a ShardedProfile. Profiles run on
 // realClock; in-package tests substitute a fake they
-// advance, so every stall and breaker verdict is tested at its production
-// constant, in virtual time.
+// advance, so every stall verdict is tested at its production constant, in
+// virtual time.
 type clock interface {
 	Now() time.Time
 	// AfterFunc calls f on its own goroutine once d has passed, unless the
