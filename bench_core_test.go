@@ -125,6 +125,25 @@ func BenchmarkMatcherObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkConcurrentMatcherObserve measures one observed reference through
+// the production detection path: the default DFSM behind a
+// ConcurrentMatcher with accuracy tracking on, as Supervise runs it. The
+// delta over BenchmarkMatcherObserve is the step lock and the accuracy
+// ledger.
+func BenchmarkConcurrentMatcherObserve(b *testing.B) {
+	cm, err := NewConcurrentMatcher(coreStreams(b), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cm.EnableAccuracyTracking(0)
+	trace := coreTrace(1 << 14)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cm.Observe(trace[i&(1<<14-1)])
+	}
+}
+
 // BenchmarkDFSMBuild measures constructing the combined prefix-matching DFSM
 // from one optimization cycle's worth of hot streams.
 func BenchmarkDFSMBuild(b *testing.B) {

@@ -19,18 +19,20 @@ import (
 // lock-protected store, so Observe never waits on a retraining build and
 // never sees a torn or half-compiled table — the paper's §5
 // de-optimize/re-optimize transition without a stop-the-world on the
-// detection path. The step mutex guards the predictor's rolling match state
-// and the accuracy ledger; the common case is a short critical section
-// around an array-indexed Observe.
+// detection path. The step mutex guards the predictor's rolling match state,
+// the accuracy ledger and the observation count; the common case is a short
+// critical section around an array-indexed Observe. The mutex's Lock and
+// Unlock are an Observe's only atomic read-modify-writes: the count is a
+// plain field under the lock, and the ledger is a flat table sized once.
 //
 // All callers share one match state — observations interleave into a single
 // logical reference stream, exactly as if one goroutine called Observe with
 // the merged order. To match per-thread streams independently, give each
 // thread its own Predictor instead.
 type ConcurrentMatcher struct {
-	mu       sync.Mutex // serializes stepping of the current predictor and the ledger
+	mu       sync.Mutex // serializes stepping of the current predictor, the ledger and observed
 	cur      atomic.Pointer[predEntry]
-	observed atomic.Uint64
+	observed uint64 // references observed; guarded by mu
 	swaps    atomic.Uint64
 
 	// buildMu serializes Swap against concurrent Swap calls: two racing
@@ -78,8 +80,23 @@ type predEntry struct {
 // by the window, retired unobserved at a Swap, or still outstanding (in
 // set). Coalesced, evicted and retired addresses together are dropped, so
 // issued == hits + outstanding + dropped.
+//
+// The outstanding set is a flat open-addressed table allocated once, at
+// EnableAccuracyTracking: Observe probes it on every reference and inserts
+// into it on every issued prefetch, so it sits on the detection path and
+// must neither allocate nor rehash. Every outstanding address holds its own
+// FIFO slot, so the set never holds more than window addresses; its
+// power-of-two capacity of at least twice the window keeps it at most half
+// full, and it never grows. Linear probing from a multiplicative hash finds
+// an address; deletion shifts the rest of its probe cluster back instead of
+// leaving a tombstone (as the grammar's digram table does). A zero slot
+// marks empty, so address 0 is held in a flag.
 type ledger struct {
-	set  map[uint64]struct{}
+	slots []uint64 // open-addressed outstanding set; 0 = empty
+	shift uint     // 64 - log2(len(slots)): the hash keeps the top bits
+	n     int      // outstanding addresses, address 0 included
+	zero  bool     // address 0 is outstanding
+
 	fifo []uint64 // insertion-ordered ring over the outstanding set
 	head int      // next eviction slot
 
@@ -89,10 +106,85 @@ type ledger struct {
 }
 
 func newLedger(window int) *ledger {
-	return &ledger{
-		set:  make(map[uint64]struct{}, window),
-		fifo: make([]uint64, 0, window),
+	size, shift := 2, uint(63)
+	for size < 2*window {
+		size <<= 1
+		shift--
 	}
+	return &ledger{
+		slots: make([]uint64, size),
+		shift: shift,
+		fifo:  make([]uint64, 0, window),
+	}
+}
+
+// home returns a nonzero address's home slot: Fibonacci hashing, the top
+// bits of the product, so addresses that differ only above their low zero
+// bits (cache-line and word alignment) still spread.
+func (l *ledger) home(a uint64) uint64 {
+	return (a * 0x9E3779B97F4A7C15) >> l.shift
+}
+
+// has reports whether a is outstanding.
+func (l *ledger) has(a uint64) bool {
+	if a == 0 {
+		return l.zero
+	}
+	mask := uint64(len(l.slots) - 1)
+	for i := l.home(a); ; i = (i + 1) & mask {
+		switch l.slots[i] {
+		case a:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+// add makes a, which must not be outstanding, outstanding.
+func (l *ledger) add(a uint64) {
+	l.n++
+	if a == 0 {
+		l.zero = true
+		return
+	}
+	mask := uint64(len(l.slots) - 1)
+	i := l.home(a)
+	for l.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	l.slots[i] = a
+}
+
+// remove takes a out of the outstanding set, reporting whether it was
+// there. The entries after it in its probe cluster shift back over the hole
+// so each stays reachable from its home slot.
+func (l *ledger) remove(a uint64) bool {
+	if a == 0 {
+		if !l.zero {
+			return false
+		}
+		l.zero = false
+		l.n--
+		return true
+	}
+	mask := uint64(len(l.slots) - 1)
+	i := l.home(a)
+	for l.slots[i] != a {
+		if l.slots[i] == 0 {
+			return false
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; l.slots[j] != 0; j = (j + 1) & mask {
+		if (j-l.home(l.slots[j]))&mask >= (j-i)&mask {
+			l.slots[i] = l.slots[j]
+			i = j
+		}
+	}
+	l.slots[i] = 0
+	l.n--
+	return true
 }
 
 // observeThenIssue credits a hit if addr is outstanding, then records the
@@ -101,27 +193,24 @@ func newLedger(window int) *ledger {
 // issued; an address already outstanding is not duplicated in the window
 // (one future observation clears it either way).
 func (l *ledger) observeThenIssue(addr uint64, issued []uint64) {
-	if _, ok := l.set[addr]; ok {
+	if l.n > 0 && l.remove(addr) {
 		l.hits++
-		delete(l.set, addr)
 	}
 	l.issued += uint64(len(issued))
 	for _, a := range issued {
-		if _, ok := l.set[a]; ok {
+		if l.has(a) {
 			l.dropped++ // coalesced
 			continue
 		}
 		if len(l.fifo) < cap(l.fifo) {
 			l.fifo = append(l.fifo, a)
 		} else {
-			// Window full: evict the oldest outstanding address. A slot
-			// whose address already left the set (hit, or re-issued into a
-			// younger slot) is stale — overwriting it retires nothing.
-			if old := l.fifo[l.head]; old != a {
-				if _, live := l.set[old]; live {
-					delete(l.set, old)
-					l.dropped++ // evicted
-				}
+			// Window full: the oldest slot's address is evicted if it is
+			// still outstanding. A slot whose address left the set (a hit,
+			// or an earlier eviction) retires nothing, unless the address
+			// was issued again since: then this evicts the younger copy.
+			if l.remove(l.fifo[l.head]) {
+				l.dropped++ // evicted
 			}
 			l.fifo[l.head] = a
 			l.head++
@@ -129,7 +218,7 @@ func (l *ledger) observeThenIssue(addr uint64, issued []uint64) {
 				l.head = 0
 			}
 		}
-		l.set[a] = struct{}{}
+		l.add(a)
 	}
 }
 
@@ -138,8 +227,10 @@ func (l *ledger) observeThenIssue(addr uint64, issued []uint64) {
 // of the instance it replaced can no longer hit. The cumulative counters
 // carry on.
 func (l *ledger) retireOutstanding() {
-	l.dropped += uint64(len(l.set))
-	clear(l.set)
+	l.dropped += uint64(l.n)
+	clear(l.slots)
+	l.n = 0
+	l.zero = false
 	l.fifo = l.fifo[:0]
 	l.head = 0
 }
@@ -186,8 +277,8 @@ func (c *ConcurrentMatcher) Observe(r Ref) (prefetch []uint64, comparisons int) 
 	if c.ledger != nil {
 		c.ledger.observeThenIssue(r.Addr, prefetch)
 	}
+	c.observed++
 	c.mu.Unlock()
-	c.observed.Add(1)
 	return prefetch, comparisons
 }
 
@@ -237,9 +328,11 @@ func (c *ConcurrentMatcher) Predictor() string { return c.cur.Load().name }
 // (useful prefetches over prefetches issued), measured online. window
 // bounds the outstanding-address set (<= 0 means 4096); addresses evicted
 // by newer prefetches never count as hits. Tracking is off by default,
-// leaving Observe's hot path untouched. Once on it stays on: a repeated
-// call keeps the ledger as it is, window included, so the cumulative
-// counters never move backwards.
+// leaving Observe's hot path untouched. The ledger's tables are allocated
+// here, once: the FIFO window and an outstanding set of twice the window
+// rounded up to a power of two (8192 addresses, 64 KiB, at the default).
+// Once on it stays on: a repeated call keeps the ledger as it is, window
+// included, so the cumulative counters never move backwards.
 func (c *ConcurrentMatcher) EnableAccuracyTracking(window int) {
 	if window <= 0 {
 		window = 4096
@@ -273,12 +366,17 @@ func (c *ConcurrentMatcher) AccuracyBooks() (issued, hits, outstanding, dropped 
 	if l == nil {
 		return 0, 0, 0, 0
 	}
-	return l.issued, l.hits, uint64(len(l.set)), l.dropped
+	return l.issued, l.hits, uint64(l.n), l.dropped
 }
 
 // Observations returns the number of references observed so far, for service
-// stats (see ShardedProfile.AttachMatcher).
-func (c *ConcurrentMatcher) Observations() uint64 { return c.observed.Load() }
+// stats (see ShardedProfile.AttachMatcher). It reads the count under the
+// step lock, so the count costs Observe no atomic of its own.
+func (c *ConcurrentMatcher) Observations() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.observed
+}
 
 // Swaps returns the number of Swap retrainings published so far.
 func (c *ConcurrentMatcher) Swaps() uint64 { return c.swaps.Load() }

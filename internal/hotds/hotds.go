@@ -169,14 +169,21 @@ func analyze(snap *sequitur.Snapshot, cfg Config, detailed bool) ([]StreamInfo, 
 	if detailed {
 		stats = make([]RuleStats, 0, n)
 	}
+	seen := map[uint64]struct{}{} // countUnique's set, cleared per candidate
 	for i := 0; i < n; i++ {
 		a := byIndex[i]
 		r := &snap.Rules[a]
 		heat := r.Len * coldUses[a]
 		hot := a != 0 && // the start rule is never reported
 			cfg.MinLen <= r.Len && r.Len <= cfg.MaxLen && h <= heat
-		if hot && cfg.MinUnique > 0 {
-			hot = countUnique(snap, a) >= cfg.MinUnique
+		// A candidate's expansion is walked once: counted here, and kept
+		// as the stream's word if it stays hot.
+		var word []uint64
+		if hot {
+			word = snap.Expand(a)
+			if cfg.MinUnique > 0 {
+				hot = countUnique(word, seen) >= cfg.MinUnique
+			}
 		}
 		if detailed {
 			stats = append(stats, RuleStats{
@@ -185,7 +192,7 @@ func analyze(snap *sequitur.Snapshot, cfg Config, detailed bool) ([]StreamInfo, 
 			})
 		}
 		if hot {
-			streams = append(streams, StreamInfo{Word: snap.Expand(a), Heat: heat})
+			streams = append(streams, StreamInfo{Word: word, Heat: heat})
 		}
 		subtract := uses[a] - coldUses[a]
 		if hot {
@@ -241,10 +248,11 @@ func mergeIdenticalWords(streams []StreamInfo) []StreamInfo {
 	return out
 }
 
-// countUnique counts distinct terminals in rule a's expansion.
-func countUnique(snap *sequitur.Snapshot, a int) int {
-	seen := make(map[uint64]struct{})
-	for _, v := range snap.Expand(a) {
+// countUnique counts the distinct terminals in word, using seen (emptied
+// first) as scratch.
+func countUnique(word []uint64, seen map[uint64]struct{}) int {
+	clear(seen)
+	for _, v := range word {
 		seen[v] = struct{}{}
 	}
 	return len(seen)

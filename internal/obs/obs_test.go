@@ -284,6 +284,10 @@ func TestPromEscape(t *testing.T) {
 	if !strings.Contains(b.String(), `path="a\"b\\c\nd"`) {
 		t.Errorf("label not escaped: %s", b.String())
 	}
+	// A scrape escapes every labeled sample's values, nearly all plain.
+	if allocs := testing.AllocsPerRun(100, func() { promEscape("tenant-7") }); allocs != 0 {
+		t.Errorf("escaping a plain label value allocates %.1f objects, want 0", allocs)
+	}
 }
 
 // TestEmitDoesNotAllocate locks in the zero-allocation emission contract:

@@ -12,11 +12,14 @@ import (
 // service-level exporter (hotprefetch.MetricsHandler) composes these
 // writers with its own Stats-derived series.
 
-// promEscape escapes a label value per the exposition format.
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
-}
+// labelEscaper escapes a label value per the exposition format. It is built
+// once: a Replacer builds its byte table on first use, and a scrape escapes
+// every labeled sample.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
+// promEscape escapes a label value per the exposition format. A value with
+// nothing to escape comes back as is, without allocating.
+func promEscape(s string) string { return labelEscaper.Replace(s) }
 
 // WriteCounter writes one counter sample, with optional label pairs given
 // as alternating name, value strings.

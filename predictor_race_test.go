@@ -8,6 +8,7 @@ package hotprefetch_test
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hotprefetch"
@@ -17,8 +18,9 @@ import (
 // TestPredictorHotSwapRacesObserve mirrors TestMatcherHotSwapRacesObserve
 // for each registered predictor: retrain between two stream sets while four
 // goroutines observe. Under -race this validates that every implementation's
-// publication path is torn-table free, not just the DFSM's, and that every
-// read of the ledger balances while swaps retire its outstanding window.
+// publication path is torn-table free, not just the DFSM's, that every
+// read of the ledger balances while swaps retire its outstanding window, and
+// that the observation count, read mid-storm, ends exact.
 func TestPredictorHotSwapRacesObserve(t *testing.T) {
 	traceA, traceB := predictortest.Trace(1, 60), predictortest.Trace(2, 60)
 	sets := [][]hotprefetch.Stream{
@@ -38,6 +40,7 @@ func TestPredictorHotSwapRacesObserve(t *testing.T) {
 			cm.EnableAccuracyTracking(64)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
+			var observed atomic.Uint64
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
 				go func() {
@@ -54,11 +57,12 @@ func TestPredictorHotSwapRacesObserve(t *testing.T) {
 						for _, r := range traceB[:60] {
 							cm.Observe(r)
 						}
+						observed.Add(120)
 					}
 				}()
 			}
 			const swaps = 50
-			var lastIssued, lastHits uint64
+			var lastIssued, lastHits, lastObserved uint64
 			for i := 1; i <= swaps; i++ {
 				if err := cm.Swap(sets[i%2]); err != nil {
 					t.Error(err)
@@ -72,10 +76,17 @@ func TestPredictorHotSwapRacesObserve(t *testing.T) {
 				if issued < lastIssued || hits < lastHits {
 					t.Fatalf("ledger ran backwards: (%d, %d) after (%d, %d)", issued, hits, lastIssued, lastHits)
 				}
-				lastIssued, lastHits = issued, hits
+				n := cm.Observations()
+				if n < lastObserved {
+					t.Fatalf("Observations ran backwards: %d after %d", n, lastObserved)
+				}
+				lastIssued, lastHits, lastObserved = issued, hits, n
 			}
 			close(stop)
 			wg.Wait()
+			if got, want := cm.Observations(), observed.Load(); got != want {
+				t.Errorf("Observations = %d, want %d", got, want)
+			}
 			if got := cm.Swaps(); got != swaps {
 				t.Errorf("Swaps = %d, want %d", got, swaps)
 			}
