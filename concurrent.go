@@ -74,6 +74,9 @@ type predEntry struct {
 // (prefetches actually used by the program vs. prefetches issued).
 // Outstanding addresses are bounded by a FIFO window so a stale predictor
 // cannot grow the set without limit; evicted addresses simply never hit.
+// An address leaves the window when the slot of its newest issue comes up:
+// one that was hit and issued again lives a full window from its second
+// issue, whatever its first slot still names.
 //
 // The books balance exactly: every issued address is either coalesced with
 // an already-outstanding copy at issue time, observed later (hit), evicted
@@ -84,20 +87,21 @@ type predEntry struct {
 // The outstanding set is a flat open-addressed table allocated once, at
 // EnableAccuracyTracking: Observe probes it on every reference and inserts
 // into it on every issued prefetch, so it sits on the detection path and
-// must neither allocate nor rehash. Every outstanding address holds its own
-// FIFO slot, so the set never holds more than window addresses; its
-// power-of-two capacity of at least twice the window keeps it at most half
-// full, and it never grows. Linear probing from a multiplicative hash finds
-// an address; deletion shifts the rest of its probe cluster back instead of
-// leaving a tombstone (as the grammar's digram table does). A zero slot
-// marks empty, so address 0 is held in a flag.
+// must neither allocate nor rehash. A slot holds the FIFO index, plus one,
+// of an outstanding address's newest issue, and a probe compares addresses
+// through the FIFO; zero marks an empty slot. Every outstanding address
+// holds its own FIFO slot, so the set never holds more than window
+// addresses; its power-of-two capacity of at least twice the window keeps
+// it at most half full, and it never grows. Linear probing from a
+// multiplicative hash finds an address; deletion shifts the rest of its
+// probe cluster back instead of leaving a tombstone (as the grammar's
+// digram table does).
 type ledger struct {
-	slots []uint64 // open-addressed outstanding set; 0 = empty
+	slots []uint32 // open-addressed outstanding set: FIFO index + 1; 0 = empty
 	shift uint     // 64 - log2(len(slots)): the hash keeps the top bits
-	n     int      // outstanding addresses, address 0 included
-	zero  bool     // address 0 is outstanding
+	n     int      // outstanding addresses
 
-	fifo []uint64 // insertion-ordered ring over the outstanding set
+	fifo []uint64 // issued addresses in issue order, a ring of window slots
 	head int      // next eviction slot
 
 	issued  uint64
@@ -112,79 +116,43 @@ func newLedger(window int) *ledger {
 		shift--
 	}
 	return &ledger{
-		slots: make([]uint64, size),
+		slots: make([]uint32, size),
 		shift: shift,
 		fifo:  make([]uint64, 0, window),
 	}
 }
 
-// home returns a nonzero address's home slot: Fibonacci hashing, the top
-// bits of the product, so addresses that differ only above their low zero
-// bits (cache-line and word alignment) still spread.
+// home returns an address's home slot: Fibonacci hashing, the top bits of
+// the product, so addresses that differ only above their low zero bits
+// (cache-line and word alignment) still spread.
 func (l *ledger) home(a uint64) uint64 {
 	return (a * 0x9E3779B97F4A7C15) >> l.shift
 }
 
-// has reports whether a is outstanding.
-func (l *ledger) has(a uint64) bool {
-	if a == 0 {
-		return l.zero
-	}
-	mask := uint64(len(l.slots) - 1)
-	for i := l.home(a); ; i = (i + 1) & mask {
-		switch l.slots[i] {
-		case a:
-			return true
-		case 0:
-			return false
-		}
-	}
-}
-
-// add makes a, which must not be outstanding, outstanding.
-func (l *ledger) add(a uint64) {
-	l.n++
-	if a == 0 {
-		l.zero = true
-		return
-	}
+// find returns the slot holding outstanding address a, or the empty slot
+// that ends a's probe sequence.
+func (l *ledger) find(a uint64) uint64 {
 	mask := uint64(len(l.slots) - 1)
 	i := l.home(a)
-	for l.slots[i] != 0 {
+	for l.slots[i] != 0 && l.fifo[l.slots[i]-1] != a {
 		i = (i + 1) & mask
 	}
-	l.slots[i] = a
+	return i
 }
 
-// remove takes a out of the outstanding set, reporting whether it was
-// there. The entries after it in its probe cluster shift back over the hole
-// so each stays reachable from its home slot.
-func (l *ledger) remove(a uint64) bool {
-	if a == 0 {
-		if !l.zero {
-			return false
-		}
-		l.zero = false
-		l.n--
-		return true
-	}
+// removeAt takes the address in slot i out of the outstanding set. The
+// entries after it in its probe cluster shift back over the hole so each
+// stays reachable from its home slot.
+func (l *ledger) removeAt(i uint64) {
 	mask := uint64(len(l.slots) - 1)
-	i := l.home(a)
-	for l.slots[i] != a {
-		if l.slots[i] == 0 {
-			return false
-		}
-		i = (i + 1) & mask
-	}
 	for j := (i + 1) & mask; l.slots[j] != 0; j = (j + 1) & mask {
-		if (j-l.home(l.slots[j]))&mask >= (j-i)&mask {
+		if (j-l.home(l.fifo[l.slots[j]-1]))&mask >= (j-i)&mask {
 			l.slots[i] = l.slots[j]
 			i = j
 		}
 	}
 	l.slots[i] = 0
 	l.n--
-	return true
 }
 
 // observeThenIssue credits a hit if addr is outstanding, then records the
@@ -193,32 +161,41 @@ func (l *ledger) remove(a uint64) bool {
 // issued; an address already outstanding is not duplicated in the window
 // (one future observation clears it either way).
 func (l *ledger) observeThenIssue(addr uint64, issued []uint64) {
-	if l.n > 0 && l.remove(addr) {
-		l.hits++
+	if l.n > 0 {
+		if i := l.find(addr); l.slots[i] != 0 {
+			l.removeAt(i)
+			l.hits++
+		}
 	}
 	l.issued += uint64(len(issued))
 	for _, a := range issued {
-		if l.has(a) {
+		i := l.find(a)
+		if l.slots[i] != 0 {
 			l.dropped++ // coalesced
 			continue
 		}
-		if len(l.fifo) < cap(l.fifo) {
+		slot := len(l.fifo)
+		if slot < cap(l.fifo) {
 			l.fifo = append(l.fifo, a)
 		} else {
-			// Window full: the oldest slot's address is evicted if it is
-			// still outstanding. A slot whose address left the set (a hit,
-			// or an earlier eviction) retires nothing, unless the address
-			// was issued again since: then this evicts the younger copy.
-			if l.remove(l.fifo[l.head]) {
+			// Window full: the oldest slot's address is evicted if this
+			// slot is its newest issue and it is still outstanding. A slot
+			// whose address was hit, evicted, or issued again since retires
+			// nothing.
+			slot = l.head
+			if j := l.find(l.fifo[slot]); l.slots[j] == uint32(slot+1) {
+				l.removeAt(j)
 				l.dropped++ // evicted
 			}
-			l.fifo[l.head] = a
+			l.fifo[slot] = a
 			l.head++
 			if l.head == len(l.fifo) {
 				l.head = 0
 			}
+			i = l.find(a) // the eviction may have shifted a's probe sequence
 		}
-		l.add(a)
+		l.slots[i] = uint32(slot + 1)
+		l.n++
 	}
 }
 
@@ -230,7 +207,6 @@ func (l *ledger) retireOutstanding() {
 	l.dropped += uint64(l.n)
 	clear(l.slots)
 	l.n = 0
-	l.zero = false
 	l.fifo = l.fifo[:0]
 	l.head = 0
 }
@@ -330,13 +306,15 @@ func (c *ConcurrentMatcher) Predictor() string { return c.cur.Load().name }
 // by newer prefetches never count as hits. Tracking is off by default,
 // leaving Observe's hot path untouched. The ledger's tables are allocated
 // here, once: the FIFO window and an outstanding set of twice the window
-// rounded up to a power of two (8192 addresses, 64 KiB, at the default).
-// Once on it stays on: a repeated call keeps the ledger as it is, window
-// included, so the cumulative counters never move backwards.
+// rounded up to a power of two (8192 four-byte slots, 32 KiB, at the
+// default); a window above 1<<30 is clamped to it. Once on it stays on: a
+// repeated call keeps the ledger as it is, window included, so the
+// cumulative counters never move backwards.
 func (c *ConcurrentMatcher) EnableAccuracyTracking(window int) {
 	if window <= 0 {
 		window = 4096
 	}
+	window = min(window, 1<<30)
 	c.mu.Lock()
 	if c.ledger == nil {
 		c.ledger = newLedger(window)

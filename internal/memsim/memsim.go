@@ -10,9 +10,17 @@
 // blocking, becoming usable only after the fill latency has elapsed
 // (MSHR-style in-flight tracking). Prefetch profitability — the quantity the
 // paper's evaluation measures — is a function of exactly these mechanisms.
+//
+// Every figure and every trace replay runs through this simulator, so it is
+// built from flat tables: each cache level is one slice of packed ways and
+// the in-flight fills are one open-addressed table (see Hierarchy).
 package memsim
 
-import "hotprefetch/internal/ref"
+import (
+	"math/bits"
+
+	"hotprefetch/internal/ref"
+)
 
 // Config describes the cache hierarchy geometry and latencies. All sizes are
 // in bytes and must be powers of two; latencies are in cycles and are charged
@@ -50,6 +58,11 @@ func DefaultConfig() Config {
 }
 
 // Validate reports whether the configuration is internally consistent.
+// Sets are indexed by the low bits of the block number, so each level's set
+// count must be a power of two, and sets × ways × BlockSize must make up its
+// capacity exactly. A way keeps its block's tag without the block-offset
+// and set-index bits and packs its flags into two of them, so a way must
+// span at least 4 bytes (capacity / associativity).
 func (c Config) Validate() error {
 	check := func(name string, v int) error {
 		if v <= 0 || v&(v-1) != 0 {
@@ -69,13 +82,17 @@ func (c Config) Validate() error {
 	if c.L1Assoc <= 0 || c.L2Assoc <= 0 {
 		return &ConfigError{Field: "Assoc", Value: c.L1Assoc * c.L2Assoc}
 	}
-	if c.L1Size/(c.BlockSize*c.L1Assoc) == 0 {
-		return &ConfigError{Field: "L1Size/Assoc", Value: c.L1Size}
+	geometry := func(name string, size, assoc int) error {
+		sets := size / c.BlockSize / assoc
+		if check(name, sets) != nil || sets*assoc*c.BlockSize != size || size/assoc < 1<<wayFlagBits {
+			return &ConfigError{Field: name, Value: size}
+		}
+		return nil
 	}
-	if c.L2Size/(c.BlockSize*c.L2Assoc) == 0 {
-		return &ConfigError{Field: "L2Size/Assoc", Value: c.L2Size}
+	if err := geometry("L1Size/Assoc", c.L1Size, c.L1Assoc); err != nil {
+		return err
 	}
-	return nil
+	return geometry("L2Size/Assoc", c.L2Size, c.L2Assoc)
 }
 
 // ConfigError reports an invalid cache configuration field.
@@ -130,94 +147,224 @@ type Observer interface {
 	OnAccess(now uint64, pc int, addr uint64, l1Hit, l2Hit bool)
 }
 
-type line struct {
-	tag        uint64
-	valid      bool
-	prefetched bool // installed by a prefetch
-	touched    bool // demand-accessed since install
+// A way is one packed word: the block's tag (the block number without its
+// set-index bits) shifted above two flag bits. Every valid way carries
+// wayValid, so a zero word is an invalid way. A prefetched way that no
+// demand access has touched yet carries wayFresh; the first touch clears
+// it, and from then on the way behaves as a demand-filled one.
+const (
+	wayValid    = 1 << 0
+	wayFresh    = 1 << 1
+	wayFlagBits = 2
+)
+
+// level is one set-associative cache: assoc consecutive ways per set, in
+// MRU-first order, with the valid ways ahead of the invalid ones. A lookup
+// moves the hit way to the front and an install pushes the back way out,
+// shifting the ways between in place.
+type level struct {
+	ways    []uint64
+	assoc   int
+	setMask uint64
+	setBits uint
 }
 
-// cache is one set-associative level. Each set keeps its lines in MRU-first
-// order; lookups move the hit line to the front, evictions take the back.
-type cache struct {
-	sets     [][]line
-	setMask  uint64
-	assoc    int
-	evictObs func(l line)
-}
-
-func newCache(size, blockSize, assoc int, evictObs func(line)) *cache {
-	nSets := size / (blockSize * assoc)
-	c := &cache{
-		sets:     make([][]line, nSets),
-		setMask:  uint64(nSets - 1),
-		assoc:    assoc,
-		evictObs: evictObs,
+func newLevel(size, blockSize, assoc int) level {
+	sets := size / blockSize / assoc
+	return level{
+		ways:    make([]uint64, sets*assoc),
+		assoc:   assoc,
+		setMask: uint64(sets - 1),
+		setBits: uint(bits.TrailingZeros(uint(sets))),
 	}
-	backing := make([]line, nSets*assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
-	}
-	return c
 }
 
-// lookup probes for block and promotes it to MRU on a hit. It returns a
-// pointer to the (promoted) line, or nil on a miss.
-func (c *cache) lookup(block uint64) *line {
-	set := c.sets[block&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			// Move to front (MRU).
-			hit := set[i]
-			copy(set[1:i+1], set[:i])
-			set[0] = hit
-			return &set[0]
+// set returns block's set and the word a way holding block carries, fresh
+// flag aside.
+func (c *level) set(block uint64) ([]uint64, uint64) {
+	base := int(block&c.setMask) * c.assoc
+	return c.ways[base : base+c.assoc : base+c.assoc], block>>c.setBits<<wayFlagBits | wayValid
+}
+
+// find returns the index of the way in set that holds key, or -1.
+func find(set []uint64, key uint64) int {
+	for i, w := range set {
+		if w&^wayFresh == key {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// contains probes for block without disturbing recency order.
-func (c *cache) contains(block uint64) bool {
-	set := c.sets[block&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return true
+// promote moves way i of set to the front (MRU) and returns its word.
+func promote(set []uint64, i int) uint64 {
+	w := set[i]
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = w
+	return w
+}
+
+// install puts w in front of set (MRU) and returns the back (LRU) way it
+// pushed out, zero if that way was invalid.
+func install(set []uint64, w uint64) (victim uint64) {
+	last := len(set) - 1
+	victim, set[last] = set[last], w
+	promote(set, last)
+	return victim
+}
+
+// fill is one in-flight prefetch fill: the block and the cycle at which its
+// fill completes.
+type fill struct{ block, ready uint64 }
+
+// fillTable holds the in-flight prefetch fills, as hardware keeps them in a
+// small flat MSHR table: open addressing over a power-of-two slice of fills,
+// linear probing from a Fibonacci hash, and deletion that shifts the rest
+// of a probe cluster back instead of leaving a tombstone (as the root
+// package's accuracy ledger and the grammar's digram table do). It doubles
+// when it would pass half full. A slot whose block is 0 is empty, so block
+// 0's fill is kept beside the slots.
+type fillTable struct {
+	slots []fill
+	shift uint // 64 - log2(len(slots)): the hash keeps the top bits
+	n     int  // fills in flight, block 0's included
+
+	zero      bool   // block 0 has a fill in flight
+	zeroReady uint64 // and it completes at this cycle
+}
+
+func newFillTable() fillTable {
+	return fillTable{slots: make([]fill, 64), shift: 64 - 6}
+}
+
+// home returns block b's home slot: Fibonacci hashing, the top bits of the
+// product.
+func (t *fillTable) home(b uint64) uint64 { return b * 0x9E3779B97F4A7C15 >> t.shift }
+
+// find returns the slot holding nonzero block b, or the empty slot that
+// ends b's probe sequence.
+func (t *fillTable) find(b uint64) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	i := t.home(b)
+	for t.slots[i].block != b && t.slots[i].block != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// take removes block b's fill, returning the cycle it completes at and
+// whether b had one in flight.
+func (t *fillTable) take(b uint64) (ready uint64, ok bool) {
+	if b == 0 {
+		ready, ok = t.zeroReady, t.zero
+		if ok {
+			t.zero = false
+			t.n--
+		}
+		return ready, ok
+	}
+	i := t.find(b)
+	if t.slots[i].block == 0 {
+		return 0, false
+	}
+	ready = t.slots[i].ready
+	t.deleteAt(i)
+	return ready, true
+}
+
+// deleteAt empties slot i. The fills after it in its probe cluster shift
+// back over the hole so each stays reachable from its home slot.
+func (t *fillTable) deleteAt(i uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for j := (i + 1) & mask; t.slots[j].block != 0; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].block))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
 		}
 	}
-	return false
+	t.slots[i] = fill{}
+	t.n--
 }
 
-// install inserts block as MRU, evicting the LRU line if the set is full.
-// It returns a pointer to the installed line.
-func (c *cache) install(block uint64, prefetched bool) *line {
-	set := c.sets[block&c.setMask]
-	victim := set[len(set)-1]
-	if victim.valid && c.evictObs != nil {
-		c.evictObs(victim)
+// raise records a fill of block b completing at ready, unless b already
+// has one in flight that completes later.
+func (t *fillTable) raise(b, ready uint64) {
+	if b == 0 {
+		if !t.zero {
+			t.zero, t.zeroReady = true, ready
+			t.n++
+		} else if ready > t.zeroReady {
+			t.zeroReady = ready
+		}
+		return
 	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: block, valid: true, prefetched: prefetched}
-	return &set[0]
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	i := t.find(b)
+	if s := &t.slots[i]; s.block == 0 {
+		*s = fill{b, ready}
+		t.n++
+	} else if ready > s.ready {
+		s.ready = ready
+	}
 }
 
-// invalidateAll clears every line (used by Reset).
-func (c *cache) invalidateAll() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
+// grow doubles the table and rehashes every fill into it.
+func (t *fillTable) grow() {
+	old := t.slots
+	t.slots = make([]fill, 2*len(old))
+	t.shift--
+	for _, s := range old {
+		if s.block != 0 {
+			t.slots[t.find(s.block)] = s
 		}
 	}
+}
+
+// sweep drops every fill that has completed by cycle now, in one pass over
+// the slots. A deletion can shift a later fill back into the slot just
+// emptied, so that slot is examined again before the pass moves on.
+func (t *fillTable) sweep(now uint64) {
+	if t.zero && t.zeroReady <= now {
+		t.zero = false
+		t.n--
+	}
+	for i := uint64(0); i < uint64(len(t.slots)); {
+		if s := t.slots[i]; s.block != 0 && s.ready <= now {
+			t.deleteAt(i)
+			continue
+		}
+		i++
+	}
+}
+
+func (t *fillTable) reset() {
+	clear(t.slots)
+	t.n = 0
+	t.zero = false
 }
 
 // Hierarchy is a two-level cache hierarchy with in-flight prefetch tracking.
 // It is not safe for concurrent use; the machine interpreter is
 // single-threaded, matching the paper's uniprocessor platform.
+//
+// Each level is one slice of packed ways, assoc consecutive words per set,
+// so an 8-way set is one 64-byte host cache line. The in-flight fills are a
+// flat table that a plain hit never touches. A block can be in flight while
+// it sits in L1 only if its way is fresh (prefetched, not yet touched):
+// Prefetch installs every fill's block as a fresh way, a demand miss drops
+// the block's fill, and a prefetch of a block already in L1 is a duplicate
+// that starts no fill. So an L1 hit probes the table only when it is the
+// first touch of a fresh way, and a miss skips its delete while nothing is
+// in flight.
 type Hierarchy struct {
 	cfg        Config
 	blockShift uint
-	l1, l2     *cache
-	inflight   map[uint64]uint64 // block -> cycle at which the fill completes
+	l1, l2     level
+	fills      fillTable
 	stats      Stats
 	observer   Observer
 }
@@ -228,21 +375,12 @@ func New(cfg Config) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{
-		cfg:      cfg,
-		inflight: make(map[uint64]uint64),
-	}
-	for cfg.BlockSize>>h.blockShift > 1 {
-		h.blockShift++
-	}
-	h.l1 = newCache(cfg.L1Size, cfg.BlockSize, cfg.L1Assoc, h.onL1Evict)
-	h.l2 = newCache(cfg.L2Size, cfg.BlockSize, cfg.L2Assoc, nil)
-	return h
-}
-
-func (h *Hierarchy) onL1Evict(l line) {
-	if l.prefetched && !l.touched {
-		h.stats.PrefetchEvictions++
+	return &Hierarchy{
+		cfg:        cfg,
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockSize))),
+		l1:         newLevel(cfg.L1Size, cfg.BlockSize, cfg.L1Assoc),
+		l2:         newLevel(cfg.L2Size, cfg.BlockSize, cfg.L2Assoc),
+		fills:      newFillTable(),
 	}
 }
 
@@ -274,45 +412,52 @@ func (h *Hierarchy) Access(now uint64, pc int, addr uint64, isWrite bool) uint64
 
 	var stall uint64
 	var l1Hit, l2Hit bool
-	if l := h.l1.lookup(block); l != nil {
+	set1, key1 := h.l1.set(block)
+	if i := find(set1, key1); i >= 0 {
 		h.stats.L1Hits++
 		l1Hit = true
-		if l.prefetched && !l.touched {
+		if promote(set1, i)&wayFresh != 0 {
+			set1[0] = key1
 			h.stats.UsefulPrefetches++
-			l.touched = true
-		}
-		// The block may still be in flight from a prefetch: stall for the
-		// remaining fill latency (a "late" but still partially useful
-		// prefetch).
-		if ready, ok := h.inflight[block]; ok {
-			if ready > now {
-				wait := ready - now
-				stall = wait
+			// The block may still be in flight: stall for the remaining
+			// fill latency (a "late" but still partially useful prefetch).
+			if ready, ok := h.fills.take(block); ok && ready > now {
+				stall = ready - now
 				h.stats.LatePrefetches++
-				h.stats.LateStallCycles += wait
+				h.stats.LateStallCycles += stall
 			}
-			delete(h.inflight, block)
 		}
 	} else {
 		h.stats.L1Misses++
-		delete(h.inflight, block) // block was evicted before use, if present
-		if h.l2.lookup(block) != nil {
+		if h.fills.n > 0 {
+			h.fills.take(block) // the block was evicted before use, if in flight
+		}
+		set2, key2 := h.l2.set(block)
+		if j := find(set2, key2); j >= 0 {
+			promote(set2, j)
 			h.stats.L2Hits++
 			l2Hit = true
 			stall = h.cfg.L2HitLatency
-			h.l1.install(block, false)
 		} else {
 			h.stats.L2Misses++
 			stall = h.cfg.MemLatency
-			h.l2.install(block, false)
-			h.l1.install(block, false)
+			install(set2, key2)
 		}
+		h.installL1(set1, key1)
 	}
 	h.stats.StallCycles += stall
 	if h.observer != nil {
 		h.observer.OnAccess(now, pc, addr, l1Hit, l2Hit)
 	}
 	return stall
+}
+
+// installL1 installs w in its L1 set, counting a fresh way it evicts: a
+// prefetch no demand access used.
+func (h *Hierarchy) installL1(set []uint64, w uint64) {
+	if install(set, w)&wayFresh != 0 {
+		h.stats.PrefetchEvictions++
+	}
 }
 
 // Prefetch issues a non-blocking prefetch of addr at the current cycle,
@@ -323,33 +468,28 @@ func (h *Hierarchy) Access(now uint64, pc int, addr uint64, isWrite bool) uint64
 func (h *Hierarchy) Prefetch(now uint64, addr uint64) {
 	h.stats.Prefetches++
 	block := addr >> h.blockShift
-	if h.l1.contains(block) {
+	set1, key1 := h.l1.set(block)
+	if find(set1, key1) >= 0 {
 		h.stats.PrefetchDupes++
 		return
 	}
-	if max := h.cfg.MaxInflight; max > 0 && len(h.inflight) >= max {
-		// Reclaim completed fills before deciding to drop.
-		for b, ready := range h.inflight {
-			if ready <= now {
-				delete(h.inflight, b)
-			}
-		}
-		if len(h.inflight) >= max {
+	if max := h.cfg.MaxInflight; max > 0 && h.fills.n >= max {
+		h.fills.sweep(now) // reclaim completed fills before deciding to drop
+		if h.fills.n >= max {
 			h.stats.PrefetchDrops++
 			return
 		}
 	}
-	var latency uint64
-	if h.l2.lookup(block) != nil {
+	latency := h.cfg.MemLatency
+	set2, key2 := h.l2.set(block)
+	if j := find(set2, key2); j >= 0 {
+		promote(set2, j)
 		latency = h.cfg.L2HitLatency
 	} else {
-		latency = h.cfg.MemLatency
-		h.l2.install(block, true)
+		install(set2, key2)
 	}
-	h.l1.install(block, true)
-	if ready, ok := h.inflight[block]; !ok || now+latency > ready {
-		h.inflight[block] = now + latency
-	}
+	h.installL1(set1, key1|wayFresh)
+	h.fills.raise(block, now+latency)
 }
 
 // Contains reports whether addr's block currently resides in the given level
@@ -358,9 +498,9 @@ func (h *Hierarchy) Contains(level int, addr uint64) bool {
 	block := addr >> h.blockShift
 	switch level {
 	case 1:
-		return h.l1.contains(block)
+		return find(h.l1.set(block)) >= 0
 	case 2:
-		return h.l2.contains(block)
+		return find(h.l2.set(block)) >= 0
 	default:
 		panic("memsim: Contains level must be 1 or 2")
 	}
@@ -400,8 +540,8 @@ func Replay(h *Hierarchy, now uint64, refs []ref.Ref, d Detector) (end, comparis
 
 // Reset clears all cache contents, in-flight fills, and statistics.
 func (h *Hierarchy) Reset() {
-	h.l1.invalidateAll()
-	h.l2.invalidateAll()
-	clear(h.inflight)
+	clear(h.l1.ways)
+	clear(h.l2.ways)
+	h.fills.reset()
 	h.stats = Stats{}
 }

@@ -43,12 +43,21 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{BlockSize: 48, L1Size: 64, L1Assoc: 1, L2Size: 128, L2Assoc: 1},  // not power of two
 		{BlockSize: 32, L1Size: 100, L1Assoc: 1, L2Size: 128, L2Assoc: 1}, // not power of two
 		{BlockSize: 32, L1Size: 64, L1Assoc: 0, L2Size: 128, L2Assoc: 1},
-		{BlockSize: 32, L1Size: 32, L1Assoc: 4, L2Size: 128, L2Assoc: 1}, // zero sets
+		{BlockSize: 32, L1Size: 32, L1Assoc: 4, L2Size: 128, L2Assoc: 1},             // zero sets
+		{BlockSize: 32, L1Size: 16 << 10, L1Assoc: 3, L2Size: 256 << 10, L2Assoc: 8}, // 170 L1 sets
+		{BlockSize: 32, L1Size: 16 << 10, L1Assoc: 4, L2Size: 256 << 10, L2Assoc: 6}, // 1365 L2 sets
+		{BlockSize: 32, L1Size: 256, L1Assoc: 3, L2Size: 512, L2Assoc: 2},            // 2 sets of 3 ways hold 192 of 256 bytes
+		{BlockSize: 1, L1Size: 2, L1Assoc: 1, L2Size: 64, L2Assoc: 4},                // L1 ways span 2 bytes
+		{BlockSize: 2, L1Size: 16, L1Assoc: 2, L2Size: 4, L2Assoc: 2},                // L2 ways span 2 bytes
 	}
 	for i, cfg := range cases {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: Validate() = nil, want error", i)
 		}
+	}
+	// The smallest ways that leave a tag room for its flags span 4 bytes.
+	if err := (Config{BlockSize: 1, L1Size: 4, L1Assoc: 1, L2Size: 8, L2Assoc: 2}).Validate(); err != nil {
+		t.Errorf("4-byte ways: Validate() = %v, want nil", err)
 	}
 }
 

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// refLedger is the accuracy ledger as it was before the flat outstanding
-// set: the same FIFO window over a Go map. It is kept only as the reference
-// the flat ledger is checked against.
+// refLedger is the accuracy ledger over a Go map: the same FIFO window,
+// with each outstanding address mapped to the FIFO slot of its newest
+// issue, so the window evicts an address only when that slot comes up. It
+// is kept only as the reference the flat ledger is checked against.
 type refLedger struct {
-	set  map[uint64]struct{}
+	set  map[uint64]int // outstanding address -> FIFO slot of its newest issue
 	fifo []uint64
 	head int
 
@@ -21,7 +22,7 @@ type refLedger struct {
 
 func newRefLedger(window int) *refLedger {
 	return &refLedger{
-		set:  make(map[uint64]struct{}, window),
+		set:  make(map[uint64]int, window),
 		fifo: make([]uint64, 0, window),
 	}
 }
@@ -37,22 +38,22 @@ func (l *refLedger) observeThenIssue(addr uint64, issued []uint64) {
 			l.dropped++ // coalesced
 			continue
 		}
-		if len(l.fifo) < cap(l.fifo) {
+		slot := len(l.fifo)
+		if slot < cap(l.fifo) {
 			l.fifo = append(l.fifo, a)
 		} else {
-			if old := l.fifo[l.head]; old != a {
-				if _, live := l.set[old]; live {
-					delete(l.set, old)
-					l.dropped++ // evicted
-				}
+			slot = l.head
+			if newest, live := l.set[l.fifo[slot]]; live && newest == slot {
+				delete(l.set, l.fifo[slot])
+				l.dropped++ // evicted
 			}
-			l.fifo[l.head] = a
+			l.fifo[slot] = a
 			l.head++
 			if l.head == len(l.fifo) {
 				l.head = 0
 			}
 		}
-		l.set[a] = struct{}{}
+		l.set[a] = slot
 	}
 }
 
@@ -64,7 +65,8 @@ func (l *refLedger) retireOutstanding() {
 }
 
 // sameBooks fails t unless the flat ledger holds exactly the reference's
-// books, outstanding set and FIFO window.
+// books, outstanding set (each address at the slot of its newest issue)
+// and FIFO window.
 func sameBooks(t *testing.T, step int, got *ledger, want *refLedger) {
 	t.Helper()
 	if got.issued != want.issued || got.hits != want.hits ||
@@ -73,9 +75,9 @@ func sameBooks(t *testing.T, step int, got *ledger, want *refLedger) {
 			step, got.issued, got.hits, got.n, got.dropped,
 			want.issued, want.hits, len(want.set), want.dropped)
 	}
-	for a := range want.set {
-		if !got.has(a) {
-			t.Fatalf("step %d: address %#x outstanding in the reference, not in the flat set", step, a)
+	for a, slot := range want.set {
+		if s := got.slots[got.find(a)]; s != uint32(slot+1) {
+			t.Fatalf("step %d: address %#x outstanding at FIFO slot %d in the reference, flat set holds %d", step, a, slot, int(s)-1)
 		}
 	}
 	if got.head != want.head || !slices.Equal(got.fifo, want.fifo) {
@@ -83,6 +85,34 @@ func sameBooks(t *testing.T, step int, got *ledger, want *refLedger) {
 	}
 	if 2*got.n > len(got.slots) {
 		t.Fatalf("step %d: %d outstanding in %d slots, more than half full", step, got.n, len(got.slots))
+	}
+}
+
+// TestLedgerKeepsReissuedAddress issues A, hits it, issues it again, then
+// issues window-1 other addresses: the window comes round to A's first slot
+// while A is outstanding from its second, so A must stay outstanding until
+// that second slot comes up.
+func TestLedgerKeepsReissuedAddress(t *testing.T) {
+	const window, a = 8, 0xa0
+	got, want := newLedger(window), newRefLedger(window)
+	step := func(addr uint64, issued ...uint64) {
+		got.observeThenIssue(addr, issued)
+		want.observeThenIssue(addr, issued)
+		sameBooks(t, -1, got, want)
+	}
+	step(1, a)
+	step(a, a) // hit, then issued again
+	for i := uint64(0); i < window-1; i++ {
+		step(2, 0x1000+i)
+	}
+	if got.slots[got.find(a)] == 0 || got.dropped != 0 {
+		t.Fatalf("window came round to A's first slot: outstanding %v, dropped %d; want A outstanding, none dropped",
+			got.slots[got.find(a)] != 0, got.dropped)
+	}
+	step(2, 0x2000) // A's second slot comes up
+	if got.slots[got.find(a)] != 0 || got.dropped != 1 {
+		t.Fatalf("window came round to A's newest slot: outstanding %v, dropped %d; want A evicted",
+			got.slots[got.find(a)] != 0, got.dropped)
 	}
 }
 

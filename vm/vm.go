@@ -71,7 +71,12 @@ func (p *Program) Disasm() string {
 	return prog.Disasm()
 }
 
-// CacheConfig describes the simulated two-level cache hierarchy.
+// CacheConfig describes the simulated two-level cache hierarchy. Sizes and
+// BlockSize must be powers of two, each level's capacity must divide into
+// a power-of-two number of sets of its associativity's blocks (so the
+// associativity is a power of two too), and a way (capacity /
+// associativity) must span at least 4 bytes; a run on any other geometry
+// returns an error.
 type CacheConfig struct {
 	BlockSize   int // bytes per cache block (power of two)
 	L1Size      int // bytes
@@ -162,6 +167,10 @@ func (m *Machine) AllocList(n, nodeWords int, scatter bool, seed int64) []uint64
 }
 
 func (m *Machine) instantiate(instrument bool) (*machine.Machine, error) {
+	cache := m.cfg.Cache.internal()
+	if err := cache.Validate(); err != nil {
+		return nil, fmt.Errorf("vm: cache config: %w", err)
+	}
 	prog, err := machine.Assemble(m.prog.src)
 	if err != nil {
 		return nil, err
@@ -169,7 +178,7 @@ func (m *Machine) instantiate(instrument bool) (*machine.Machine, error) {
 	if instrument {
 		vulcan.Instrument(prog)
 	}
-	mm := machine.New(prog, m.cfg.HeapWords, m.cfg.Cache.internal())
+	mm := machine.New(prog, m.cfg.HeapWords, cache)
 	copy(mm.Mem, m.image)
 	return mm, nil
 }

@@ -1,8 +1,11 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"hotprefetch/internal/memsim"
 )
 
 const chaseSource = `
@@ -177,5 +180,29 @@ func TestAllocHelpers(t *testing.T) {
 	}
 	if m.ReadWord(list[4]) != 0 {
 		t.Error("list must be nil-terminated")
+	}
+}
+
+// TestRunsRejectBadCacheConfig checks that a cache geometry the simulator
+// cannot index comes back from both runs as the memsim.ConfigError, not as
+// a panic: blocks that are not a power of two, and a 3-way L1, whose 170
+// sets the set index could not reach.
+func TestRunsRejectBadCacheConfig(t *testing.T) {
+	prog, err := Assemble(chaseSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []CacheConfig{
+		{BlockSize: 48, L1Size: 512, L1Assoc: 2, L2Size: 2048, L2Assoc: 2, L2HitCycles: 10, MemCycles: 100},
+		func() CacheConfig { c := DefaultCacheConfig(); c.L1Assoc = 3; return c }(),
+	} {
+		m := NewMachine(prog, MachineConfig{HeapWords: 1 << 14, Cache: cache})
+		var cerr *memsim.ConfigError
+		if _, err := m.RunUnoptimized(); !errors.As(err, &cerr) {
+			t.Errorf("%+v: RunUnoptimized error = %v, want a memsim.ConfigError", cache, err)
+		}
+		if _, err := m.RunOptimized(DefaultOptimizeConfig()); !errors.As(err, &cerr) {
+			t.Errorf("%+v: RunOptimized error = %v, want a memsim.ConfigError", cache, err)
+		}
 	}
 }
