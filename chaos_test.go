@@ -430,15 +430,18 @@ func TestHotStreamsReportsFlushStall(t *testing.T) {
 	}
 }
 
-// TestFlushStallsOnWedgedPool wedges the analysis pool — its one worker held
-// in an analysis — until the consumer blocks on the full analysis queue with its drain lock held, and
-// checks that Flush, which never waits on the analysis queue, gives up with
-// ErrFlushStalled exactly when the clock passes flushStallTimeout. Drop
-// keeps the producer from waiting behind the wedge as well.
+// TestFlushStallsOnWedgedPool wedges every analysis until the worker holds
+// the shard's first pooled cycle and the consumer, finding the spare out,
+// holds the next in place with its drain lock held, and checks that Flush
+// gives up with ErrFlushStalled exactly when the clock passes
+// flushStallTimeout. Drop keeps the producer from waiting behind the wedge
+// as well.
 func TestFlushStallsOnWedgedPool(t *testing.T) {
 	base := runtime.NumGoroutine()
 	release := make(chan struct{})
+	var held atomic.Int32
 	hooks := &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
+		held.Add(1)
 		<-release
 		return fault.Outcome{}
 	}}
@@ -450,13 +453,15 @@ func TestFlushStallsOnWedgedPool(t *testing.T) {
 		AnalysisWorkers:   1,
 		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
 	}, clk, hooks)
-	// Enough cycles for one to wedge the worker, two to fill the queue, and
-	// more whose enqueue can never complete.
+	// Enough cycles for one to wedge the worker and the next the consumer,
+	// with references left behind them.
 	if err := sp.AddBatch(0, chaosTrace(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	s := sp.Shard(0)
-	eventually(t, "consumer blocked on the full analysis queue", func() bool { return s.pending.Load() == 4 })
+	eventually(t, "the worker and the consumer each held in an analysis", func() bool {
+		return held.Load() == 2 && s.pending.Load() == 1
+	})
 	if err := verdictAt(t, clk, flushStallTimeout, sp.Flush); !errors.Is(err, ErrFlushStalled) {
 		t.Errorf("Flush with a wedged pool = %v, want ErrFlushStalled", err)
 	}
@@ -466,6 +471,78 @@ func TestFlushStallsOnWedgedPool(t *testing.T) {
 	checkCycleInvariant(t, st)
 	if st.Consumed != st.Pushed {
 		t.Errorf("consumed %d of %d pushed references after Close", st.Consumed, st.Pushed)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestWedgedWorkerCostsInPlaceAnalyses holds the pool's one worker in the
+// shard's first pooled analysis and nothing else: the shard keeps
+// ingesting, analyzing every later cycle in place, so Flush completes, and
+// only HotStreams, which waits for the held analysis, reports the wedge, as
+// ErrAnalysisStalled exactly when the clock passes flushStallTimeout.
+func TestWedgedWorkerCostsInPlaceAnalyses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	var calls atomic.Int32
+	hooks := &fault.Hooks{AnalysisFn: func(int) fault.Outcome {
+		if calls.Add(1) == 1 {
+			<-release
+		}
+		return fault.Outcome{}
+	}}
+	clk := newFakeClock()
+	sp := startProfile(t, ShardedConfig{
+		Shards:            1,
+		MaxGrammarSymbols: 64,
+		AnalysisWorkers:   1,
+		cycleAnalysis:     AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05},
+	}, clk, hooks)
+	// Small batches until the first cycle: a second cycle before the worker
+	// reached the hook could analyze in place and be the one held.
+	trace := chaosTrace(1, 4096)
+	i := 0
+	for ; i < len(trace) && sp.Stats().Resets == 0; i += 8 {
+		if err := sp.AddBatch(0, trace[i:i+8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventually(t, "the worker held in the first cycle's analysis", func() bool { return calls.Load() == 1 })
+	if err := sp.AddBatch(0, trace[i:]); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- sp.Flush() }()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatalf("Flush with a wedged worker = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush still waiting 10s behind a wedged worker")
+	}
+	st := sp.Stats()
+	ss := st.Shards[0]
+	if st.Resets < 3 || ss.SpareMisses != st.Resets-1 || ss.PendingAnalyses != 1 {
+		t.Fatalf("%d cycles, %d spare misses, %d pending; want several cycles, all but the held one analyzed in place",
+			st.Resets, ss.SpareMisses, ss.PendingAnalyses)
+	}
+	err := verdictAt(t, clk, flushStallTimeout, func() error {
+		_, err := sp.HotStreams(DefaultAnalysisConfig())
+		return err
+	})
+	if !errors.Is(err, ErrAnalysisStalled) {
+		t.Errorf("HotStreams with a wedged worker = %v, want ErrAnalysisStalled", err)
+	}
+	close(release)
+	sp.Close()
+	st = sp.Stats()
+	checkCycleInvariant(t, st)
+	if st.Consumed != st.Pushed || st.CyclesAnalyzed != st.Resets {
+		t.Errorf("consumed %d/%d, analyzed %d/%d cycles after Close; want every reference and cycle",
+			st.Consumed, st.Pushed, st.CyclesAnalyzed, st.Resets)
 	}
 	waitGoroutines(t, base)
 }

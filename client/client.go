@@ -169,6 +169,14 @@ type Capture struct {
 	// closed=true mutually exclusive.
 	enqWG sync.WaitGroup
 
+	// queued counts the batches taken from buf for the publisher, and
+	// settled those it has published or a full queue dropped; both are
+	// guarded by mu. Flush waits on settledCond (on mu) until every batch
+	// queued before it has settled, so its own publish cannot overtake
+	// them.
+	queued, settled uint64
+	settledCond     sync.Cond
+
 	captured  atomic.Uint64
 	published atomic.Uint64
 	dropped   atomic.Uint64
@@ -205,6 +213,7 @@ func New(cfg Config) (*Capture, error) {
 		done:    make(chan struct{}),
 		spare:   make(chan []ref.Ref, cfg.MaxPending+1),
 	}
+	c.settledCond.L = &c.mu
 	c.wg.Add(1)
 	go c.publisher()
 	if cfg.FlushInterval > 0 {
@@ -230,6 +239,7 @@ func (c *Capture) Add(pc int, addr uint64) {
 	if len(c.buf) >= c.cfg.BufferRefs {
 		full = c.buf
 		c.buf = c.newBatch()
+		c.queued++
 		c.enqWG.Add(1)
 	}
 	c.mu.Unlock()
@@ -261,6 +271,7 @@ func (c *Capture) AddBatch(refs []Ref) {
 			c.buf = c.newBatch()
 		}
 	}
+	c.queued += uint64(len(batches))
 	c.enqWG.Add(len(batches))
 	c.mu.Unlock()
 	for _, b := range batches {
@@ -282,23 +293,38 @@ func (c *Capture) enqueue(batch []ref.Ref) {
 		case old := <-c.pending:
 			c.dropped.Add(uint64(len(old)))
 			c.recycleBatch(old)
+			c.settle()
 		default:
 		}
 	}
 }
 
+// settle counts one queued batch as published or dropped and wakes any
+// Flush waiting for it.
+func (c *Capture) settle() {
+	c.mu.Lock()
+	c.settled++
+	c.mu.Unlock()
+	c.settledCond.Broadcast()
+}
+
 // Flush publishes the current partial buffer synchronously (unlike the
-// background publishes Add triggers). It returns the publish error, if any.
+// background publishes Add triggers), once every batch queued before it has
+// been published or dropped, so the service applies the buffer after them,
+// in capture order. With nothing queued or in flight it publishes at once.
+// It returns the publish error, if any.
 func (c *Capture) Flush() error {
 	c.mu.Lock()
 	batch := c.buf
-	if len(batch) > 0 {
-		c.buf = c.newBatch()
-	}
-	c.mu.Unlock()
 	if len(batch) == 0 {
+		c.mu.Unlock()
 		return nil
 	}
+	c.buf = c.newBatch()
+	for target := c.queued; c.settled < target; {
+		c.settledCond.Wait()
+	}
+	c.mu.Unlock()
 	return c.publish(batch)
 }
 
@@ -315,6 +341,9 @@ func (c *Capture) Close() error {
 	c.closed = true
 	batch := c.buf
 	c.buf = nil
+	if len(batch) > 0 {
+		c.queued++
+	}
 	c.mu.Unlock()
 	close(c.done)
 	if len(batch) > 0 {
@@ -349,7 +378,9 @@ func (c *Capture) Stats() Stats {
 func (c *Capture) publisher() {
 	defer c.wg.Done()
 	for batch := range c.pending {
-		if err := c.publish(batch); err != nil && c.cfg.OnError != nil {
+		err := c.publish(batch)
+		c.settle()
+		if err != nil && c.cfg.OnError != nil {
 			c.cfg.OnError(err)
 		}
 	}
@@ -372,6 +403,7 @@ func (c *Capture) ticker() {
 			}
 			batch := c.buf
 			c.buf = c.newBatch()
+			c.queued++
 			c.enqWG.Add(1)
 			c.mu.Unlock()
 			c.enqueue(batch)
@@ -393,8 +425,8 @@ func (c *Capture) newBatch() []ref.Ref {
 }
 
 // recycleBatch returns a dead batch's capacity to the rotation sites. A full
-// spare queue (or an oddly-sized batch, e.g. Close's remainder after a
-// config change) just lets the slice go to the collector.
+// spare queue (or an undersized batch) just lets the slice go to the
+// collector.
 func (c *Capture) recycleBatch(batch []ref.Ref) {
 	if cap(batch) < c.cfg.BufferRefs {
 		return

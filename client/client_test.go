@@ -105,6 +105,61 @@ func TestCaptureAddBatchAndFlush(t *testing.T) {
 	}
 }
 
+// TestCaptureFlushKeepsCaptureOrder holds the background publish of a full
+// buffer in the server handler while two more references are captured and
+// flushed: Flush must wait for the held batch and publish after it, so the
+// service applies references in capture order.
+func TestCaptureFlushKeepsCaptureOrder(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	var mu sync.Mutex
+	var order []int // first pc of each batch, in the order the server applied them
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		refs, err := tracefile.Read(r.Body)
+		if err != nil || len(refs) == 0 {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		if refs[0].PC == 0 {
+			<-release // hold the first batch's publish
+		}
+		mu.Lock()
+		order = append(order, refs[0].PC)
+		mu.Unlock()
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+	defer once.Do(func() { close(release) })
+
+	cc, err := client.New(client.Config{
+		Server: srv.URL, Tenant: "order", Stream: 1,
+		BufferRefs: 4, FlushInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.AddBatch(testBatch(0, 4)) // a full buffer: the publisher sends it and the server holds it
+	cc.Add(100, 6400)
+	cc.Add(101, 6464)
+	flushed := make(chan error, 1)
+	go func() { flushed <- cc.Flush() }()
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned (%v) while the batch captured before it was held unpublished", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	once.Do(func() { close(release) })
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 100}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("server applied batches starting at pcs %v, want %v", order, want)
+	}
+}
+
 // TestCapturePeriodicFlush covers the timer path: a partial buffer reaches
 // the server without Flush or Close.
 func TestCapturePeriodicFlush(t *testing.T) {

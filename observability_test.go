@@ -321,8 +321,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // transient snapshot invariant: with pipelined analysis racing ingestion, a
 // sampler hammers Stats and every sample must satisfy
 // CyclesAnalyzed + AnalysesFailed <= Resets — the books may run behind
-// in-flight cycles but never ahead. After a drain the two sides must be
-// equal.
+// in-flight cycles but never ahead — and find at most one grammar per shard
+// in the analysis queue. After a drain the two sides must be equal.
 func TestStatsInvariantUnderLoad(t *testing.T) {
 	sp, err := NewShardedProfileConfig(ShardedConfig{
 		Shards:            4,
@@ -368,6 +368,12 @@ func TestStatsInvariantUnderLoad(t *testing.T) {
 			wg.Wait()
 			t.Fatalf("sample %d: CyclesAnalyzed(%d) + AnalysesFailed(%d) = %d > Resets(%d)",
 				samples, st.CyclesAnalyzed, st.AnalysesFailed, accounted, st.Resets)
+		}
+		if st.AnalysisQueueDepth > sp.NumShards() {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("sample %d: %d grammars queued for analysis, want at most one per shard (%d)",
+				samples, st.AnalysisQueueDepth, sp.NumShards())
 		}
 		samples++
 	}

@@ -166,9 +166,10 @@ func ParseBurstConfig(s string) (BurstConfig, error) {
 var ErrClosed = errors.New("hotprefetch: Add on closed ShardedProfile")
 
 // ErrFlushStalled is returned (wrapped) by ShardedProfile.Flush when a
-// shard's consumer holds its drain lock without making progress toward
-// Flush's target for five seconds (flushStallTimeout) — in practice a
-// consumer blocked on the queue of a wedged analysis pool.
+// goroutine holding a shard's drain lock makes no progress toward Flush's
+// target for five seconds (flushStallTimeout) — in practice a drain holder
+// stuck in its own cycle analysis, since nothing under the drain lock waits
+// on another goroutine.
 var ErrFlushStalled = errors.New("hotprefetch: flush stalled")
 
 // ErrAnalysisStalled is returned (wrapped) by HotStreams when the
@@ -213,12 +214,15 @@ type ShardedConfig struct {
 	MaxGrammarSymbols int
 
 	// AnalysisWorkers, when positive, pipelines grammar budget cycles: each
-	// shard keeps a pre-warmed spare grammar, and hitting MaxGrammarSymbols
-	// swaps it in and hands the full grammar to a pool of this many
+	// shard owns two grammars, and hitting MaxGrammarSymbols swaps in the
+	// pre-warmed spare and hands the full grammar to a pool of this many
 	// background analysis workers — ingestion stalls for a pointer swap
-	// instead of a full hot-stream analysis. Zero keeps cycles inline on the
-	// goroutine draining the shard: its consumer, or a Flush caller. Has no
-	// effect without a grammar budget.
+	// instead of a full hot-stream analysis. A cycle that finds the spare
+	// still out (the shard's previous analysis is queued or running)
+	// analyzes in place instead, as an inline cycle does, so ingestion never
+	// waits for the pool. Zero keeps every cycle inline on the goroutine
+	// draining the shard: its consumer, or a Flush caller. Has no effect
+	// without a grammar budget.
 	AnalysisWorkers int
 
 	// Burst, when enabled, puts the paper's bursty-sampling counter machine

@@ -782,7 +782,7 @@ func shedRecall(t *testing.T, policy IngestPolicy, trace []Ref, every int, want 
 		}
 		s.drain.Lock()
 		if n := s.pop(batch[:]); n > 0 {
-			s.apply(batch[:n], false)
+			s.apply(batch[:n])
 		}
 		s.unlockDrain()
 	}

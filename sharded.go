@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -42,11 +43,13 @@ import (
 // for monitoring.
 //
 // With AnalysisWorkers > 0, grammar-budget cycles are pipelined instead of
-// inline: the shard consumer swaps in a pre-warmed spare grammar and hands
-// the full one to a background analysis pool, so ingestion never stalls for
-// the duration of a cycle-end analysis — the paper's requirement that
-// analysis be cheap enough to run while the program executes (§2), turned
-// into an off-the-ingest-path phase transition.
+// inline: each shard owns two grammars, and a cycle whose spare is back
+// swaps it in and hands the full one to a background analysis pool, so
+// ingestion does not stall for the duration of a cycle-end analysis — the
+// paper's requirement that analysis be cheap enough to run while the
+// program executes (§2), turned into an off-the-ingest-path phase
+// transition. A cycle that finds the spare still out analyzes in place, as
+// an inline cycle does, so nothing on the ingest path waits for the pool.
 type ShardedProfile struct {
 	shards []*ProfileShard
 	cfg    ShardedConfig
@@ -60,7 +63,9 @@ type ShardedProfile struct {
 	inj fault.Injector
 
 	// analysisQ feeds full profiles to the background analysis pool; nil
-	// when AnalysisWorkers == 0 (inline cycling).
+	// when AnalysisWorkers == 0 (inline cycling). It keeps one slot per
+	// shard, and a shard has at most one grammar in it (see cycle), so no
+	// send into it blocks.
 	analysisQ   chan analysisJob
 	workersDone sync.WaitGroup
 
@@ -118,30 +123,25 @@ type ProfileShard struct {
 	q *ring.SPSC[Ref]
 
 	// drain is the consumer side of the ring: whoever holds it pops
-	// (PopBatch), compresses (apply) and cycles, and it guards p, unsent
-	// and pooled. The shard's consumer takes it whenever the ring
-	// has references; Flush takes it when it is free and drains on its own
-	// goroutine. The one blocking step under drain is the consumer's
-	// enqueue of a full grammar (cycle); Flush only ever TryLocks, so a
-	// consumer held there by a wedged analysis pool shows as a stall rather
-	// than a hang.
+	// (PopBatch), compresses (apply) and cycles, and it guards p and
+	// pooled. The shard's consumer takes it whenever the ring has
+	// references; Flush takes it when it is free and drains on its own
+	// goroutine. Nothing under drain waits on another goroutine: the
+	// longest step is a cycle's in-place analysis (cycle). Flush only ever
+	// TryLocks, so a holder stuck in its own analysis shows as a stall
+	// rather than a hang.
 	drain sync.Mutex
 	p     *Profile
-	// unsent holds, in cycle order, the full grammars a caller drain could
-	// not enqueue without waiting; the consumer sends them before its next
-	// drain (Close, if the consumers are gone). owed mirrors len(unsent) > 0
-	// for the waits that cannot take drain.
-	unsent []*Profile
-	owed   atomic.Bool
-	// pooled is set while cycles hand full grammars to the analysis pool:
-	// from construction when the pool and a grammar budget are configured
-	// until Close closes the pool, after which a drain cycles inline.
+	// pooled is set while cycles may hand full grammars to the analysis
+	// pool: from construction when the pool and a grammar budget are
+	// configured until Close closes the pool, after which a drain cycles
+	// inline.
 	pooled bool
 
-	// The consumer sleeps on work (references, an owed grammar, or Close), a
-	// Block producer on room (a pop left the ring at most half full, or
-	// Close), and a Flush that finds drain held on progress (every pop and
-	// every release of drain).
+	// The consumer sleeps on work (references or Close), a Block producer
+	// on room (a pop left the ring at most half full, or Close), and a
+	// Flush that finds drain held on progress (every pop and every release
+	// of drain).
 	work, room, progress waitq
 
 	sp  *ShardedProfile // owner; reaches the analysis pool and its stats
@@ -165,12 +165,13 @@ type ProfileShard struct {
 	// completed + failed at quiescence.
 	analysesFailed atomic.Uint64
 
-	// spare holds reset profiles for double buffering (pipelined cycling):
-	// the consumer swaps one in at a cycle instead of analyzing inline, and
-	// analysis workers return recycled profiles to it.
+	// spare double-buffers a pooled shard's grammar: it holds the shard's
+	// second grammar, reset, whenever that grammar is neither queued nor in
+	// a worker's hands. A cycle swaps it in, and the worker that analyzed
+	// the full grammar returns it here.
 	spare       chan *Profile
 	pending     atomic.Int64  // analyses queued or running for this shard
-	spareMisses atomic.Uint64 // cycles that had to allocate a fresh profile
+	spareMisses atomic.Uint64 // pooled cycles that found the spare out
 
 	closed     atomic.Bool
 	pushed     atomic.Uint64 // references accepted by Add
@@ -181,11 +182,6 @@ type ProfileShard struct {
 
 	grammarSize atomic.Uint64 // p's grammar size as of the last batch
 	peakGrammar atomic.Uint64 // high-water mark of the grammar size
-
-	// maxCycleStallNanos is the longest a grammar-budget cycle has blocked
-	// this shard's ingest path: the whole analysis when cycling inline, just
-	// the grammar swap and enqueue when pipelined.
-	maxCycleStallNanos atomic.Uint64
 
 	// Producer-local Sample state: guarded by the single-producer contract,
 	// never touched by the consumer.
@@ -265,10 +261,7 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 	cfg = cfg.withDefaults()
 	sp := &ShardedProfile{shards: make([]*ProfileShard, cfg.Shards), cfg: cfg, clk: realClock{}, obs: obs.New()}
 	if cfg.AnalysisWorkers > 0 {
-		// Queue capacity of two jobs per shard: a shard can have at most one
-		// analysis in flight per spare it can draw, and the spare channel
-		// holds two, so enqueues block only when the pool is badly behind.
-		sp.analysisQ = make(chan analysisJob, 2*cfg.Shards)
+		sp.analysisQ = make(chan analysisJob, cfg.Shards)
 	}
 	for i := range sp.shards {
 		s := &ProfileShard{
@@ -287,9 +280,9 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			s.burst = &burstGate{ctl: burst.New(cfg.Burst.controllerConfig())}
 		}
 		if cfg.AnalysisWorkers > 0 && cfg.MaxGrammarSymbols > 0 {
-			// Pre-warm one spare so the first phase transition is a pure
-			// pointer swap.
-			s.spare = make(chan *Profile, 2)
+			// The shard's second grammar, pre-warmed so the first phase
+			// transition is a pure pointer swap.
+			s.spare = make(chan *Profile, 1)
 			s.spare <- sp.newProfile()
 			s.pooled = true
 		}
@@ -344,19 +337,12 @@ func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, ok bool) {
 	return p.HotStreams(s.cycleCfg), true
 }
 
-// recycle resets a detached profile and offers it back as a spare.
-func (s *ProfileShard) recycle(p *Profile) {
-	p.Reset()
-	select {
-	case s.spare <- p:
-	default: // spare buffer full; let the profile go
-	}
-}
-
 // runAnalysis executes one background analysis job end to end: the cycle's
-// analysis (analyzeCycle), then profile recycling. It always completes the
-// job (pending is decremented on every path), which is the liveness
-// contract drainAnalyses and Close rely on.
+// analysis (analyzeCycle), then the grammar's reset and return as the
+// shard's spare, a send that cannot block because the spare is the one
+// grammar the shard is not ingesting into. It always completes the job
+// (pending is decremented on every path), which is the liveness contract
+// drainAnalyses and Close rely on.
 func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 	s := job.shard
 	// Last on every path: drainAnalyses readers must see the retained
@@ -366,7 +352,8 @@ func (sp *ShardedProfile) runAnalysis(job analysisJob) {
 		sp.retired.notify()
 	}()
 	s.analyzeCycle(job.p, sp.clk.Now())
-	s.recycle(job.p)
+	job.p.Reset()
+	s.spare <- job.p
 }
 
 // analyzeCycle is the one cycle-end analysis path, inline and pooled: the
@@ -462,43 +449,26 @@ func (s *ProfileShard) consume() {
 		func(context.Context) { s.consumeLoop() })
 }
 
-// consumeLoop drains the ring whenever it has references or a grammar is
-// owed, and sleeps on work otherwise, so an idle shard costs no CPU. Once
-// the profile closes it drains what raced in before the close and exits.
+// consumeLoop drains the ring whenever it has references, and sleeps on
+// work otherwise, so an idle shard costs no CPU. Once the profile closes it
+// drains what raced in before the close and exits.
 func (s *ProfileShard) consumeLoop() {
 	for {
-		s.drainRing()
-		s.work.wait(func() bool {
-			return s.q.Len() > 0 || s.owed.Load() || s.closed.Load()
-		}, nil, time.Time{})
-		if s.closed.Load() {
-			s.drainRing()
+		closed := s.closed.Load()
+		s.drain.Lock()
+		s.drainTo(math.MaxUint64)
+		s.unlockDrain()
+		if closed {
 			return
 		}
+		s.work.wait(func() bool { return s.q.Len() > 0 || s.closed.Load() }, nil, time.Time{})
 	}
 }
 
-// drainBatch is how many references a drain pops and compresses at a time.
-// Both drains use it, so the batches the prepass sees, and with them the
-// grammar, do not depend on which goroutine drained.
+// drainBatch is how many references a drain pops and compresses at a time,
+// on whichever goroutine drains, so the batches the prepass sees, and with
+// them the grammar, do not depend on which goroutine drained.
 const drainBatch = 256
-
-// drainRing is the consumer's drain: the grammars a caller drain left
-// unsent, then every reference in the ring, waiting for room in the
-// analysis queue whenever a cycle needs it.
-func (s *ProfileShard) drainRing() {
-	var batch [drainBatch]Ref
-	s.drain.Lock()
-	defer s.unlockDrain()
-	s.sendUnsent()
-	for {
-		n := s.pop(batch[:])
-		if n == 0 {
-			return
-		}
-		s.apply(batch[:n], true)
-	}
-}
 
 // pop takes up to len(batch) references off the ring, under drain, and
 // notifies progress, and room once the ring is at most half full: the drain
@@ -520,17 +490,13 @@ func (s *ProfileShard) unlockDrain() {
 	s.progress.notify()
 }
 
-// drainTo is Flush's drain on its own goroutine, under drain: it compresses
-// references, drainBatch at a time, until the shard has consumed target. It
-// never waits for the analysis pool: while a cycle's grammar is owed
-// (enqueue), it notifies the consumer to send it and drains nothing.
+// drainTo is the one drain, under drain: it compresses references,
+// drainBatch at a time, until the ring is empty or the shard has consumed
+// target. The consumer drains with no target (math.MaxUint64), Flush up to
+// its own.
 func (s *ProfileShard) drainTo(target uint64) {
 	var batch [drainBatch]Ref
 	for {
-		if s.owed.Load() {
-			s.work.notify()
-			return
-		}
 		c := s.consumed.Load()
 		if c >= target {
 			return
@@ -539,19 +505,8 @@ func (s *ProfileShard) drainTo(target uint64) {
 		if n == 0 {
 			return
 		}
-		s.apply(batch[:n], false)
+		s.apply(batch[:n])
 	}
-}
-
-// sendUnsent enqueues the grammars a caller drain left unsent, in cycle
-// order, waiting for room in the analysis queue. Call under drain.
-func (s *ProfileShard) sendUnsent() {
-	for _, p := range s.unsent {
-		s.sp.analysisQ <- analysisJob{shard: s, p: p}
-	}
-	clear(s.unsent)
-	s.unsent = s.unsent[:0]
-	s.owed.Store(false)
 }
 
 // compressLatencyMinBatch gates per-batch CompressLatency observation:
@@ -576,9 +531,8 @@ func (s *ProfileShard) addChunk(chunk []Ref) {
 }
 
 // apply compresses one popped batch into the shard's grammar, cycling at
-// the grammar budget; wait is false on a caller drain (see enqueue). Call
-// under drain.
-func (s *ProfileShard) apply(refs []Ref, wait bool) {
+// the grammar budget. Call under drain.
+func (s *ProfileShard) apply(refs []Ref) {
 	n := len(refs)
 	observe := n >= compressLatencyMinBatch
 	var start time.Time
@@ -617,7 +571,7 @@ func (s *ProfileShard) apply(refs []Ref, wait bool) {
 				if sz > peak {
 					peak = sz
 				}
-				s.cycle(wait)
+				s.cycle()
 				sz = s.p.GrammarSize()
 			}
 			k := s.maxSymbols - sz
@@ -647,82 +601,52 @@ func (s *ProfileShard) apply(refs []Ref, wait bool) {
 	}
 }
 
-// cycle ends the current profiling phase when the grammar hits its budget.
-// Runs under drain, which guards s.p.
+// cycle ends the current profiling phase when the grammar hits its budget,
+// on the goroutine that holds drain (which guards s.p), and records how long
+// it blocked the ingest path in the IngestStall histogram. It never waits
+// on another goroutine.
 //
-// Pipelined (AnalysisWorkers > 0): swap in a pre-warmed spare grammar and
-// hand the full one to the background analysis pool — the ingest path stalls
-// for a pointer exchange and a channel send, not for the analysis itself.
-// Inline (no pool, or the pool closed): extract hot streams, bank them, and
-// recycle the grammar before returning, stalling ingestion for the whole
-// analysis (the paper §5's cycle-end deallocation, run synchronously).
-// In both modes the shard's reset is counted before the cycle's analysis
-// can reach a terminal state (analyzed or failed), so a Stats snapshot
-// taken mid-cycle never sees the terminal counters ahead of Resets — the
-// snapshot invariant documented on Stats.
-func (s *ProfileShard) cycle(wait bool) {
+// Handed off (pooled, and the spare is back): swap the spare in and queue
+// the full grammar for the background analysis pool — the ingest path
+// stalls for a pointer exchange and a channel send, not for the analysis
+// itself. The send cannot block: a pooled shard owns exactly two grammars,
+// so while the spare is back neither is queued, and the queue keeps one
+// slot per shard.
+//
+// In place (no pool, the pool closed, or the spare still out because the
+// shard's previous analysis is queued or running): extract hot streams,
+// bank them, and reset the grammar before returning, stalling ingestion
+// for the whole analysis (the paper §5's cycle-end deallocation, run
+// synchronously). With one worker, an in-place cycle can bank before the
+// pooled cycle ahead of it; with more, pooled cycles already bank in
+// completion order.
+//
+// Either way the shard's reset is counted before the cycle's analysis can
+// reach a terminal state (analyzed or failed) — once the job is queued, a
+// worker may finish it at any moment — so a Stats snapshot taken mid-cycle
+// never sees the terminal counters ahead of Resets: the snapshot invariant
+// documented on Stats.
+func (s *ProfileShard) cycle() {
 	start := s.sp.clk.Now()
 	s.sp.obs.Emit(obs.KindCycleStart, s.idx, uint64(s.p.GrammarSize()))
+	s.resets.Add(1)
+	var next *Profile
 	if s.pooled {
-		full := s.p
-		var next *Profile
 		select {
 		case next = <-s.spare:
 		default:
-			// Both spares are still in the pool (analysis running behind);
-			// allocate rather than stall ingestion waiting for one.
-			next = s.sp.newProfile()
 			s.spareMisses.Add(1)
 		}
-		s.p = next
+	}
+	if next != nil {
 		s.pending.Add(1)
-		// Count the reset before the job is visible to a worker: once the
-		// send lands, the analysis may complete at any moment, and its
-		// terminal counter must never be observable ahead of this one.
-		s.resets.Add(1)
-		s.enqueue(full, wait)
-		s.noteCycleStall(s.sp.clk.Now().Sub(start))
-		return
+		s.sp.analysisQ <- analysisJob{shard: s, p: s.p}
+		s.p = next
+	} else {
+		s.analyzeCycle(s.p, start)
+		s.p.Reset()
 	}
-	// Inline: the drain owns s.p throughout, so the analysis runs here on
-	// the pool's path.
-	s.resets.Add(1)
-	s.analyzeCycle(s.p, start)
-	s.p.Reset()
-	s.noteCycleStall(s.sp.clk.Now().Sub(start))
-}
-
-// enqueue hands a full grammar to the analysis pool in cycle order. The
-// consumer (wait) blocks while the queue is full; a caller drain never
-// does: it sends only into free room, and once it has left one grammar
-// unsent, every later one of its cycles waits in unsent behind it.
-func (s *ProfileShard) enqueue(p *Profile, wait bool) {
-	if !wait {
-		if len(s.unsent) == 0 {
-			select {
-			case s.sp.analysisQ <- analysisJob{shard: s, p: p}:
-				return
-			default:
-			}
-		}
-		s.unsent = append(s.unsent, p)
-		s.owed.Store(true)
-		return
-	}
-	s.sp.analysisQ <- analysisJob{shard: s, p: p}
-}
-
-// noteCycleStall records how long one cycle blocked the ingest path: the
-// per-shard max the benchmarks report, and the service-wide stall
-// distribution.
-func (s *ProfileShard) noteCycleStall(d time.Duration) {
-	s.sp.obs.IngestStall.ObserveDuration(d)
-	for {
-		cur := s.maxCycleStallNanos.Load()
-		if uint64(d) <= cur || s.maxCycleStallNanos.CompareAndSwap(cur, uint64(d)) {
-			return
-		}
-	}
+	s.sp.obs.IngestStall.ObserveDuration(s.sp.clk.Now().Sub(start))
 }
 
 // tryPushBatch pushes a run of references, treating the ring as full when
@@ -1018,13 +942,13 @@ func (sp *ShardedProfile) Shard(i int) *ProfileShard { return sp.shards[i] }
 //
 // Whenever a shard's drain lock is free, Flush takes it and drains up to its
 // target on the calling goroutine, so it needs no running consumer and
-// never waits for one to run; it never waits for the analysis pool either
-// (a cycle that finds the analysis queue full is left to the consumer).
-// While the consumer holds the lock, or owes the pool a grammar Flush's
-// drain left it, Flush sleeps until the consumer makes progress. If it
-// makes none toward the target for flushStallTimeout — a consumer held by
-// a wedged analysis pool — Flush gives up with an error wrapping
-// ErrFlushStalled instead of waiting forever.
+// never waits for one to run; nor does it wait for the analysis pool,
+// because no cycle does (a cycle whose spare is out analyzes in place, on
+// whichever goroutine drains). While another goroutine holds the lock,
+// Flush sleeps until that holder makes progress. If it makes none toward
+// the target for flushStallTimeout — a holder stuck in its own cycle
+// analysis — Flush gives up with an error wrapping ErrFlushStalled instead
+// of waiting forever.
 func (sp *ShardedProfile) Flush() error {
 	start := sp.clk.Now()
 	defer func() { sp.obs.FlushLatency.ObserveDuration(sp.clk.Now().Sub(start)) }()
@@ -1034,13 +958,13 @@ func (sp *ShardedProfile) Flush() error {
 		for last < target {
 			held := false
 			if !s.progress.wait(func() bool {
-				held = !s.owed.Load() && s.drain.TryLock()
+				held = s.drain.TryLock()
 				return held || s.consumed.Load() != last
 			}, sp.clk, lastProgress.Add(flushStallTimeout)) {
 				return fmt.Errorf("shard %d drain stalled at %d/%d references for %v "+
 					"(quiescence contract: Flush only completes the references accepted "+
-					"before it was called; the shard's consumer held its drain without "+
-					"progress): %w",
+					"before it was called; the shard's drain holder, stuck in its own "+
+					"cycle analysis, made no progress): %w",
 					i, last, target, flushStallTimeout, ErrFlushStalled)
 			}
 			if held {
@@ -1075,12 +999,11 @@ func (sp *ShardedProfile) Close() {
 	// Consumers are joined; close the analysis queue and wait for the pool
 	// to finish banking in-flight cycles. Readers after Close see complete
 	// retained sets. A Flush may still drain what a producer racing Close
-	// pushed, so each shard first sends what a caller drain left unsent and
-	// switches to inline cycles, under its drain lock.
+	// pushed, so each shard first switches to inline cycles, under its
+	// drain lock.
 	if sp.analysisQ != nil {
 		for _, s := range sp.shards {
 			s.drain.Lock()
-			s.sendUnsent()
 			s.pooled = false
 			s.unlockDrain()
 		}
@@ -1102,7 +1025,7 @@ func (sp *ShardedProfile) Close() {
 // shard to be found — route whole logical traces to single shards to keep
 // this faithful. Producers should be quiescent, as for Flush.
 //
-// If a shard's consumer stalls (ErrFlushStalled) or the background analysis
+// If a shard's drain stalls (ErrFlushStalled) or the background analysis
 // pool stops progressing (ErrAnalysisStalled), HotStreams still merges and
 // returns what it can see, together with the non-nil error — a partial
 // merge is never silently presented as complete.

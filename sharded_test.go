@@ -488,43 +488,44 @@ func TestShardedNoLostWakeups(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestFlushLeavesFullQueueToConsumer drives Flush's drain into a full
-// analysis queue with no worker and no consumer running: Flush must not
-// wait on the queue, so it stops draining and reports the stall, leaving
-// the cycle's grammar unsent. Once the worker and the consumer start, the
-// consumer sends that grammar first and drains the rest; no cycle is lost.
-func TestFlushLeavesFullQueueToConsumer(t *testing.T) {
+// TestFlushCyclesInPlaceWhileSpareIsOut drains several grammar cycles on
+// Flush's goroutine with neither the worker nor the consumer running: the
+// first cycle queues its grammar for the pool, and every later one, finding
+// the spare out, analyzes in place, so Flush never waits on the pool. Once
+// the worker runs, the queued cycle is analyzed too.
+func TestFlushCyclesInPlaceWhileSpareIsOut(t *testing.T) {
+	cfg := AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1}
 	sp := newShardedProfile(ShardedConfig{
 		Shards:            1,
 		MaxGrammarSymbols: 64,
 		AnalysisWorkers:   1,
-		cycleAnalysis:     AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1},
+		cycleAnalysis:     cfg,
 	}) // neither the consumer nor the worker is started yet
-	clk := newFakeClock()
-	sp.clk = clk
-	s := sp.Shard(0)
-	if err := s.AddAll(shardTrace(1, 300)); err != nil {
+	if err := sp.Shard(0).AddAll(shardTrace(1, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if err := verdictAt(t, clk, flushStallTimeout, sp.Flush); !errors.Is(err, ErrFlushStalled) {
-		t.Fatalf("Flush into a full analysis queue = %v, want ErrFlushStalled", err)
-	}
-	if len(s.unsent) == 0 || len(sp.analysisQ) != cap(sp.analysisQ) {
-		t.Fatalf("unsent=%d queued=%d/%d; want a full queue and an unsent grammar",
-			len(s.unsent), len(sp.analysisQ), cap(sp.analysisQ))
-	}
-	sp.workersDone.Add(1)
-	go sp.analysisWorker()
-	go s.consume()
 	if err := sp.Flush(); err != nil {
-		t.Fatalf("Flush once the consumer runs: %v", err)
+		t.Fatalf("Flush with the pool stopped: %v", err)
 	}
-	sp.Close()
 	st := sp.Stats()
+	if st.Consumed != st.Pushed || st.Resets < 3 {
+		t.Fatalf("consumed %d/%d references in %d cycles; want every reference and several cycles",
+			st.Consumed, st.Pushed, st.Resets)
+	}
+	ss := st.Shards[0]
+	if st.AnalysisQueueDepth != 1 || ss.PendingAnalyses != 1 ||
+		ss.SpareMisses != st.Resets-1 || st.CyclesAnalyzed != st.Resets-1 {
+		t.Fatalf("queued=%d pending=%d spare misses=%d analyzed=%d of %d cycles; "+
+			"want the first cycle queued and the rest analyzed in place",
+			st.AnalysisQueueDepth, ss.PendingAnalyses, ss.SpareMisses, st.CyclesAnalyzed, st.Resets)
+	}
+	sp.start()
+	hotStreams(t, sp, cfg)
+	sp.Close()
+	st = sp.Stats()
 	checkCycleInvariant(t, st)
-	if st.Consumed != st.Pushed || st.CyclesAnalyzed != st.Resets {
-		t.Errorf("consumed %d/%d, analyzed %d/%d cycles; want every reference and cycle",
-			st.Consumed, st.Pushed, st.CyclesAnalyzed, st.Resets)
+	if st.CyclesAnalyzed != st.Resets {
+		t.Errorf("analyzed %d of %d cycles once the worker ran", st.CyclesAnalyzed, st.Resets)
 	}
 }
 

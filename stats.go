@@ -63,16 +63,15 @@ type ShardStats struct {
 	RingCap int `json:"ring_cap"`
 
 	// PendingAnalyses counts this shard's cycles queued or running in the
-	// background analysis pool; SpareMisses counts cycles that had to
-	// allocate a fresh grammar because both spares were still being
-	// recycled. Zero when cycling is inline (AnalysisWorkers == 0).
+	// background analysis pool: one at most, since a shard hands a cycle to
+	// the pool only while its spare is back, but for the instant between a
+	// worker returning the spare and retiring its job. SpareMisses counts
+	// pooled cycles that found the spare still out, because the shard's
+	// previous analysis was queued or running, and so analyzed in place on
+	// the goroutine draining the shard. Both are zero when cycling is
+	// inline (AnalysisWorkers == 0).
 	PendingAnalyses int64  `json:"pending_analyses"`
 	SpareMisses     uint64 `json:"spare_misses"`
-
-	// MaxCycleStall is the longest a grammar-budget cycle has blocked this
-	// shard's ingest path: the whole analysis when cycling inline, just the
-	// grammar swap when pipelined.
-	MaxCycleStall time.Duration `json:"max_cycle_stall_ns"`
 
 	// AnalysesFailed counts cycle-end analyses that panicked. At quiescence
 	// Resets == CyclesAnalyzed + AnalysesFailed.
@@ -108,8 +107,9 @@ type Stats struct {
 
 	// Pipeline counters (all zero when AnalysisWorkers == 0 and no budget
 	// cycles have run): AnalysisQueueDepth is the number of full grammars
-	// waiting for a background worker right now; CyclesAnalyzed counts
-	// cycle-end analyses completed (inline or background).
+	// waiting for a background worker right now, at most one per shard;
+	// CyclesAnalyzed counts cycle-end analyses completed (inline or
+	// background).
 	//
 	// At every snapshot — not just at quiescence —
 	// CyclesAnalyzed + AnalysesFailed <= Resets: a cycle's reset is counted
@@ -147,8 +147,9 @@ type Stats struct {
 	// front end is on, as it is for every Service tenant.
 	PrepassCollapse HistogramSnapshot `json:"prepass_collapse"`
 
-	// MaxCycleStall is the worst per-shard ingest stall charged to a grammar
-	// cycle (max over shards of ShardStats.MaxCycleStall).
+	// MaxCycleStall is the worst ingest stall charged to a grammar cycle on
+	// any shard: IngestStall's Max. A handed-off cycle stalls for a grammar
+	// swap, an in-place one for its whole analysis.
 	MaxCycleStall time.Duration `json:"max_cycle_stall_ns"`
 
 	// AnalysesFailed totals the cycle-end analyses that panicked, across
@@ -212,6 +213,7 @@ func (sp *ShardedProfile) Stats() Stats {
 		BurstDuty:       sp.obs.BurstDuty.Snapshot(),
 		PrepassCollapse: sp.obs.PrepassCollapse.Snapshot(),
 	}
+	st.MaxCycleStall = st.IngestStall.MaxDuration()
 	if sp.analysisQ != nil {
 		st.AnalysisQueueDepth = len(sp.analysisQ)
 	}
@@ -235,7 +237,6 @@ func (sp *ShardedProfile) Stats() Stats {
 			RingCap:         s.q.Cap(),
 			PendingAnalyses: s.pending.Load(),
 			SpareMisses:     s.spareMisses.Load(),
-			MaxCycleStall:   time.Duration(s.maxCycleStallNanos.Load()),
 			AnalysesFailed:  failed,
 			BurstShed:       s.burstShed.Load(),
 			QuotaShed:       s.quotaShed.Load(),
@@ -257,9 +258,6 @@ func (sp *ShardedProfile) Stats() Stats {
 		st.Resets += ss.Resets
 		st.GrammarSize += ss.GrammarSize
 		st.AnalysesFailed += ss.AnalysesFailed
-		if ss.MaxCycleStall > st.MaxCycleStall {
-			st.MaxCycleStall = ss.MaxCycleStall
-		}
 	}
 	sp.baseMu.Lock()
 	if sp.baseRestored {
