@@ -45,7 +45,7 @@ func coreTrace(n int) []Ref {
 // matcher benchmarks.
 func coreStreams(tb testing.TB) []Stream {
 	p := NewProfile()
-	p.AddAll(coreTrace(100000))
+	p.AddBatch(coreTrace(100000))
 	streams := p.HotStreams(DefaultAnalysisConfig())
 	if len(streams) == 0 {
 		tb.Fatal("no hot streams in benchmark trace")
@@ -59,7 +59,7 @@ func BenchmarkProfileAdd(b *testing.B) {
 	trace := coreTrace(1 << 16)
 	p := NewProfile()
 	// Warm up so the arena, digram table, and interner reach steady state.
-	p.AddAll(trace)
+	p.AddBatch(trace)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -127,15 +127,13 @@ func BenchmarkMatcherObserve(b *testing.B) {
 
 // BenchmarkConcurrentMatcherObserve measures one observed reference through
 // the production detection path: the default DFSM behind a
-// ConcurrentMatcher with accuracy tracking on, as Supervise runs it. The
-// delta over BenchmarkMatcherObserve is the step lock and the accuracy
-// ledger.
+// ConcurrentMatcher, whose accuracy ledger Supervise reads. The delta over
+// BenchmarkMatcherObserve is the step lock and the accuracy ledger.
 func BenchmarkConcurrentMatcherObserve(b *testing.B) {
 	cm, err := NewConcurrentMatcher(coreStreams(b), 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cm.EnableAccuracyTracking(0)
 	trace := coreTrace(1 << 14)
 	b.ReportAllocs()
 	b.ResetTimer()

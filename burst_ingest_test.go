@@ -120,7 +120,7 @@ func TestBurstBatchMatchesAdd(t *testing.T) {
 		}
 	}
 	oracle := NewProfile()
-	oracle.AddAll(admitted)
+	oracle.AddBatch(admitted)
 	wantPushed, wantShed := uint64(len(admitted)), uint64(len(trace)-len(admitted))
 	if wantPushed == 0 || wantShed == 0 {
 		t.Fatalf("degenerate oracle: pushed %d, shed %d", wantPushed, wantShed)

@@ -243,7 +243,7 @@ func TestChaosAnalysisResumesAfterPanics(t *testing.T) {
 	trace := chaosTrace(1, 4096)
 	var st Stats
 	for st.Resets <= panics {
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
@@ -285,7 +285,7 @@ func TestChaosCloseRacesAnalysis(t *testing.T) {
 			defer wg.Done()
 			trace := chaosTrace(i+1, 50_000)
 			for {
-				if err := sp.Shard(i).AddAll(trace); err != nil {
+				if err := sp.Shard(i).AddBatch(trace); err != nil {
 					return // ErrClosed: the race landed
 				}
 			}
@@ -361,7 +361,6 @@ func TestConcurrentSwapsSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm.EnableAccuracyTracking(0)
 
 	stop := make(chan struct{})
 	var obs sync.WaitGroup

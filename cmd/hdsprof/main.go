@@ -350,7 +350,6 @@ func replayPredictors(names []string, streams []hotprefetch.Stream, raw []hotpre
 		if err != nil {
 			log.Fatal(err)
 		}
-		cm.EnableAccuracyTracking(0)
 		var comparisons uint64
 		for _, r := range raw {
 			_, cmp := cm.Observe(r)

@@ -44,8 +44,7 @@ type ConcurrentMatcher struct {
 	buildMu sync.Mutex
 
 	// ledger accounts prefetch accuracy across every predictor this matcher
-	// publishes (see EnableAccuracyTracking); nil until tracking is enabled.
-	// Guarded by mu.
+	// publishes (see AccuracyBooks), from construction on. Guarded by mu.
 	ledger *ledger
 
 	// obs, when set (see SetObserver), receives a KindMatcherSwap event for
@@ -84,10 +83,10 @@ type predEntry struct {
 // set). Coalesced, evicted and retired addresses together are dropped, so
 // issued == hits + outstanding + dropped.
 //
-// The outstanding set is a flat open-addressed table allocated once, at
-// EnableAccuracyTracking: Observe probes it on every reference and inserts
-// into it on every issued prefetch, so it sits on the detection path and
-// must neither allocate nor rehash. A slot holds the FIFO index, plus one,
+// The outstanding set is a flat open-addressed table allocated once, with
+// the matcher: Observe probes it on every reference and inserts into it on
+// every issued prefetch, so it sits on the detection path and must neither
+// allocate nor rehash. A slot holds the FIFO index, plus one,
 // of an outstanding address's newest issue, and a probe compares addresses
 // through the FIFO; zero marks an empty slot. Every outstanding address
 // holds its own FIFO slot, so the set never holds more than window
@@ -108,6 +107,11 @@ type ledger struct {
 	hits    uint64
 	dropped uint64
 }
+
+// ledgerWindow bounds the outstanding-address set of every ConcurrentMatcher:
+// the FIFO holds 4096 addresses (32 KiB) and the outstanding set 8192
+// four-byte slots (32 KiB).
+const ledgerWindow = 4096
 
 func newLedger(window int) *ledger {
 	size, shift := 2, uint(63)
@@ -235,7 +239,7 @@ func NewConcurrentPredictor(name string, streams []Stream, headLen int) (*Concur
 	if err != nil {
 		return nil, err
 	}
-	c := &ConcurrentMatcher{headLen: headLen}
+	c := &ConcurrentMatcher{headLen: headLen, ledger: newLedger(ledgerWindow)}
 	c.cur.Store(&predEntry{name: name, p: p, streams: len(streams)})
 	return c, nil
 }
@@ -250,9 +254,7 @@ func NewConcurrentPredictor(name string, streams []Stream, headLen int) (*Concur
 func (c *ConcurrentMatcher) Observe(r Ref) (prefetch []uint64, comparisons int) {
 	c.mu.Lock()
 	prefetch, comparisons = c.cur.Load().p.Observe(r)
-	if c.ledger != nil {
-		c.ledger.observeThenIssue(r.Addr, prefetch)
-	}
+	c.ledger.observeThenIssue(r.Addr, prefetch)
 	c.observed++
 	c.mu.Unlock()
 	return prefetch, comparisons
@@ -280,9 +282,7 @@ func (c *ConcurrentMatcher) Swap(streams []Stream) error {
 		return err
 	}
 	c.mu.Lock()
-	if c.ledger != nil {
-		c.ledger.retireOutstanding()
-	}
+	c.ledger.retireOutstanding()
 	c.cur.Store(&predEntry{name: name, p: p, streams: len(streams)})
 	c.mu.Unlock()
 	c.swaps.Add(1)
@@ -298,33 +298,12 @@ func (c *ConcurrentMatcher) Swap(streams []Stream) error {
 // implementation.
 func (c *ConcurrentMatcher) Predictor() string { return c.cur.Load().name }
 
-// EnableAccuracyTracking turns on prefetch accuracy accounting: every
-// address Observe returns counts as issued, and an issued address observed
-// by a later Observe counts as a hit — the paper's Table 2 accuracy metric
-// (useful prefetches over prefetches issued), measured online. window
-// bounds the outstanding-address set (<= 0 means 4096); addresses evicted
-// by newer prefetches never count as hits. Tracking is off by default,
-// leaving Observe's hot path untouched. The ledger's tables are allocated
-// here, once: the FIFO window and an outstanding set of twice the window
-// rounded up to a power of two (8192 four-byte slots, 32 KiB, at the
-// default); a window above 1<<30 is clamped to it. Once on it stays on: a
-// repeated call keeps the ledger as it is, window included, so the
-// cumulative counters never move backwards.
-func (c *ConcurrentMatcher) EnableAccuracyTracking(window int) {
-	if window <= 0 {
-		window = 4096
-	}
-	window = min(window, 1<<30)
-	c.mu.Lock()
-	if c.ledger == nil {
-		c.ledger = newLedger(window)
-	}
-	c.mu.Unlock()
-}
-
 // AccuracyCounters returns the cumulative prefetch addresses issued and hit
-// across all predictors this matcher has published (swaps included). Both
-// are zero until EnableAccuracyTracking.
+// across all predictors this matcher has published (swaps included): every
+// address Observe returns counts as issued, and an issued address observed
+// by a later Observe before the 4096-address window evicts it counts as a
+// hit: the paper's Table 2 accuracy metric (useful prefetches over
+// prefetches issued), measured online.
 func (c *ConcurrentMatcher) AccuracyCounters() (issued, hits uint64) {
 	issued, hits, _, _ = c.AccuracyBooks()
 	return issued, hits
@@ -335,15 +314,11 @@ func (c *ConcurrentMatcher) AccuracyCounters() (issued, hits uint64) {
 // subset dropped unobserved (window evictions, issues coalesced with an
 // already-outstanding copy, and the outstanding window retired by each
 // Swap). The books balance exactly at every read:
-// issued == hits + outstanding + dropped. All zero until
-// EnableAccuracyTracking.
+// issued == hits + outstanding + dropped.
 func (c *ConcurrentMatcher) AccuracyBooks() (issued, hits, outstanding, dropped uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	l := c.ledger
-	if l == nil {
-		return 0, 0, 0, 0
-	}
 	return l.issued, l.hits, uint64(l.n), l.dropped
 }
 

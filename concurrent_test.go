@@ -7,7 +7,7 @@ import "testing"
 func ledgerStreams(t *testing.T, trace []Ref) []Stream {
 	t.Helper()
 	p := NewProfile()
-	p.AddAll(trace)
+	p.AddBatch(trace)
 	streams := p.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1})
 	if len(streams) == 0 {
 		t.Fatal("no hot streams to match")
@@ -15,30 +15,45 @@ func ledgerStreams(t *testing.T, trace []Ref) []Stream {
 	return streams
 }
 
-// TestConcurrentMatcherReenableKeepsCounters pins the ledger's continuity
-// across a repeated EnableAccuracyTracking — what a second Supervise over
-// the same matcher does. The cumulative counters feed the
+// TestSecondSuperviseKeepsBooks pins the ledger's continuity across a
+// second Supervise over the same matcher. The cumulative counters feed the
 // hotprefetch_prefetches_*_total series and the supervisor's uint64 window
 // deltas, so rewinding them would run a Prometheus counter backwards and
 // wrap a delta.
-func TestConcurrentMatcherReenableKeepsCounters(t *testing.T) {
+func TestSecondSuperviseKeepsBooks(t *testing.T) {
 	trace := shardTrace(2, 300)
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, MaxGrammarSymbols: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
 	cm, err := NewConcurrentMatcher(ledgerStreams(t, trace), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm.EnableAccuracyTracking(0)
+	sup1, err := Supervise(sp, cm, SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	observeAll(cm, trace)
 	issued, hits := cm.AccuracyCounters()
 	if issued == 0 || hits == 0 {
 		t.Fatalf("counters issued=%d hits=%d, want both > 0", issued, hits)
 	}
+	sup1.Close()
 
-	cm.EnableAccuracyTracking(0)
-	cm.EnableAccuracyTracking(64)
+	sup2, err := Supervise(sp, cm, SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup2.Close()
 	if gotIssued, gotHits := cm.AccuracyCounters(); gotIssued != issued || gotHits != hits {
-		t.Fatalf("re-enabling moved the counters from (%d, %d) to (%d, %d)",
+		t.Fatalf("a second Supervise moved the counters from (%d, %d) to (%d, %d)",
 			issued, hits, gotIssued, gotHits)
+	}
+	if snap := sup2.Snapshot(); snap.PrefetchesIssued != issued || snap.PrefetchesHit != hits {
+		t.Fatalf("second supervisor reports (%d, %d), want the matcher's (%d, %d)",
+			snap.PrefetchesIssued, snap.PrefetchesHit, issued, hits)
 	}
 	observeAll(cm, trace)
 	if moreIssued, moreHits := cm.AccuracyCounters(); moreIssued <= issued || moreHits <= hits {
@@ -57,7 +72,6 @@ func TestConcurrentMatcherSwapRetiresOutstanding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm.EnableAccuracyTracking(0)
 	// Stop right after a prefetch fires, so addresses are outstanding.
 	cut := -1
 	for i, r := range trace {

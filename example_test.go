@@ -21,7 +21,7 @@ func ExampleProfile() {
 	profile := hotprefetch.NewProfile()
 	walk := traversal(100, 0x8000, 12)
 	for lap := 0; lap < 30; lap++ {
-		profile.AddAll(walk)
+		profile.AddBatch(walk)
 		profile.Add(hotprefetch.Ref{PC: 999, Addr: uint64(0xF0000 + lap*4096)}) // noise
 	}
 
@@ -42,7 +42,7 @@ func ExampleMatcher() {
 	profile := hotprefetch.NewProfile()
 	walk := traversal(100, 0x8000, 12)
 	for lap := 0; lap < 30; lap++ {
-		profile.AddAll(walk)
+		profile.AddBatch(walk)
 		profile.Add(hotprefetch.Ref{PC: 999, Addr: uint64(0xF0000 + lap*4096)}) // noise
 	}
 	streams := profile.HotStreams(hotprefetch.AnalysisConfig{

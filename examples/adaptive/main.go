@@ -47,7 +47,7 @@ func main() {
 
 	// Static scheme: profile window 0, prefetch those streams forever.
 	static := hotprefetch.NewProfile()
-	static.AddAll(windows[0])
+	static.AddBatch(windows[0])
 	staticStreams := static.HotStreams(cfg)
 
 	fmt.Println("window  phase  static-useful  adaptive-useful  adaptive-streams")
@@ -60,7 +60,7 @@ func main() {
 		// Adaptive scheme: re-profile this window (the awake phase), then
 		// match over it (the hibernation).
 		adaptiveProfile := hotprefetch.NewProfile()
-		adaptiveProfile.AddAll(trace)
+		adaptiveProfile.AddBatch(trace)
 		adaptiveStreams := adaptiveProfile.HotStreams(cfg)
 
 		fmt.Printf("%-7d %-6s %-14d %-16d %d\n",
@@ -121,7 +121,7 @@ func supervised(windows [][]hotprefetch.Ref) {
 		}
 		svc.Flush()
 		// One supervision window per program window. Poll twice so a phase
-		// shift can both strike the stale matcher and, once hibernated,
+		// shift can both strike the stale matcher and, once deoptimized,
 		// re-optimize within the same program window.
 		sup.Poll()
 		sup.Poll()
@@ -130,7 +130,7 @@ func supervised(windows [][]hotprefetch.Ref) {
 			w, phase, snap.State, snap.Accuracy, snap.Deoptimizations, snap.Reoptimizations)
 	}
 	fmt.Println("\nthe supervisor noticed the phase boundary by itself: accuracy fell,")
-	fmt.Println("it hibernated the stale matcher, and retrained it on phase-B cycles.")
+	fmt.Println("it deoptimized the stale matcher, and retrained it on phase-B cycles.")
 }
 
 // usefulPrefetches replays a trace through a matcher for the given streams

@@ -57,7 +57,7 @@ func main() {
 			continue
 		}
 		shape := sessionShapes[rng.Intn(len(sessionShapes))]
-		profile.AddAll(shape)
+		profile.AddBatch(shape)
 		replay = append(replay, shape...)
 	}
 

@@ -213,9 +213,6 @@ func (p *Profile) MintedRules() uint64 {
 	return p.prepass.Minted()
 }
 
-// AddAll appends each reference in order.
-func (p *Profile) AddAll(refs []Ref) { p.AddBatch(refs) }
-
 // Len returns the number of references added so far.
 func (p *Profile) Len() uint64 { return p.grammar.Len() }
 
@@ -238,55 +235,19 @@ func (p *Profile) Reset() {
 // quantity hot data stream analysis is linear in.
 func (p *Profile) GrammarSize() int { return p.grammar.Size() }
 
-// Snapshot is a point-in-time view of a profile's grammar for analysis.
-// An optimize pass that wants both the fast and the precise detector on the
-// same profile takes one Snapshot and runs both detectors on it, instead of
-// re-walking the grammar per detector as the profile-level entry points do.
-//
-// A snapshot stays valid while the profile grows, but not across
-// Profile.Reset: streams are resolved through the profile's interner, which
-// Reset recycles.
-type Snapshot struct {
-	p    *Profile
-	snap *sequitur.Snapshot
-}
-
-// Snapshot captures the profile's grammar once for repeated analysis.
-func (p *Profile) Snapshot() *Snapshot {
-	return &Snapshot{p: p, snap: p.grammar.Snapshot()}
-}
-
-// Len returns the number of references the snapshot covers.
-func (s *Snapshot) Len() uint64 { return s.snap.InputLen }
-
-// HotStreams extracts the snapshot's hot data streams using the paper's fast
-// approximation algorithm (Figure 5), hottest first.
-func (s *Snapshot) HotStreams(cfg AnalysisConfig) []Stream {
-	infos := hotds.Analyze(s.snap, cfg.internal())
-	return s.p.toStreams(infos)
+// HotStreams extracts the profile's hot data streams using the paper's fast
+// approximation algorithm (Figure 5), hottest first. The profile can
+// continue to grow afterwards.
+func (p *Profile) HotStreams(cfg AnalysisConfig) []Stream {
+	return p.toStreams(hotds.Analyze(p.grammar.Snapshot(), cfg.internal()))
 }
 
 // HotStreamsPrecise extracts hot data streams with the exact (Larus-style)
 // detector over the reconstructed trace. It is slower than HotStreams but
 // also finds streams that straddle the grammar's rule boundaries (§2.3).
-func (s *Snapshot) HotStreamsPrecise(cfg AnalysisConfig) []Stream {
-	trace := s.snap.Expand(0)
-	infos := hotds.PreciseAnalyze(trace, cfg.internal())
-	return s.p.toStreams(infos)
-}
-
-// HotStreams extracts the profile's hot data streams using the paper's fast
-// approximation algorithm (Figure 5), hottest first. The profile can
-// continue to grow afterwards. To run more than one detector over the same
-// moment, take a Snapshot and analyze that instead.
-func (p *Profile) HotStreams(cfg AnalysisConfig) []Stream {
-	return p.Snapshot().HotStreams(cfg)
-}
-
-// HotStreamsPrecise extracts hot data streams with the exact (Larus-style)
-// detector; see Snapshot.HotStreamsPrecise.
 func (p *Profile) HotStreamsPrecise(cfg AnalysisConfig) []Stream {
-	return p.Snapshot().HotStreamsPrecise(cfg)
+	trace := p.grammar.Snapshot().Expand(0)
+	return p.toStreams(hotds.PreciseAnalyze(trace, cfg.internal()))
 }
 
 func (p *Profile) toStreams(infos []hotds.StreamInfo) []Stream {

@@ -31,7 +31,7 @@ func mkStream(pcBase int, n int) []Ref {
 func TestProfileFindsKnownStreams(t *testing.T) {
 	known := [][]Ref{mkStream(100, 15), mkStream(200, 12)}
 	p := NewProfile()
-	p.AddAll(syntheticTrace(known, 20, 1))
+	p.AddBatch(syntheticTrace(known, 20, 1))
 
 	cfg := AnalysisConfig{MinLen: 10, MaxLen: 100, MinUnique: 10, MinCoverage: 0.01}
 	streams := p.HotStreams(cfg)
@@ -75,7 +75,7 @@ func TestProfileLenAndGrammarSize(t *testing.T) {
 	if p.Len() != 0 {
 		t.Error("empty profile must have Len 0")
 	}
-	p.AddAll(mkStream(1, 50))
+	p.AddBatch(mkStream(1, 50))
 	if p.Len() != 50 {
 		t.Errorf("Len = %d, want 50", p.Len())
 	}
@@ -87,7 +87,7 @@ func TestProfileLenAndGrammarSize(t *testing.T) {
 func TestPreciseAtLeastAsInclusive(t *testing.T) {
 	known := [][]Ref{mkStream(100, 12)}
 	p := NewProfile()
-	p.AddAll(syntheticTrace(known, 15, 2))
+	p.AddBatch(syntheticTrace(known, 15, 2))
 	cfg := AnalysisConfig{MinLen: 10, MaxLen: 60, MinUnique: 10, MinCoverage: 0.01}
 	fast := p.HotStreams(cfg)
 	precise := p.HotStreamsPrecise(cfg)
@@ -108,7 +108,7 @@ func TestMatcherEndToEnd(t *testing.T) {
 	known := [][]Ref{mkStream(100, 15)}
 	trace := syntheticTrace(known, 20, 3)
 	p := NewProfile()
-	p.AddAll(trace)
+	p.AddBatch(trace)
 	streams := p.HotStreams(AnalysisConfig{MinLen: 10, MaxLen: 100, MinCoverage: 0.01})
 	if len(streams) == 0 {
 		t.Fatal("no streams detected")
@@ -272,14 +272,14 @@ func TestPropertyOnlineProfileStable(t *testing.T) {
 		cfg := AnalysisConfig{MinLen: 10, MaxLen: 60, MinCoverage: 0.01}
 
 		oneShot := NewProfile()
-		oneShot.AddAll(trace)
+		oneShot.AddBatch(trace)
 		want := oneShot.HotStreams(cfg)
 
 		interleaved := NewProfile()
 		c := int(cut) % len(trace)
-		interleaved.AddAll(trace[:c])
+		interleaved.AddBatch(trace[:c])
 		_ = interleaved.HotStreams(cfg) // mid-flight snapshot
-		interleaved.AddAll(trace[c:])
+		interleaved.AddBatch(trace[c:])
 		got := interleaved.HotStreams(cfg)
 
 		if len(got) != len(want) {

@@ -26,14 +26,10 @@
 package dfsm
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 
 	"hotprefetch/internal/ref"
 )
@@ -76,31 +72,10 @@ outer:
 // combined prefix-matching DFSM — the one constructor every layer that
 // matches a stream set goes through. Split only reads a stream's Refs, so
 // the machine shares them with the caller (see ref.Stream).
-//
-// Splitting is independent across streams, so large stream sets are split
-// in parallel partitions; each worker writes disjoint slots, so the built
-// machine is identical regardless of parallelism.
 func New(streams []ref.Stream, headLen int) *DFSM {
 	split := make([]Stream, len(streams))
-	prep := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			split[i] = Split(streams[i].Refs, streams[i].Heat, headLen)
-		}
-	}
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(streams) >= 32 {
-		var wg sync.WaitGroup
-		chunk := (len(streams) + workers - 1) / workers
-		for lo := 0; lo < len(streams); lo += chunk {
-			hi := min(lo+chunk, len(streams))
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				prep(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		prep(0, len(streams))
+	for i, s := range streams {
+		split[i] = Split(s.Refs, s.Heat, headLen)
 	}
 	return Build(split, headLen)
 }
@@ -121,17 +96,10 @@ type State struct {
 	Prefetches []uint64
 }
 
-// transKey identifies a transition source: a state and an observed data
-// reference.
-type transKey struct {
-	state int
-	r     ref.Ref
-}
-
 // transRec is one explicit transition in the flat relation Build produces:
 // observing (pc, addr) in state from moves the machine to state to. Build
 // appends records instead of populating a map, and compile sorts them into
-// the table layout; the map form exists only for the non-hot Next/DOT paths.
+// the table layout.
 type transRec struct {
 	pc       int
 	addr     uint64
@@ -147,11 +115,8 @@ type DFSM struct {
 
 	// transRecs is the explicit transition relation in flat, sorted form
 	// (by pc, then addr, then source state). The matching hot path never
-	// touches it: Observe runs on the compiled tables below. trans is the map
-	// view, built lazily on the first Next call.
+	// touches it: Observe runs on the compiled tables below.
 	transRecs []transRec
-	transOnce sync.Once
-	trans     map[transKey]*State
 
 	// Compiled detection tables, the flat layout of the comparison
 	// structure the injected code executes per instrumented pc (paper
@@ -189,9 +154,8 @@ type stateEntry struct {
 // Construction is allocation-lean: element sets live in one growing arena and
 // are interned through an open-addressed hash table of state indices, the
 // transition relation is a flat record slice, and the compiled tables are
-// carved from exactly-sized arrays. The expensive per-transition heat ranking
-// in compile fans out across GOMAXPROCS workers over disjoint arm partitions,
-// so the result is identical regardless of parallelism.
+// carved from exactly-sized arrays. The whole build runs on the caller's
+// goroutine.
 func Build(streams []Stream, headLen int) *DFSM {
 	if headLen < 1 {
 		panic("dfsm: headLen must be >= 1")
@@ -414,8 +378,7 @@ func sortElements(elems []Element) {
 // One sort of the flat transition relation by (pc, addr, from) makes every
 // (pc, addr) group — one arm of the generated if-chain — contiguous with its
 // state entries already ordered, so the tables are assembled by slicing, not
-// by per-pc maps. The arm heat ranking, the only pass that touches every
-// target state's element set, runs in parallel over disjoint arm partitions.
+// by per-pc maps.
 func (d *DFSM) compile() {
 	recs := d.transRecs
 	if len(recs) == 0 {
@@ -467,41 +430,16 @@ func (d *DFSM) compile() {
 	}
 
 	// Arm heat = hottest stream with an element in any target state of the
-	// group. Partitioned across workers; each writes only its own groups, so
-	// the result is independent of the worker count.
-	rankPartition := func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			g := &groups[gi]
-			for ri := g.rStart; ri < g.rEnd; ri++ {
-				for _, e := range d.States[recs[ri].to].Elements {
-					if h := d.Streams[e.Stream].Heat; h > g.heat {
-						g.heat = h
-					}
+	// group.
+	for gi := range groups {
+		g := &groups[gi]
+		for ri := g.rStart; ri < g.rEnd; ri++ {
+			for _, e := range d.States[recs[ri].to].Elements {
+				if h := d.Streams[e.Stream].Heat; h > g.heat {
+					g.heat = h
 				}
 			}
 		}
-	}
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(groups) >= 64 {
-		var wg sync.WaitGroup
-		chunk := (len(groups) + workers - 1) / workers
-		for lo := 0; lo < len(groups); lo += chunk {
-			hi := lo + chunk
-			if hi > len(groups) {
-				hi = len(groups)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				// Label the fan-out so CPU profiles attribute compile time to
-				// the machine-build phase rather than anonymous goroutines.
-				pprof.Do(context.Background(), pprof.Labels("hotprefetch_phase", "dfsm_compile"), func(context.Context) {
-					rankPartition(lo, hi)
-				})
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		rankPartition(0, len(groups))
 	}
 
 	sort.Slice(groups, func(i, j int) bool {
@@ -568,18 +506,6 @@ func (d *DFSM) compile() {
 	}
 }
 
-// spanOf returns pc's [start,end) arm range, zero if pc is not instrumented.
-// The dense fast path is small enough to inline into Observe.
-func (d *DFSM) spanOf(pc int) [2]int32 {
-	if d.pcDense != nil {
-		if i := pc - d.pcMin; uint(i) < uint(len(d.pcDense)) {
-			return d.pcDense[i]
-		}
-		return [2]int32{}
-	}
-	return spanSearch(d.pcKeys, d.pcSpan, pc)
-}
-
 // spanSearch is the sparse-pc fallback: a binary search over the sorted
 // instrumented pcs keys, whose arm ranges are spans.
 func spanSearch(keys []int, spans [][2]int32, pc int) [2]int32 {
@@ -607,48 +533,10 @@ func (d *DFSM) NumStates() int { return len(d.States) }
 // them).
 func (d *DFSM) NumTransitions() int { return len(d.transRecs) }
 
-// Start returns the start state (nothing matched).
-func (d *DFSM) Start() *State { return d.States[0] }
-
-// transMap materializes the map view of the transition relation on first
-// use. Next and the debug renderers are the only readers; keeping the map
-// off the Build path keeps construction allocation-lean.
-func (d *DFSM) transMap() map[transKey]*State {
-	d.transOnce.Do(func() {
-		m := make(map[transKey]*State, len(d.transRecs))
-		for _, t := range d.transRecs {
-			m[transKey{state: int(t.from), r: ref.Ref{PC: t.pc, Addr: t.addr}}] = d.States[t.to]
-		}
-		d.trans = m
-	})
-	return d.trans
-}
-
-// Next returns d(s, r), with the implicit reset to the start state for
-// undefined transitions.
-func (d *DFSM) Next(s *State, r ref.Ref) *State {
-	if t, ok := d.transMap()[transKey{state: s.ID, r: r}]; ok {
-		return t
-	}
-	return d.States[0]
-}
-
 // PCs returns the sorted set of instruction PCs at which detection code must
-// be injected — every pc occurring in any stream head.
-func (d *DFSM) PCs() []int {
-	set := map[int]struct{}{}
-	for _, s := range d.Streams {
-		for _, r := range s.Head {
-			set[r.PC] = struct{}{}
-		}
-	}
-	pcs := make([]int, 0, len(set))
-	for pc := range set {
-		pcs = append(pcs, pc)
-	}
-	sort.Ints(pcs)
-	return pcs
-}
+// be injected — every pc occurring in any stream head. Every head reference
+// labels a transition, so these are exactly the pcs of the compiled tables.
+func (d *DFSM) PCs() []int { return append([]int{}, d.pcKeys...) }
 
 // String renders the DFSM's states and transitions for debugging.
 func (d *DFSM) String() string {

@@ -40,25 +40,12 @@ func BurstConfig() burst.Config {
 	}
 }
 
-// AnalysisConfig returns the paper's §4.1 stream detection settings:
-// streams of more than ten unique references covering at least 1% of the
-// collected trace.
-func AnalysisConfig() hotds.Config {
-	return hotds.Config{
-		MinLen:      10,
-		MaxLen:      100,
-		MinUnique:   10,
-		MinCoverage: 0.01,
-		MaxStreams:  100,
-	}
-}
-
 // OptConfig assembles the optimizer configuration for one evaluation mode.
 func OptConfig(mode opt.Mode) opt.Config {
 	cfg := opt.Config{
 		Mode:     mode,
 		Burst:    BurstConfig(),
-		Analysis: AnalysisConfig(),
+		Analysis: hotds.DefaultConfig(),
 		HeadLen:  2,
 		Costs:    opt.DefaultCostModel(),
 	}

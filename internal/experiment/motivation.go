@@ -102,10 +102,3 @@ func Motivation(params []workload.Params, profileRefs int) ([]MotivationResult, 
 	}
 	return out, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

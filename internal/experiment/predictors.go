@@ -112,7 +112,7 @@ func PredictorComparison(params []workload.Params, refs int) ([]PredictorResult,
 	if err != nil {
 		return nil, err
 	}
-	acfg := AnalysisConfig()
+	acfg := hotds.DefaultConfig()
 	names := predictor.Names()
 	out := make([]PredictorResult, 0, len(insts)*len(names))
 	for _, ni := range insts {

@@ -105,7 +105,7 @@ func PrepassComparison(params []workload.Params, refs int, pcfg sequitur.Prepass
 	if refs <= 0 {
 		refs = 240000
 	}
-	acfg := AnalysisConfig()
+	acfg := hotds.DefaultConfig()
 	out := make([]PrepassResult, 0, len(params))
 	for _, p := range params {
 		trace, err := workload.Build(p).Capture(refs)

@@ -135,7 +135,7 @@ func SamplingComparison(params []workload.Params, refs int, bcfg burst.Config) (
 	if refs <= 0 {
 		refs = 240000
 	}
-	acfg := AnalysisConfig()
+	acfg := hotds.DefaultConfig()
 	out := make([]SamplingResult, 0, len(params))
 	for _, p := range params {
 		trace, err := workload.Build(p).Capture(refs)

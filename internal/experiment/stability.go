@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hotprefetch/internal/hotds"
 	"hotprefetch/internal/ref"
 	"hotprefetch/internal/workload"
 )
@@ -31,7 +32,7 @@ func collectStreams(p workload.Params, refs int) ([]ref.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analyzeTraceRefs(trace, AnalysisConfig()), nil
+	return analyzeTraceRefs(trace, hotds.DefaultConfig()), nil
 }
 
 // pcSignature canonicalizes a stream to its instruction sequence.

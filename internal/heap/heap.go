@@ -56,10 +56,6 @@ func (a *Arena) AllocWords(n int) uint64 { return a.Alloc(uint64(n) * WordSize) 
 // consecutively allocated objects.
 func (a *Arena) Skip(size uint64) { a.Alloc(size) }
 
-// Used returns the number of bytes allocated so far (including the reserved
-// prefix before the start address).
-func (a *Arena) Used() uint64 { return a.brk }
-
 // Write stores val at byte address addr.
 func (a *Arena) Write(addr, val uint64) { a.mem[addr/WordSize] = val }
 

@@ -28,15 +28,14 @@ import (
 type Kind uint8
 
 const (
-	// KindPhaseProfiling, KindPhaseOptimized, and KindPhaseHibernating mark
-	// the supervisor entering the corresponding phase of the paper's §5
-	// profile → optimize → hibernate cycle. For KindPhaseOptimized, Value is
-	// the number of hot streams the installed machine serves; for
-	// KindPhaseHibernating it is the bad-window run that triggered the
-	// teardown; for KindPhaseProfiling it is unused.
+	// KindPhaseProfiling and KindPhaseOptimized mark the supervisor entering
+	// the corresponding phase of the paper's §5 profile → optimize cycle:
+	// profiling at start-up and after each deoptimization, optimized when a
+	// trained machine is installed. For KindPhaseOptimized, Value is the
+	// number of hot streams the installed machine serves; for
+	// KindPhaseProfiling it is unused.
 	KindPhaseProfiling Kind = iota + 1
 	KindPhaseOptimized
-	KindPhaseHibernating
 
 	// KindCycleStart marks a shard's grammar hitting its symbol budget and
 	// beginning a cycle-end phase transition. Value is the grammar size.
@@ -96,8 +95,6 @@ func (k Kind) String() string {
 		return "phase_profiling"
 	case KindPhaseOptimized:
 		return "phase_optimized"
-	case KindPhaseHibernating:
-		return "phase_hibernating"
 	case KindCycleStart:
 		return "cycle_start"
 	case KindCycleAnalyzed:

@@ -248,11 +248,13 @@ func TestWritePrometheusObserver(t *testing.T) {
 		`hotprefetch_phase_events_total{kind="matcher_swap"} 0`,
 		`hotprefetch_phase_events_total{kind="phase_optimized"} 1`,
 		`hotprefetch_phase_events_total{kind="phase_profiling"} 1`,
-		`hotprefetch_phase_events_total{kind="phase_hibernating"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, `kind="phase_hibernating"`) {
+		t.Errorf("output serves a phase_hibernating sample, want only profiling and optimized phases:\n%s", out)
 	}
 }
 

@@ -37,16 +37,15 @@ type HistogramSnapshot = obs.HistogramSnapshot
 // Re-exported event kinds; see the internal/obs documentation for each
 // kind's Value payload.
 const (
-	EventPhaseProfiling   = obs.KindPhaseProfiling
-	EventPhaseOptimized   = obs.KindPhaseOptimized
-	EventPhaseHibernating = obs.KindPhaseHibernating
-	EventCycleStart       = obs.KindCycleStart
-	EventCycleAnalyzed    = obs.KindCycleAnalyzed
-	EventCycleBanked      = obs.KindCycleBanked
-	EventAnalysisFailed   = obs.KindAnalysisFailed
-	EventMatcherSwap      = obs.KindMatcherSwap
-	EventBurstAwake       = obs.KindBurstAwake
-	EventBurstHibernate   = obs.KindBurstHibernate
+	EventPhaseProfiling = obs.KindPhaseProfiling
+	EventPhaseOptimized = obs.KindPhaseOptimized
+	EventCycleStart     = obs.KindCycleStart
+	EventCycleAnalyzed  = obs.KindCycleAnalyzed
+	EventCycleBanked    = obs.KindCycleBanked
+	EventAnalysisFailed = obs.KindAnalysisFailed
+	EventMatcherSwap    = obs.KindMatcherSwap
+	EventBurstAwake     = obs.KindBurstAwake
+	EventBurstHibernate = obs.KindBurstHibernate
 
 	EventSnapshotWritten    = obs.KindSnapshotWritten
 	EventSnapshotRestored   = obs.KindSnapshotRestored

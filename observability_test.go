@@ -82,8 +82,8 @@ func TestTracerPhaseCycleSequence(t *testing.T) {
 	if err := sup.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state after stale window = %v, want %v", got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state after stale window = %v, want %v", got, StateProfiling)
 	}
 
 	events := tracer.snapshot()
@@ -114,7 +114,7 @@ func TestTracerPhaseCycleSequence(t *testing.T) {
 	want := []EventKind{
 		EventPhaseProfiling,
 		EventMatcherSwap, EventPhaseOptimized,
-		EventMatcherSwap, EventPhaseHibernating,
+		EventMatcherSwap, EventPhaseProfiling,
 	}
 	if len(phases) != len(want) {
 		t.Fatalf("phase/matcher events = %v, want %v", phases, want)
@@ -268,7 +268,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE hotprefetch_phase_events_total counter",
 		`hotprefetch_phase_events_total{kind="phase_profiling"} 1`,
 		`hotprefetch_phase_events_total{kind="phase_optimized"} 1`,
-		`hotprefetch_phase_events_total{kind="phase_hibernating"} 0`,
 		"hotprefetch_refs_consumed_total",
 		"hotprefetch_matcher_swaps_total 1",
 		"hotprefetch_supervisor_reoptimizations_total 0",
@@ -290,6 +289,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hotprefetch_snapshot_writes_total",
 		"hotprefetch_snapshot_restores_total",
 		"hotprefetch_snapshot_load_failures_total",
+		// Deoptimizing returns the supervisor to profiling: no third phase.
+		`kind="phase_hibernating"`,
 	} {
 		if strings.Contains(body, gone) {
 			t.Errorf("scrape body still serves %s", gone)

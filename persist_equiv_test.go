@@ -42,7 +42,7 @@ func TestSnapshotRestoreRebuildEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cold.Close()
-			if err := cold.Shard(0).AddAll(trace); err != nil {
+			if err := cold.Shard(0).AddBatch(trace); err != nil {
 				t.Fatal(err)
 			}
 			if err := cold.Flush(); err != nil {
@@ -146,7 +146,7 @@ func TestWarmStartTimeToFirstOptimization(t *testing.T) {
 	trace := phaseTrace(1, 40)
 	coldRefs := 0
 	for i := 0; i < 200 && supCold.State() != StateOptimized; i++ {
-		if err := cold.Shard(0).AddAll(trace); err != nil {
+		if err := cold.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := cold.Flush(); err != nil {

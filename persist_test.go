@@ -110,7 +110,7 @@ func TestSnapshotRestoreFailureColdFallback(t *testing.T) {
 		t.Fatalf("KindSnapshotLoadFailed count = %d, want 1", n)
 	}
 	// Cold fallback: the profile still profiles from zero.
-	if err := sp.Shard(0).AddAll(phaseTrace(1, 5)); err != nil {
+	if err := sp.Shard(0).AddBatch(phaseTrace(1, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Flush(); err != nil {
@@ -168,7 +168,7 @@ func TestSupervisorWarmStart(t *testing.T) {
 		t.Fatalf("warm-start matcher has %d states, want > 1", cm.NumStates())
 	}
 	// The restored baseline seeds the reported accuracy until a live window
-	// concludes (src never enabled tracking, so it may be zero; just check
+	// concludes (src never ran a matcher, so it may be zero; just check
 	// the supervised run judges real traffic next).
 	observeAll(cm, phaseTrace(1, 40))
 	if err := sup.Poll(); err != nil {
@@ -184,7 +184,7 @@ func TestSupervisorWarmStart(t *testing.T) {
 
 // TestSupervisorWarmStartStaleDeoptimizes: a warm start whose accuracy
 // windows come in bad is deoptimized like any other optimization — after
-// BadWindows bad windows the supervisor hibernates behind a pass-through
+// BadWindows bad windows the supervisor profiles behind a pass-through
 // matcher until live evidence banks.
 func TestSupervisorWarmStartStaleDeoptimizes(t *testing.T) {
 	src := cycledProfile(t, 1)
@@ -201,8 +201,8 @@ func TestSupervisorWarmStartStaleDeoptimizes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state after %d forced-stale windows = %v, want %v", 2, got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state after %d forced-stale windows = %v, want %v", 2, got, StateProfiling)
 	}
 	if got := sup.Snapshot().Deoptimizations; got != 1 {
 		t.Fatalf("Deoptimizations = %d, want 1", got)
@@ -236,7 +236,7 @@ func TestSupervisorQuietPollsCarryWindow(t *testing.T) {
 		}
 		want := StateOptimized
 		if poll == 6 {
-			want = StateHibernating
+			want = StateProfiling
 		}
 		if got := sup.State(); got != want {
 			t.Fatalf("state after poll %d (%d observations) = %v, want %v", poll, 100*poll, got, want)
@@ -270,7 +270,7 @@ func TestSupervisorWarmStartDriftForgotten(t *testing.T) {
 		}
 		want := StateOptimized
 		if poll == 3 {
-			want = StateHibernating
+			want = StateProfiling
 		}
 		if got := sup.State(); got != want {
 			t.Fatalf("state after drifted window %d = %v, want %v", poll, got, want)

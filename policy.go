@@ -161,8 +161,8 @@ func ParseBurstConfig(s string) (BurstConfig, error) {
 	return BurstConfig{Enabled: true, NCheck: vals[0], NInstr: vals[1], NAwake: vals[2], NHibernate: vals[3]}, nil
 }
 
-// ErrClosed is returned by ProfileShard.Add and AddAll after the profile has
-// been closed, also to a Block Add that was asleep against a full ring.
+// ErrClosed is returned by ProfileShard.Add and AddBatch after the profile
+// has been closed, also to a Block Add that was asleep against a full ring.
 var ErrClosed = errors.New("hotprefetch: Add on closed ShardedProfile")
 
 // ErrFlushStalled is returned (wrapped) by ShardedProfile.Flush when a

@@ -40,8 +40,8 @@ func TestAddAfterCloseReturnsError(t *testing.T) {
 			if err := sp.Shard(0).Add(Ref{PC: 1, Addr: 2}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Add after Close = %v, want ErrClosed", err)
 			}
-			if err := sp.Shard(1).AddAll([]Ref{{PC: 1, Addr: 2}}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("AddAll after Close = %v, want ErrClosed", err)
+			if err := sp.Shard(1).AddBatch([]Ref{{PC: 1, Addr: 2}}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("AddBatch after Close = %v, want ErrClosed", err)
 			}
 		})
 	}
@@ -404,7 +404,7 @@ func TestFlushDrainsWithoutRunningConsumer(t *testing.T) {
 	sp := newShardedProfile(cfg) // consumers intentionally not started
 	trace := shardTrace(1, 100)
 	for i := 0; i < sp.NumShards(); i++ {
-		if err := sp.Shard(i).AddAll(trace); err != nil {
+		if err := sp.Shard(i).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,7 +432,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	}
 	defer sp.Close()
 	trace := shardTrace(1, 100)
-	if err := sp.Shard(0).AddAll(trace); err != nil {
+	if err := sp.Shard(0).AddBatch(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Flush(); err != nil {
@@ -525,7 +525,7 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 
 	single := NewShardedProfile(1)
 	defer single.Close()
-	if err := single.Shard(0).AddAll(trace); err != nil {
+	if err := single.Shard(0).AddBatch(trace); err != nil {
 		t.Fatal(err)
 	}
 
@@ -840,7 +840,7 @@ func TestShedPoliciesUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	lossless := NewProfile()
-	lossless.AddAll(trace)
+	lossless.AddBatch(trace)
 	want := lossless.HotStreams(DefaultAnalysisConfig())
 	if len(want) == 0 {
 		t.Fatal("the lossless profile found no hot streams")

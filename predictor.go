@@ -24,8 +24,8 @@ import "hotprefetch/internal/predictor"
 // (wrap in ConcurrentMatcher), and returned prefetch slices alias internal
 // state and are valid only until the next Observe. Accuracy accounting is
 // not the predictor's job: ConcurrentMatcher keeps the one ledger (see
-// ConcurrentMatcher.EnableAccuracyTracking), so every implementation is
-// measured by the same books.
+// ConcurrentMatcher.AccuracyBooks), so every implementation is measured by
+// the same books.
 type Predictor = predictor.Predictor
 
 // PredictorFactory builds a trained predictor over a hot-stream set.

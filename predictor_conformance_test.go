@@ -75,7 +75,7 @@ func TestDFSMThroughInterfaceBitIdentical(t *testing.T) {
 			}
 			cut := len(trace) * 60 / 100
 			prof := hotprefetch.NewProfile()
-			prof.AddAll(trace[:cut])
+			prof.AddBatch(trace[:cut])
 			streams := prof.HotStreams(analysis)
 			if len(streams) == 0 {
 				t.Skipf("%s: no hot streams at this trace length", p.Name)

@@ -4,7 +4,7 @@ package hotprefetch_test
 // predictor pipeline: the input decodes into a training stream and an
 // observation trace, a fuzzer-chosen implementation is built over the
 // stream, and the trace replays through two independent instances — one
-// behind ConcurrentMatcher with its accuracy ledger on, one bare. The
+// behind ConcurrentMatcher with its accuracy ledger, one bare. The
 // invariants are the conformance suite's, checked on adversarial input:
 // no panic anywhere, comparisons charged exactly where the predictor has
 // detection code (0 elsewhere), bit-exact agreement between the twin
@@ -48,15 +48,17 @@ func FuzzPredictorObserve(f *testing.F) {
 		// seed byte's mapping stable as registrations come and go.
 		names := []string{"dfsm", "markov", "stride"}
 		name := names[int(data[0])%len(names)]
-		window := int(data[1]%16) + 1
+		// data[1] is unused: it chose a ledger window when the window was a
+		// setting. The layout stays so the checked-in seeds keep their
+		// meaning.
 		heat := uint64(data[2]) // zero heat is a valid, interesting case
 		refs := decodeRefs(data[3:])
 		if len(refs) == 0 {
 			return
 		}
 		// First half trains, the whole sequence replays: the trace revisits
-		// the trained region, so prefetch issue, hits, coalescing, and
-		// window evictions all fire.
+		// the trained region, so prefetch issue, hits and coalescing all
+		// fire.
 		var streams []hotprefetch.Stream
 		if cut := len(refs) / 2; cut > 0 {
 			streams = []hotprefetch.Stream{{Refs: refs[:cut], Heat: heat}}
@@ -69,7 +71,6 @@ func FuzzPredictorObserve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: twin build failed: %v", name, err)
 		}
-		a.EnableAccuracyTracking(window)
 		// A reference has detection code when the DFSM instruments its pc,
 		// or when a Markov or stride table holds trained state.
 		heads := map[int]bool{}

@@ -37,7 +37,6 @@ func TestPredictorHotSwapRacesObserve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cm.EnableAccuracyTracking(64)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			var observed atomic.Uint64

@@ -50,7 +50,7 @@ func TestPrepassBankedStreamsEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sp.Close()
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
@@ -188,7 +188,7 @@ func TestPrepassReconciliation(t *testing.T) {
 				go func(p int) {
 					defer wg.Done()
 					trace := prepassTrace(p+1, reps)
-					if err := sp.Shard(p).AddAll(trace); err != nil {
+					if err := sp.Shard(p).AddBatch(trace); err != nil {
 						t.Error(err)
 						return
 					}
@@ -251,7 +251,7 @@ func TestPrepassBurstComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	if err := sp.Shard(0).AddAll(trace); err != nil {
+	if err := sp.Shard(0).AddBatch(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Flush(); err != nil {
@@ -283,7 +283,7 @@ func TestPrepassBurstComposition(t *testing.T) {
 func TestPrepassAutoResolution(t *testing.T) {
 	trace := prepassTrace(1, 3000)
 	run := func(sp *ShardedProfile) Stats {
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {

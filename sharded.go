@@ -732,9 +732,6 @@ func (s *ProfileShard) Add(r Ref) error {
 	return s.AddBatch(one[:])
 }
 
-// AddAll appends each reference in order; it is AddBatch.
-func (s *ProfileShard) AddAll(refs []Ref) error { return s.AddBatch(refs) }
-
 // AddBatch appends a run of references in order, amortizing the ring's
 // release fence and head refresh over the whole run (one tail store per
 // PushBatch instead of one per reference). Block pushes every reference

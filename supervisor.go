@@ -12,37 +12,27 @@ import (
 )
 
 // SupervisorState is one phase of the supervised runtime's cycle — the
-// paper's §5 profile → optimize → hibernate loop as a first-class state
-// machine.
+// paper's §5 profile → optimize loop as a first-class state machine.
 type SupervisorState int32
 
 const (
-	// StateProfiling: no optimization installed yet; the profile is
-	// accumulating evidence and the supervisor is waiting for enough banked
-	// cycles to build the first matcher.
+	// StateProfiling: no optimization is installed — none yet, or the last
+	// one was deoptimized to a pass-through matcher (no prefetches, no
+	// detection cost). The profile is accumulating evidence and the
+	// supervisor (re)optimizes once a fresh cycle has banked.
 	StateProfiling SupervisorState = iota
 
 	// StateOptimized: a matcher trained on detected hot streams is
 	// installed and the supervisor is sampling its accuracy every window.
 	StateOptimized
-
-	// StateHibernating: the supervisor deoptimized — a pass-through matcher
-	// is installed (no prefetches, no detection cost) while the
-	// profile re-accumulates fresh cycles; once one has banked the
-	// supervisor re-optimizes and returns to StateOptimized.
-	StateHibernating
 )
 
 // String returns the state name used in Stats.
 func (s SupervisorState) String() string {
-	switch s {
-	case StateOptimized:
+	if s == StateOptimized {
 		return "optimized"
-	case StateHibernating:
-		return "hibernating"
-	default:
-		return "profiling"
 	}
+	return "profiling"
 }
 
 // SupervisorConfig tunes the accuracy-driven deoptimization loop. The zero
@@ -91,7 +81,7 @@ func (c SupervisorConfig) Validate() error {
 
 // SupervisorStats is the supervision slice of a Stats snapshot.
 type SupervisorStats struct {
-	// State is the current phase ("profiling", "optimized", "hibernating").
+	// State is the current phase ("profiling" or "optimized").
 	State string `json:"state"`
 
 	// Accuracy is the last conclusive window's hits/issued ratio (0 when
@@ -155,9 +145,9 @@ type Supervisor struct {
 	inj fault.Injector
 }
 
-// Supervise wires a Supervisor over the profile and matcher: it enables
-// accuracy tracking on the matcher and registers both with the profile's
-// Stats. The caller then drives the state machine by calling Poll.
+// Supervise wires a Supervisor over the profile and matcher and registers
+// both with the profile's Stats. The caller then drives the state machine by
+// calling Poll.
 //
 // The profile must have a grammar budget (MaxGrammarSymbols): every retrain
 // reads the cycle streams banked since the last one, and without a budget no
@@ -171,7 +161,6 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 	}
 	cfg = cfg.withDefaults()
 	s := &Supervisor{sp: sp, cm: cm, cfg: cfg}
-	cm.EnableAccuracyTracking(0)
 	if restored, base := sp.restored(); len(restored) > 0 {
 		// Warm start: a snapshot was restored into the profile, so optimize
 		// from it immediately — no profiling period. It is an ordinary
@@ -192,7 +181,7 @@ func Supervise(sp *ShardedProfile, cm *ConcurrentMatcher, cfg SupervisorConfig) 
 		sp.obs.Emit(obs.KindPhaseOptimized, -1, uint64(len(restored)))
 	} else if cm.NumStates() > 1 {
 		s.state.Store(int32(StateOptimized))
-		sp.obs.Emit(obs.KindPhaseOptimized, -1, uint64(cm.NumStates()))
+		sp.obs.Emit(obs.KindPhaseOptimized, -1, uint64(cm.cur.Load().streams))
 	} else {
 		s.state.Store(int32(StateProfiling))
 		sp.obs.Emit(obs.KindPhaseProfiling, -1, 0)
@@ -232,12 +221,13 @@ func (s *Supervisor) Snapshot() SupervisorStats {
 
 // Poll advances the state machine by one supervision window: in
 // StateOptimized it judges the accuracy window and deoptimizes after
-// cfg.BadWindows consecutive bad ones; in StateProfiling/StateHibernating
-// it re-optimizes once enough fresh evidence has banked. The embedding
-// application calls it from its own loop, for instance once per batch of
-// references it publishes (it is safe to call concurrently, but windows are
-// only meaningful when polled at a roughly steady cadence). Every error Poll
-// returns is counted in SupervisorStats.PollErrors.
+// cfg.BadWindows consecutive bad ones; in StateProfiling it (re)optimizes
+// once enough fresh evidence has banked, building the new matcher on the
+// calling goroutine. The embedding application calls it from its own loop,
+// for instance once per batch of references it publishes (it is safe to
+// call concurrently, but windows are only meaningful when polled at a
+// roughly steady cadence). Every error Poll returns is counted in
+// SupervisorStats.PollErrors.
 func (s *Supervisor) Poll() error {
 	s.pollMu.Lock()
 	defer s.pollMu.Unlock()
@@ -304,9 +294,9 @@ func (s *Supervisor) safeSwap(streams []Stream) (err error) {
 
 // deoptimize tears the optimization down: a pass-through matcher is
 // published (no streams, so no detection code runs: observations cost 0
-// comparisons and no prefetch ever fires) and the profile re-enters its
-// evidence-gathering phase. The paper's §5 de-optimization, triggered by
-// measured accuracy decay instead of an external call.
+// comparisons and no prefetch ever fires) and the supervisor returns to
+// StateProfiling. The paper's §5 de-optimization, triggered by measured
+// accuracy decay instead of an external call.
 func (s *Supervisor) deoptimize() error {
 	if err := s.safeSwap(nil); err != nil {
 		// Building the empty machine cannot fail with a valid head length;
@@ -317,9 +307,8 @@ func (s *Supervisor) deoptimize() error {
 	s.badRun.Store(0)
 	s.accBits.Store(0)
 	s.deopts.Add(1)
-	s.state.Store(int32(StateHibernating))
-	// Value carries the run of bad windows that triggered the teardown.
-	s.sp.obs.Emit(obs.KindPhaseHibernating, -1, uint64(s.cfg.BadWindows))
+	s.state.Store(int32(StateProfiling))
+	s.sp.obs.Emit(obs.KindPhaseProfiling, -1, 0)
 	return nil
 }
 
@@ -350,7 +339,6 @@ func (s *Supervisor) tryOptimize() error {
 		// Evidence banked but nothing hot yet; keep profiling.
 		return nil
 	}
-	wasProfiling := s.State() == StateProfiling
 	// Start the accuracy bookkeeping from this instant so the optimization
 	// isn't judged on pre-swap silence.
 	s.lastObserved = s.cm.Observations()
@@ -359,7 +347,7 @@ func (s *Supervisor) tryOptimize() error {
 	s.state.Store(int32(StateOptimized))
 	// Value carries the number of hot streams the new machine serves.
 	s.sp.obs.Emit(obs.KindPhaseOptimized, -1, uint64(len(streams)))
-	if !wasProfiling {
+	if s.deopts.Load() > 0 {
 		s.reopts.Add(1)
 	}
 	return nil

@@ -34,7 +34,7 @@ func phaseTrace(phase, reps int) []Ref {
 func feedUntilCycle(t *testing.T, sp *ShardedProfile, trace []Ref, base uint64) {
 	t.Helper()
 	for i := 0; i < 200; i++ {
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
@@ -57,7 +57,7 @@ func observeAll(cm *ConcurrentMatcher, trace []Ref) {
 
 // TestSupervisorDeoptimizeReoptimize is the acceptance test for the
 // supervised runtime: a workload phase shift drags prefetch accuracy below
-// the floor, the supervisor deoptimizes (Hibernating appears in Stats and a
+// the floor, the supervisor deoptimizes (Stats reads "profiling" again and a
 // pass-through matcher is installed), re-optimizes from the next banked
 // cycle, and accuracy recovers — with zero manual Swap calls anywhere.
 func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
@@ -128,8 +128,8 @@ func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state after %d stale windows = %v, want %v", 2, got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state after %d stale windows = %v, want %v", 2, got, StateProfiling)
 	}
 	if cm.NumStates() != 1 {
 		t.Fatalf("deoptimized matcher has %d states, want 1 (pass-through)", cm.NumStates())
@@ -138,19 +138,19 @@ func TestSupervisorDeoptimizeReoptimize(t *testing.T) {
 	if st.Supervisor == nil {
 		t.Fatal("Stats.Supervisor is nil with a supervisor attached")
 	}
-	if st.Supervisor.State != "hibernating" {
-		t.Fatalf("Stats.Supervisor.State = %q, want %q", st.Supervisor.State, "hibernating")
+	if st.Supervisor.State != "profiling" {
+		t.Fatalf("Stats.Supervisor.State = %q, want %q", st.Supervisor.State, "profiling")
 	}
 	if st.Supervisor.Deoptimizations != 1 {
 		t.Fatalf("Deoptimizations = %d, want 1", st.Supervisor.Deoptimizations)
 	}
 
-	// Polling while hibernating with no fresh evidence is a no-op.
+	// Polling while deoptimized with no fresh evidence is a no-op.
 	if err := sup.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state with no fresh cycles = %v, want %v", got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state with no fresh cycles = %v, want %v", got, StateProfiling)
 	}
 
 	// Phase B profiles; the next banked cycle re-optimizes.
@@ -206,7 +206,7 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	if err := sp.Shard(0).AddAll(trace); err != nil {
+	if err := sp.Shard(0).AddBatch(trace); err != nil {
 		t.Fatal(err)
 	}
 	streams, err := sp.HotStreams(analysis)
@@ -239,7 +239,7 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 		}
 		want := StateOptimized
 		if poll == 3 {
-			want = StateHibernating
+			want = StateProfiling
 		}
 		if got := sup.State(); got != want {
 			t.Fatalf("state after forced-stale poll %d = %v, want %v", poll, got, want)
@@ -247,6 +247,39 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 	}
 	if got := sup.Snapshot().Deoptimizations; got != 1 {
 		t.Fatalf("Deoptimizations = %d, want 1", got)
+	}
+}
+
+// TestSupervisePretrainedReportsStreamCount: supervising a matcher that is
+// already trained emits KindPhaseOptimized with the number of hot streams
+// the installed machine serves, as every other optimization does — not its
+// DFSM state count (3 for one stream at head length 2).
+func TestSupervisePretrainedReportsStreamCount(t *testing.T) {
+	sp, err := NewShardedProfileConfig(ShardedConfig{Shards: 1, MaxGrammarSymbols: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	cm, err := NewConcurrentMatcher([]Stream{{Refs: phaseTrace(1, 1)[:12], Heat: 100}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.NumStates() != 3 {
+		t.Fatalf("one stream at head length 2 built %d states, want 3", cm.NumStates())
+	}
+	sup, err := Supervise(sp, cm, SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	var optimized []Event
+	for _, e := range sp.Observer().Events() {
+		if e.Kind == EventPhaseOptimized {
+			optimized = append(optimized, e)
+		}
+	}
+	if len(optimized) != 1 || optimized[0].Value != 1 {
+		t.Fatalf("phase_optimized events = %+v, want one carrying 1 stream", optimized)
 	}
 }
 
@@ -281,7 +314,7 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("host loop never optimized; state=%v stats=%v", sup.State(), sp.Stats())
 		}
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sup.Poll(); err != nil {
@@ -541,7 +574,7 @@ func feedUntilReset(t *testing.T, sp *ShardedProfile, phase int) {
 	rep := len(trace) / reps
 	base := sp.Stats().Resets
 	for lo := 0; lo < len(trace); lo += rep {
-		if err := sp.Shard(0).AddAll(trace[lo : lo+rep]); err != nil {
+		if err := sp.Shard(0).AddBatch(trace[lo : lo+rep]); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
@@ -623,8 +656,8 @@ func TestSupervisorRetrainForgetsStalePhase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state after two phase B windows = %v, want %v", got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state after two phase B windows = %v, want %v", got, StateProfiling)
 	}
 	feedUntilReset(t, sp, 2)
 	if err := sup.Poll(); err != nil {
@@ -650,7 +683,7 @@ func TestSupervisorRetrainForgetsStalePhase(t *testing.T) {
 // analysis has landed in the bank, not cycles that have started. With the
 // analysis of the first cycle after a deoptimization held back, a Poll
 // after that cycle's reset but before its bank lands has no new evidence
-// and must stay hibernating; the Poll after it lands must optimize.
+// and must stay profiling; the Poll after it lands must optimize.
 func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
 	analysis := AnalysisConfig{MinLen: 4, MaxLen: 64, MinCoverage: 0.05}
 	var hold, stale atomic.Bool
@@ -705,8 +738,8 @@ func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale.Store(false)
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state after a stale window = %v, want %v", got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state after a stale window = %v, want %v", got, StateProfiling)
 	}
 
 	hold.Store(true)
@@ -714,8 +747,8 @@ func TestSupervisorReadinessCountsBankedCycles(t *testing.T) {
 	if err := sup.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state with the new cycle started but not banked = %v, want %v", got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state with the new cycle started but not banked = %v, want %v", got, StateProfiling)
 	}
 	hold.Store(false)
 	close(release)
@@ -824,8 +857,8 @@ func TestSupervisorRetrainKeepsCycleBankedDuringBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale.Store(false)
-	if got := sup.State(); got != StateHibernating {
-		t.Fatalf("state after a stale window = %v, want %v", got, StateHibernating)
+	if got := sup.State(); got != StateProfiling {
+		t.Fatalf("state after a stale window = %v, want %v", got, StateProfiling)
 	}
 	feedUntilReset(t, sp, 3)
 	if err := sup.Poll(); err != nil {
@@ -908,7 +941,7 @@ func TestSuperviseLeftoverBaseIsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, st := sup2.Snapshot(), sp.Stats()
-	if snap.State != "hibernating" || snap.Deoptimizations != 1 {
+	if snap.State != "profiling" || snap.Deoptimizations != 1 {
 		t.Fatalf("after a stale window: %+v, want one deoptimization", snap)
 	}
 	if st.RestoredStreams != 0 {
